@@ -9,7 +9,8 @@ statements by randomized search with reproducible counterexample reports.
 
 from .errors import (BisectionError, CapacityError, CertificateError,
                      DimensionMismatchError, InsufficientClusterError,
-                     PreconditionError, UconvexError, ZeroVectorError)
+                     PreconditionError, SamplerExhaustedError, UconvexError,
+                     ZeroVectorError)
 from .modulus import (ModulusCurve, ModulusPoint, TheoremBounds, build_curve,
                       clarkson_delta, delta_from_constraint, empirical_delta,
                       hanner_delta, lp_delta, theorem_bounds)
@@ -33,15 +34,15 @@ __all__ = [
     "ConstructionTrace", "ContractionMap", "DimensionMismatchError",
     "ExtractionResult", "Functional", "InsufficientClusterError",
     "ModulusCurve", "ModulusPoint", "PreconditionError",
-    "SeparationCertificate", "SpaceSpec", "TheoremBounds", "TraceStep",
-    "UconvexError", "VerificationReport", "ZeroVectorError", "apply",
-    "as_vector", "baseline_extract", "build_curve", "certify",
-    "check_lemma23", "check_modulus_properties", "check_remark45",
-    "check_thm2_condition3", "clarkson_delta", "delta_from_constraint",
-    "dual_norm", "empirical_delta", "hanner_delta", "lp_delta",
-    "make_contraction", "norm", "norming_functional", "normalize",
-    "pair_enumeration", "ramsey_extract", "random_unit", "reverify_violation",
-    "riesz_seed", "run_grid", "separation", "shifted_basis_seed",
-    "summary_line", "theorem1_extract", "theorem3_construct",
-    "theorem_bounds", "unit_basis_seed", "__version__",
+    "SamplerExhaustedError", "SeparationCertificate", "SpaceSpec",
+    "TheoremBounds", "TraceStep", "UconvexError", "VerificationReport",
+    "ZeroVectorError", "apply", "as_vector", "baseline_extract",
+    "build_curve", "certify", "check_lemma23", "check_modulus_properties",
+    "check_remark45", "check_thm2_condition3", "clarkson_delta",
+    "delta_from_constraint", "dual_norm", "empirical_delta", "hanner_delta",
+    "lp_delta", "make_contraction", "norm", "norming_functional",
+    "normalize", "pair_enumeration", "ramsey_extract", "random_unit",
+    "reverify_violation", "riesz_seed", "run_grid", "separation",
+    "shifted_basis_seed", "summary_line", "theorem1_extract",
+    "theorem3_construct", "theorem_bounds", "unit_basis_seed", "__version__",
 ]

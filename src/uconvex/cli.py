@@ -7,7 +7,8 @@ seed produce byte-identical output files; nothing time- or host-dependent
 is ever written.
 
 Exit codes: 0 success, 1 verification/certificate failure, 2 configuration
-error, 3 data-dependent non-failure (insufficient cluster, exhausted
+error (including a sampler cell whose hypotheses it cannot satisfy), 3
+data-dependent non-failure (insufficient cluster, exhausted
 construction).
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import modulus, sequences, verify
 from .errors import (CapacityError, CertificateError, InsufficientClusterError,
-                     PreconditionError, UconvexError)
+                     PreconditionError, SamplerExhaustedError, UconvexError)
 from .spaces import SpaceSpec
 
 EXIT_OK = 0
@@ -44,7 +45,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return ns.func(ns)
-    except (ValueError, CapacityError, PreconditionError) as exc:
+    except (ValueError, CapacityError, PreconditionError,
+            SamplerExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InsufficientClusterError as exc:
@@ -196,8 +198,8 @@ def _cmd_extract(ns) -> int:
         print(f"selected {len(result.selected)} indices, "
               f"pair_min={result.pair_min:.17g} >= {result.guaranteed:.17g}")
     else:
-        eps = ns.eps if ns.eps is not None else sequences.separation(space, seq)
-        result = sequences.theorem1_extract(space, seq, x, eps, kappa=ns.kappa)
+        result = sequences.theorem1_extract(space, seq, x, ns.eps,
+                                            kappa=ns.kappa)
         print(f"selected {len(result.selected)} indices, "
               f"pair_min={result.pair_min:.17g} >= {result.guaranteed:.17g}")
     if ns.out:

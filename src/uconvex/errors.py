@@ -48,5 +48,14 @@ class InsufficientClusterError(UconvexError, RuntimeError):
         self.min_n = min_n
 
 
+class SamplerExhaustedError(UconvexError, RuntimeError):
+    """A sampler hit its attempt cap before keeping enough trials.
+
+    Names the statement and the (p, d, eps) cell; the CLI reports it as a
+    configuration error, since the cell's hypotheses are (numerically)
+    unsatisfiable rather than violated.
+    """
+
+
 class CertificateError(UconvexError, RuntimeError):
     """A theorem-backed certificate failed to verify; release-blocking."""

@@ -26,7 +26,7 @@ from .errors import (CapacityError, CertificateError, InsufficientClusterError,
 from .modulus import lp_delta
 from .search import EvalBudget, maximize_min_distance
 from .spaces import (Functional, SpaceSpec, as_vector, batch_norm, norm,
-                     norming_functional, unit_batch)
+                     norming_functional, pair_norms, unit_batch)
 
 # Arithmetic slack on exact theorem inequalities.
 SLACK = 1e-9
@@ -141,19 +141,21 @@ class ConstructionTrace:
 
 
 def separation(space: SpaceSpec, seq) -> float:
-    """Exact minimum pairwise distance over the sequence, full O(n^2) scan."""
+    """Exact minimum pairwise distance over the sequence.
+
+    One O(n^2) scan by the pairwise kernel :func:`spaces.pair_norms`.
+    """
     arr = np.asarray([as_vector(space, v) for v in seq], dtype=float)
-    if len(arr) < 2:
-        raise PreconditionError("separation needs at least 2 vectors")
-    best = math.inf
-    for i in range(len(arr) - 1):
-        best = min(best, float(batch_norm(space, arr[i + 1:] - arr[i]).min()))
-    return best
+    return _min_off_diagonal(pair_norms(space, arr))
 
 
 def certify(space: SpaceSpec, seq, threshold: float,
             indices=None) -> SeparationCertificate:
-    """Recompute a separation certificate from scratch."""
+    """Recompute a separation certificate from scratch.
+
+    The minimum comes from :func:`separation`, hence from the pairwise
+    kernel :func:`spaces.pair_norms`.
+    """
     if indices is None:
         indices = tuple(range(len(seq)))
     vecs = [seq[i] for i in indices]
@@ -170,7 +172,7 @@ def unit_basis_seed(space: SpaceSpec, n: int) -> list[np.ndarray]:
     """First ``n`` standard basis vectors; pairwise distances 2^(1/p)."""
     if not 1 <= n <= space.d:
         raise CapacityError(f"basis seed needs 1 <= n <= d={space.d}, got {n}")
-    return [np.eye(space.d)[i].copy() for i in range(n)]
+    return list(np.eye(n, space.d))
 
 
 def shifted_basis_seed(space: SpaceSpec, n: int) -> list[np.ndarray]:
@@ -242,24 +244,29 @@ def baseline_extract(space: SpaceSpec, seq, x, tau: float) -> BaselineResult:
                           pair_min=pair_min, guaranteed=1.0 - tau)
 
 
-def theorem1_extract(space: SpaceSpec, seq, x, eps: float,
+def theorem1_extract(space: SpaceSpec, seq, x, eps: float | None,
                      kappa: float = 0.5) -> ExtractionResult:
     """Certified extraction: all pair values at least ``1 + delta(2*eps/3)``.
 
-    The input sequence must be eps-separated (verified).  Indices whose
-    functional values lie in a window of width ``kappa * delta_eps`` are
-    selected; for any two of them the vector ``xi = x - (v_i - v_j)`` pairs
-    with the norming functional to more than ``1 - delta_eps``, and
-    eps-separation then forces ``||xi|| >= 1 + delta_eps`` -- that bound is
-    asserted pair by pair, not assumed.
+    The input sequence must be eps-separated (verified); ``eps=None`` takes
+    the measured separation as eps.  Indices whose functional values lie in
+    a window of width ``kappa * delta_eps`` are selected; for any two of
+    them the vector ``xi = x - (v_i - v_j)`` pairs with the norming
+    functional to more than ``1 - delta_eps``, and eps-separation then
+    forces ``||xi|| >= 1 + delta_eps`` -- that bound is asserted pair by
+    pair, not assumed.  Both the separation and the pair values are
+    computed by the pairwise kernel :func:`spaces.pair_norms`.
     """
-    if not 0.0 < eps <= 2.0:
-        raise ValueError(f"eps must lie in (0, 2], got {eps}")
+    if eps is not None:
+        _check_eps(eps)
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
     x = _require_unit(space, x)
     vecs = np.asarray([as_vector(space, v) for v in seq], dtype=float)
     sep = separation(space, vecs)
+    if eps is None:
+        eps = sep
+        _check_eps(eps)
     if sep < eps - SLACK:
         raise PreconditionError(
             f"sequence separation {sep:.17g} is below eps={eps:.17g}")
@@ -270,16 +277,14 @@ def theorem1_extract(space: SpaceSpec, seq, x, eps: float,
     values = vecs @ f.coords
     selected, window = _largest_cluster(values, width)
 
-    # intermediate invariant: every pair's xi pairs above 1 - width
-    for i in selected:
-        for j in selected:
-            if i == j:
-                continue
-            pairing = 1.0 - (values[i] - values[j])
-            if pairing <= 1.0 - width - SLACK:
-                raise CertificateError(
-                    f"window pairing {pairing:.17g} at ({i},{j}) "
-                    f"below 1 - width")
+    # intermediate invariant: every pair's xi pairs above 1 - width; the
+    # lowest pairing belongs to the pair spanning the selected values
+    sel = np.asarray(selected)
+    i, j = sel[np.argmax(values[sel])], sel[np.argmin(values[sel])]
+    pairing = 1.0 - (values[i] - values[j])
+    if pairing <= 1.0 - width - SLACK:
+        raise CertificateError(
+            f"window pairing {pairing:.17g} at ({i},{j}) below 1 - width")
 
     guaranteed = 1.0 + delta_eps
     pair_min = _pair_min(space, vecs, selected, x)
@@ -359,7 +364,9 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
                        seed_description: str = "") -> ConstructionTrace:
     """Ramsey dichotomy plus greedy normalized differences.
 
-    The seed must be 1-separated.  If the extracted monochromatic class
+    The seed must be 1-separated; its separation is read off the one
+    distance matrix that the pairwise kernel :func:`spaces.pair_norms`
+    builds for the Ramsey extraction.  If the extracted monochromatic class
     sits in the high branch the seed subsequence itself is the output.  In
     the low branch, candidate differences ``y = xi_a - xi_b`` are
     enumerated by :func:`pair_enumeration`, skipping pairs touching indices
@@ -370,7 +377,8 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     seed = [as_vector(space, v) for v in seed]
-    sep = separation(space, seed)
+    dist = pair_norms(space, np.asarray(seed))
+    sep = _min_off_diagonal(dist)
     if sep < 1.0 - SLACK:
         raise PreconditionError(
             f"seed separation {sep:.17g} is below 1")
@@ -379,13 +387,6 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
 
     delta1 = lp_delta(space.p, 2.0 / 3.0)
     split = 1.0 + 0.5 * delta1
-
-    arr = np.asarray(seed)
-    dist = np.zeros((len(seed), len(seed)))
-    for i in range(len(seed)):
-        dist[i] = batch_norm(space, arr - arr[i])
-        dist[i, i] = 0.0
-    dist = 0.5 * (dist + dist.T)  # symmetrize roundoff
 
     extracted, branch = ramsey_extract(dist, split)
     xi = [seed[i] for i in extracted]
@@ -429,11 +430,12 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
                 f"accepted candidate norm {y_norm:.17g} outside the "
                 f"low-branch window [1, {split:.17g}]")
         x_m = y / y_norm
-        for xj in outputs:
-            if norm(space, xj - x_m) < split - SLACK:
+        if outputs:
+            gap = float(batch_norm(space, np.asarray(outputs) - x_m).min())
+            if gap < split - SLACK:
                 raise CertificateError(
                     "normalization estimate violated: distance "
-                    f"{norm(space, xj - x_m):.17g} below {split:.17g}")
+                    f"{gap:.17g} below {split:.17g}")
         consumed.update((a, b))
         outputs.append(x_m)
         if len(outputs) >= max_len:
@@ -453,6 +455,24 @@ def vectors_to_csv(path, vectors) -> None:
     """One vector per row, coordinates at 17 significant digits."""
     lines = [",".join(f"{float(c):.17g}" for c in v) for v in vectors]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps <= 2.0:
+        raise ValueError(f"eps must lie in (0, 2], got {eps}")
+
+
+def _min_off_diagonal(m: np.ndarray) -> float:
+    """Minimum off-diagonal entry of a contiguous n x n matrix.
+
+    Dropping the first flat entry leaves n-1 rows of n+1 entries, each
+    ending on a diagonal entry; cutting the last column off leaves a view
+    of exactly the off-diagonal entries, with no copy and no index arrays.
+    """
+    n = len(m)
+    if n < 2:
+        raise PreconditionError("separation needs at least 2 vectors")
+    return float(m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].min())
 
 
 def _require_unit(space: SpaceSpec, x) -> np.ndarray:
@@ -500,12 +520,4 @@ def _largest_cluster(values: np.ndarray,
 
 def _pair_min(space: SpaceSpec, vecs: np.ndarray, selected, x) -> float:
     """min over ordered pairs i != j of ``||x - (v_i - v_j)||``."""
-    sel = list(selected)
-    best = math.inf
-    sub = vecs[sel]
-    for i in range(len(sel)):
-        xi = x - (sub[i] - sub)          # rows: x - (v_i - v_j)
-        norms = batch_norm(space, xi)
-        norms[i] = math.inf
-        best = min(best, float(norms.min()))
-    return best
+    return _min_off_diagonal(pair_norms(space, vecs[list(selected)], x))

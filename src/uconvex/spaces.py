@@ -1,4 +1,5 @@
-"""Finite-dimensional l^p spaces: norms, duality mapping, sphere sampling.
+"""Finite-dimensional l^p spaces: norms, pairwise distances, duality
+mapping, sphere sampling.
 
 Vectors are plain numpy arrays of length ``d``; a :class:`SpaceSpec` fixes
 the exponent and dimension and every operation takes the space explicitly.
@@ -150,8 +151,49 @@ def unit_batch(space: SpaceSpec, rng: np.random.Generator, n: int) -> np.ndarray
 
 
 def batch_norm(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
-    """p-norms of the rows of an (n, d) array."""
-    return np.sum(np.abs(rows) ** space.p, axis=-1) ** (1.0 / space.p)
+    """p-norms of the rows of an (n, d) array; ``rows`` is left unmodified."""
+    return _abs_norms(space, np.abs(rows, dtype=float))
+
+
+def pair_norms(space: SpaceSpec, arr: np.ndarray, x=None) -> np.ndarray:
+    """The one pairwise kernel: n x n matrix of ``||x - (a_i - a_j)||``.
+
+    ``arr`` holds the vectors ``a_i`` as rows.  With ``x`` None, entry
+    ``(i, j)`` is ``||a_j - a_i||``: only the upper triangle is computed and
+    then mirrored, so the matrix is exactly symmetric with zero diagonal.
+    Each row is computed in one reused (n, d) buffer with the ufuncs of
+    :func:`batch_norm` in the same order, so every entry equals the
+    :func:`batch_norm` of its difference vector bit for bit.
+    """
+    arr = np.asarray(arr, dtype=float)
+    n = len(arr)
+    out = np.zeros((n, n))
+    buf = np.empty_like(arr)
+    for i in range(n):
+        if x is None:
+            rows = buf[:n - i - 1]
+            np.subtract(arr[i + 1:], arr[i], out=rows)
+        else:
+            rows = buf
+            np.subtract(arr[i], arr, out=rows)
+            np.subtract(x, rows, out=rows)
+        np.abs(rows, out=rows)
+        norms = _abs_norms(space, rows)
+        if x is None:
+            out[i, i + 1:] = norms
+            out[i + 1:, i] = norms
+        else:
+            out[i] = norms
+    return out
+
+
+def _abs_norms(space: SpaceSpec, buf: np.ndarray) -> np.ndarray:
+    """p-norms of the rows of ``buf``, which holds absolute values.
+
+    Raises ``buf`` to the p-th power in place.
+    """
+    buf **= space.p
+    return np.sum(buf, axis=-1) ** (1.0 / space.p)
 
 
 def make_contraction(space: SpaceSpec, rows) -> ContractionMap:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import SamplerExhaustedError
 from .modulus import (EMPIRICAL_MONOTONE_SLACK, ModulusCurve, WITNESS_TOL,
                       delta_from_constraint, lp_delta)
 from .spaces import SpaceSpec, batch_norm, norm, unit_batch
@@ -97,7 +98,7 @@ def check_lemma23(space: SpaceSpec, eps: float, trials: int,
     attempted = kept = 0
     violations: list[dict] = []
     while kept < trials:
-        n = min(BATCH, _remaining(attempted, trials))
+        n = _remaining(attempted, trials, "lemma23", space, eps)
         X = unit_batch(space, rng, n)
         Xp, s = _stressed_near_unit(space, rng, X, delta, t_scale)
         F = np.sign(X) * np.abs(X) ** (space.p - 1.0)
@@ -136,7 +137,7 @@ def check_thm2_condition3(space: SpaceSpec, eps: float, trials: int,
     attempted = kept = 0
     violations: list[dict] = []
     while kept < trials:
-        n = min(BATCH, _remaining(attempted, trials))
+        n = _remaining(attempted, trials, "thm2_condition3", space, eps)
         X = unit_batch(space, rng, n)
         U = unit_batch(space, rng, n)
         Xp = X + t_scale * U
@@ -192,7 +193,7 @@ def check_remark45(space: SpaceSpec, eps: float, trials: int, k: int,
     attempted = kept = 0
     violations: list[dict] = []
     while kept < trials:
-        n = min(BATCH, _remaining(attempted, trials))
+        n = _remaining(attempted, trials, "remark45", space, eps)
         X = unit_batch(space, rng, n)
         Xp, s = _stressed_near_unit(space, rng, X, delta, t_scale)
         rows = np.empty((n, k, space.d))
@@ -359,13 +360,16 @@ def _adapt(t_scale: float, keep_rate: float) -> float:
     return float(np.clip(t_scale * np.clip(factor, 0.6, 1.6), 1e-8, 4.0))
 
 
-def _remaining(attempted: int, target_kept: int) -> int:
+def _remaining(attempted: int, target_kept: int, statement: str,
+               space: SpaceSpec, eps: float) -> int:
+    """Size of the next batch, at most BATCH and within the attempt cap."""
     cap = MAX_ATTEMPT_FACTOR * target_kept
     left = cap - attempted
     if left <= 0:
-        raise RuntimeError(
-            "sampler failed to satisfy the hypotheses: kept-trial rate "
-            "stayed near zero, which is itself a defect")
+        raise SamplerExhaustedError(
+            f"{statement} sampler exhausted at p={space.p:g}, d={space.d}, "
+            f"eps={eps:g}: {attempted} attempts kept fewer than "
+            f"{target_kept} trials satisfying the hypotheses")
     return min(BATCH, left)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +212,21 @@ def test_verify_zero_trials_is_config_error(capsys):
     code, _, _ = run(capsys, "verify", "--statement", "lemma23",
                      "--trials", "0")
     assert code == 2
+
+
+def test_verify_sampler_exhaustion_exit_2_without_traceback():
+    # delta(2e-8/3) underflows to 0, so no trial can satisfy |s| < delta
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "uconvex.cli", "verify", "--statement",
+         "lemma23", "--p", "1.5", "--d", "2", "--eps", "1e-8",
+         "--trials", "50"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "lemma23" in proc.stderr and "p=1.5, d=2, eps=1e-08" in proc.stderr
 
 
 def test_verify_corrupted_curve_exit_1(tmp_path, capsys):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uconvex.errors import (CapacityError, InsufficientClusterError,
-                            PreconditionError)
+from uconvex import sequences
+from uconvex.errors import (CapacityError, CertificateError,
+                            InsufficientClusterError, PreconditionError)
 from uconvex.modulus import lp_delta
 from uconvex.sequences import (baseline_extract, certify, pair_enumeration,
                                ramsey_extract, riesz_seed, separation,
@@ -49,6 +50,18 @@ def test_unit_basis_seed():
     assert len(unit_basis_seed(space, 1)) == 1
     with pytest.raises(CapacityError):
         unit_basis_seed(space, 4)
+
+
+def test_unit_basis_seed_is_first_standard_basis_vectors():
+    space = SpaceSpec(p=1.5, d=7)
+    for n in (1, 4, 7):
+        seed = unit_basis_seed(space, n)
+        assert len(seed) == n
+        for i, v in enumerate(seed):
+            expected = np.zeros(7)
+            expected[i] = 1.0
+            assert v.shape == (7,)
+            assert np.array_equal(v, expected)
 
 
 def test_shifted_basis_seed_unit_and_one_separated():
@@ -166,6 +179,35 @@ def test_theorem1_rejects_non_unit_x():
     seq = unit_basis_seed(space, 8)
     with pytest.raises(PreconditionError):
         theorem1_extract(space, seq, seq[0] * 1.1, eps=SQRT2)
+
+
+def test_theorem1_eps_none_uses_measured_separation():
+    space = SpaceSpec(p=3, d=40)
+    rng = np.random.default_rng(4)
+    seq = [normalize(space, v) for v in rng.standard_normal((40, 40))]
+    x = normalize(space, rng.standard_normal(40))
+    eps = separation(space, seq)
+    measured = theorem1_extract(space, seq, x, eps=None)
+    given = theorem1_extract(space, seq, x, eps=eps)
+    assert measured.to_json_dict() == given.to_json_dict()
+
+
+def test_theorem1_eps_none_rejects_zero_separation():
+    space = SpaceSpec(p=2, d=3)
+    e0 = unit_basis_seed(space, 1)[0]
+    with pytest.raises(ValueError, match="eps must lie in"):
+        theorem1_extract(space, [e0, e0.copy()], e0, eps=None)
+
+
+def test_theorem1_window_check_rejects_wide_cluster(monkeypatch):
+    space = SpaceSpec(p=2, d=8)
+    seq = unit_basis_seed(space, 8)
+    # a "cluster" of every index spans the functional values 0 and 1,
+    # far wider than the window width kappa * delta
+    monkeypatch.setattr(sequences, "_largest_cluster",
+                        lambda values, width: (tuple(range(8)), (0.0, width)))
+    with pytest.raises(CertificateError, match="window pairing"):
+        theorem1_extract(space, seq, seq[0], eps=SQRT2)
 
 
 def test_theorem1_insufficient_cluster_diagnostics():

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uconvex.errors import DimensionMismatchError, ZeroVectorError
-from uconvex.spaces import (ContractionMap, SpaceSpec, apply, dual_norm,
-                            make_contraction, norm, norming_functional,
-                            normalize, random_unit, unit_batch)
+from uconvex.spaces import (ContractionMap, SpaceSpec, apply, batch_norm,
+                            dual_norm, make_contraction, norm,
+                            norming_functional, normalize, pair_norms,
+                            random_unit, unit_batch)
 
 ATOL = 1e-12
 
@@ -155,6 +156,63 @@ def test_random_unit_mean_symmetry():
     space = SpaceSpec(p=2, d=3)
     samples = unit_batch(space, np.random.default_rng(7), 10_000)
     assert np.all(np.abs(samples.mean(axis=0)) < 0.05)
+
+
+def _rows_with_repeats(rng, n, d):
+    rows = rng.standard_normal((n, d))
+    if n > 2:
+        rows[n - 1] = rows[0]      # a repeated row: distance exactly 0
+    return rows
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n, d", [(2, 3), (9, 5), (17, 40)])
+def test_pair_norms_equal_per_pair_batch_norm(p, n, d):
+    space = SpaceSpec(p=p, d=d)
+    rng = np.random.default_rng(int(10 * p) + n)
+    arr = _rows_with_repeats(rng, n, d)
+    x = rng.standard_normal(d)
+    plain = pair_norms(space, arr)
+    shifted = pair_norms(space, arr, x)
+    assert plain.shape == shifted.shape == (n, n)
+    for i in range(n):
+        assert plain[i, i] == 0.0
+        for j in range(n):
+            if i != j:
+                assert plain[i, j] == batch_norm(
+                    space, (arr[j] - arr[i])[None])[0]
+            assert shifted[i, j] == batch_norm(
+                space, (x - (arr[i] - arr[j]))[None])[0]
+    if n > 2:
+        assert plain[0, n - 1] == 0.0
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_pair_norms_exactly_symmetric_without_x(p):
+    space = SpaceSpec(p=p, d=7)
+    arr = _rows_with_repeats(np.random.default_rng(5), 30, 7)
+    dist = pair_norms(space, arr)
+    assert np.array_equal(dist, dist.T)
+    shifted = pair_norms(space, arr, np.ones(7))
+    assert not np.array_equal(shifted, shifted.T)
+
+
+def test_batch_norm_matches_formula_and_keeps_input():
+    for p in (1.5, 2.0, 3.0):
+        space = SpaceSpec(p=p, d=6)
+        rows = np.random.default_rng(2).standard_normal((50, 6))
+        before = rows.copy()
+        expected = np.sum(np.abs(rows) ** p, axis=-1) ** (1.0 / p)
+        assert np.array_equal(batch_norm(space, rows), expected)
+        assert np.array_equal(rows, before)
+
+
+def test_batch_norm_accepts_lists_and_integer_arrays():
+    space = SpaceSpec(p=2, d=2)
+    ints = np.array([[3, -4], [0, 0]])
+    assert batch_norm(space, ints).tolist() == [5.0, 0.0]
+    assert ints.tolist() == [[3, -4], [0, 0]]
+    assert batch_norm(space, [[3, 4], [-6, 8]]).tolist() == [5.0, 10.0]
 
 
 def test_apply_norming_row_reaches_norm():
