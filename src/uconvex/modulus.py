@@ -21,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BisectionError, CertificateError, PreconditionError
+from .errors import (BisectionError, CertificateError, PreconditionError,
+                     ZeroVectorError)
 from .search import EvalBudget, refine, sample_feasible_pairs
-from .spaces import SpaceSpec, batch_norm, norm, normalize, unit_batch
+from .spaces import SpaceSpec, _row_norms, batch_norm, norm, unit_batch
 
 METHODS = ("clarkson", "hanner", "empirical")
 
@@ -217,17 +218,32 @@ def empirical_delta(space: SpaceSpec, eps: float, budget: int,
     """Adversarial upper estimate of the space's modulus at ``eps``.
 
     Minimizes ``1 - ||x+y||/2`` over feasible unit pairs: explicit
-    candidates (the antipodal pair and, in dimension >= 2, the axis-aligned
-    pair that attains the Clarkson value), random feasible pairs drawn by
-    rejection with a boundary-interpolation fallback, and pattern
-    refinement of the best starts.  The result can only overestimate the
-    true infimum.  Deterministic given the seed.
+    candidates (the antipodal pair and the axis-aligned pair that attains
+    the Clarkson value), random feasible pairs drawn by rejection with a
+    boundary-interpolation fallback, and pattern refinement of the best
+    starts.  The refinement is the first-improvement pattern search of
+    :func:`search.refine`, but each call of its evaluator scores a whole
+    slice of the sweep's moves as array rows (see :class:`_PairMoves`).
+    Every row norm takes its root through the scalar libm ``pow``, as
+    :func:`spaces.norm` does, so the rows reproduce the scalar search's
+    values bit for bit and the witness does not depend on the batching.
+    The result can only overestimate the true infimum.  Deterministic
+    given the seed.
+
+    In dimension 1 every feasible pair is antipodal, so the modulus is 1
+    for every eps; that breaks the ``delta <= eps/2`` check for eps < 2,
+    and such calls raise ``PreconditionError``.
     """
     _check_eps(eps)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget!r}")
     rng = np.random.default_rng(rng_seed)
     d = space.d
+    if d == 1 and eps < 2.0:
+        raise PreconditionError(
+            f"in dimension 1 every feasible pair is antipodal, so delta = 1 "
+            f"> eps/2 at eps={eps:.17g}; the estimator needs d >= 2 or "
+            f"eps = 2")
 
     if eps == 2.0:
         # strictly convex space: the feasible set is exactly the antipodal
@@ -246,15 +262,14 @@ def empirical_delta(space: SpaceSpec, eps: float, budget: int,
 
     x0 = unit_batch(space, rng, 1)[0]
     candidates.append((pair_value(x0, -x0), x0, -x0.copy()))
-    if d >= 2:
-        a = max(0.0, 1.0 - (eps / 2.0) ** space.p) ** (1.0 / space.p)
-        bx = np.zeros(d)
-        by = np.zeros(d)
-        bx[0] = a
-        bx[1] = eps / 2.0
-        by[0] = a
-        by[1] = -eps / 2.0
-        candidates.append((pair_value(bx, by), bx, by))
+    a = max(0.0, 1.0 - (eps / 2.0) ** space.p) ** (1.0 / space.p)
+    bx = np.zeros(d)
+    by = np.zeros(d)
+    bx[0] = a
+    bx[1] = eps / 2.0
+    by[0] = a
+    by[1] = -eps / 2.0
+    candidates.append((pair_value(bx, by), bx, by))
 
     sample_budget = max(0, int(0.7 * budget) - len(candidates))
     if sample_budget > 0:
@@ -264,15 +279,6 @@ def empirical_delta(space: SpaceSpec, eps: float, budget: int,
         for i in top:
             candidates.append((float(vals[i]), X[i], Y[i]))
 
-    def project(z):
-        return np.concatenate([normalize(space, z[:d]), normalize(space, z[d:])])
-
-    def feasible(z):
-        return norm(space, z[:d] - z[d:]) >= eps
-
-    def objective(z):
-        return 1.0 - 0.5 * norm(space, z[:d] + z[d:])
-
     candidates.sort(key=lambda t: t[0])
     best_val, best_x, best_y = candidates[0]
 
@@ -281,10 +287,10 @@ def empirical_delta(space: SpaceSpec, eps: float, budget: int,
     if refine_total > 0:
         share = max(1, refine_total // len(starts))
         for val, x, y in starts:
-            z0 = np.concatenate([x, y])
-            if not feasible(z0):
+            if norm(space, x - y) < eps:
                 continue
-            z, v = refine(z0, objective, project, feasible, EvalBudget(share))
+            z, v = _pair_search(space, eps, np.concatenate([x, y]),
+                                EvalBudget(share))
             if v < best_val:
                 best_val, best_x, best_y = v, z[:d].copy(), z[d:].copy()
 
@@ -296,6 +302,83 @@ def empirical_delta(space: SpaceSpec, eps: float, budget: int,
             f"empirical estimate {point.delta:.17g} exceeds the eps/2 bound "
             f"at eps={eps:.17g}")
     return point
+
+
+class _PairMoves:
+    """Batched move evaluator of :func:`search.refine` over unit pairs.
+
+    A point is ``z = (x, y)``; move ``k`` changes coordinate ``k // 2`` of
+    ``z``, so it moves one half.  Each call builds the moved halves of its
+    slice of moves as rows, ``z[i] + sign*step`` exactly as the scalar
+    loop does, and normalizes them.  The other half is ``normalize`` of the
+    current half, computed once per accepted point.  Feasibility
+    ``||x-y|| >= eps`` and value ``1 - ||x+y||/2`` are computed for all rows
+    at once with :func:`spaces._row_norms`, which equals the scalar
+    :func:`spaces.norm` bit for bit.  The first feasible row below the
+    current best is the move the scalar loop would accept.
+    """
+
+    def __init__(self, space: SpaceSpec, eps: float):
+        self.space = space
+        self.eps = eps
+        self.point = None
+        self.point_units = None
+
+    def units(self, z: np.ndarray) -> np.ndarray:
+        """Both halves of ``z`` normalized, as the rows of a (2, d) array."""
+        halves = z.reshape(2, self.space.d)
+        norms = _row_norms(self.space, halves)
+        if not norms.all():
+            raise ZeroVectorError("cannot normalize the zero vector")
+        return halves / norms[:, None]
+
+    def project(self, z: np.ndarray) -> np.ndarray:
+        return self.units(z).reshape(-1)
+
+    def objective(self, z: np.ndarray) -> float:
+        x, y = z.reshape(2, self.space.d)
+        return float(1.0 - 0.5 * _row_norms(self.space, (x + y)[None])[0])
+
+    def __call__(self, z, best, step, start, count):
+        space, d = self.space, self.space.d
+        if z is not self.point:
+            self.point, self.point_units = z, self.units(z)
+        k = np.arange(start, start + count)
+        half = k // 2 // d
+        rows = z.reshape(2, d)[half]
+        rows[np.arange(count), k // 2 % d] += np.where(k % 2, -1.0, 1.0) * step
+        norms = _row_norms(space, rows)
+        zero = np.flatnonzero(norms == 0.0)
+        n = int(zero[0]) if zero.size else count
+        moved = rows[:n] / norms[:n, None]
+        other = self.point_units[1 - half[:n]]
+        first = (half[:n] == 0)[:, None]
+        x = np.where(first, moved, other)
+        y = np.where(first, other, moved)
+        vals = 1.0 - 0.5 * _row_norms(space, x + y)
+        hits = np.flatnonzero((_row_norms(space, x - y) >= self.eps)
+                              & (vals < best))
+        if hits.size:
+            i = int(hits[0])
+            return i + 1, np.concatenate([x[i], y[i]]), float(vals[i])
+        if n < count:
+            # the scalar loop reaches the zero row and fails to normalize it
+            raise ZeroVectorError("cannot normalize the zero vector")
+        return count, None, best
+
+
+def _pair_search(space: SpaceSpec, eps: float, z0: np.ndarray,
+                 budget: EvalBudget) -> tuple[np.ndarray, float]:
+    """Refine the pair ``z0 = (x, y)`` toward a lower ``1 - ||x+y||/2``.
+
+    :func:`search.refine` with the batched :class:`_PairMoves`; the
+    result and the budget used equal those of the move-by-move loop with
+    the scalar callbacks ``normalize`` (per half), ``||x-y|| >= eps`` and
+    ``1 - ||x+y||/2``.
+    """
+    moves = _PairMoves(space, eps)
+    return refine(z0, moves.objective, moves.project, None, budget,
+                  evaluate=moves)
 
 
 def validate_witness(space: SpaceSpec, point: ModulusPoint) -> None:

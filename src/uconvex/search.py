@@ -4,6 +4,18 @@ Shared machinery for the empirical modulus estimator and the greedy seed
 builder: batch sampling of feasible pairs and a feasibility-preserving
 pattern refinement (coordinate-wise perturbation with shrinking step,
 re-projection to the sphere, infeasible moves discarded).
+
+The refinement, :func:`refine`, is the one pattern-search loop: it owns
+the rounds, the sweeps, the step shrinking and the evaluation budget.  A
+sweep tries the moves ``(i, +1), (i, -1)`` for each coordinate ``i`` in
+order and accepts every strictly improving feasible move as it meets it
+(first improvement).  The loop hands its evaluator the rest of the sweep;
+the evaluator reports how many moves it consumed, up to and including the
+first improvement.  By default the evaluator calls scalar callbacks one
+move at a time.  The empirical modulus estimator supplies an evaluator
+that scores a whole slice of moves as array rows; it speculates past the
+first improvement and discards the rest, so the trajectory, the result
+and the budget used are those of the move-by-move loop.
 """
 
 from __future__ import annotations
@@ -37,37 +49,61 @@ class EvalBudget:
 
 
 def refine(x0: np.ndarray, objective, project, feasible, budget: EvalBudget,
-           *, rounds: int = REFINE_ROUNDS, step0: float = INIT_STEP,
-           shrink: float = SHRINK, max_sweeps: int = 200):
+           *, evaluate=None, rounds: int = REFINE_ROUNDS,
+           step0: float = INIT_STEP, shrink: float = SHRINK,
+           max_sweeps: int = 200):
     """Pattern-search minimization over a projected parameter vector.
 
-    Perturbs one coordinate at a time by +-step, re-projects via
-    ``project``, discards moves that fail ``feasible`` or do not strictly
-    decrease ``objective``; the step shrinks by ``shrink`` once a sweep
-    makes no progress, for ``rounds`` step levels.
+    Starts from ``project(x0)``.  Perturbs one coordinate at a time by
+    +-step, re-projects via ``project``, discards moves that fail
+    ``feasible`` or do not strictly decrease ``objective``; the step
+    shrinks by ``shrink`` once a sweep makes no progress, for ``rounds``
+    step levels.  Each move consumes one evaluation of ``budget``.
+
+    ``evaluate(x, best, step, start, count)`` tries the moves at positions
+    ``start .. start+count-1`` of the sweep in order, where position ``k``
+    adds ``(+1, -1)[k % 2] * step`` to coordinate ``k // 2``; ``count``
+    never exceeds what is left of the budget.  It returns
+    ``(used, point, value)``: ``used`` is the position of the first move
+    whose projected point is feasible and strictly below ``best``, plus
+    one, with that point and value; with no such move it is ``count`` and
+    ``point`` is None.  The default runs the callbacks one move at a time.
+    A batched evaluator that scores the whole slice at once must return
+    the same; ``feasible`` is then unused.
 
     Returns ``(best_params, best_value)``.
     """
     x = project(np.asarray(x0, dtype=float))
     best = objective(x)
-    n = x.size
+    if evaluate is None:
+        def evaluate(x, best, step, start, count):
+            for k in range(start, start + count):
+                cand = x.copy()
+                cand[k // 2] += (1.0, -1.0)[k % 2] * step
+                cand = project(cand)
+                if not feasible(cand):
+                    continue
+                val = objective(cand)
+                if val < best:
+                    return k - start + 1, cand, val
+            return count, None, best
+
+    moves = 2 * x.size
     step = step0
     for _ in range(rounds):
         for _ in range(max_sweeps):
             improved = False
-            for i in range(n):
-                for sign in (1.0, -1.0):
-                    if not budget.take():
-                        return x, best
-                    cand = x.copy()
-                    cand[i] += sign * step
-                    cand = project(cand)
-                    if not feasible(cand):
-                        continue
-                    val = objective(cand)
-                    if val < best:
-                        x, best = cand, val
-                        improved = True
+            k = 0
+            while k < moves:
+                count = min(moves - k, budget.cap - budget.used)
+                if count <= 0:
+                    return x, best
+                used, point, value = evaluate(x, best, step, k, count)
+                budget.used += used
+                k += used
+                if point is not None:
+                    x, best = point, value
+                    improved = True
             if not improved:
                 break
         step *= shrink

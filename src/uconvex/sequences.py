@@ -144,9 +144,9 @@ def separation(space: SpaceSpec, seq) -> float:
     """Exact minimum pairwise distance over the sequence.
 
     One O(n^2) scan by the pairwise kernel :func:`spaces.pair_norms`.
+    A non-finite coordinate raises ``PreconditionError``.
     """
-    arr = np.asarray([as_vector(space, v) for v in seq], dtype=float)
-    return _min_off_diagonal(pair_norms(space, arr))
+    return _min_off_diagonal(pair_norms(space, _finite_rows(space, seq)))
 
 
 def certify(space: SpaceSpec, seq, threshold: float,
@@ -232,7 +232,7 @@ def baseline_extract(space: SpaceSpec, seq, x, tau: float) -> BaselineResult:
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     x = _require_unit(space, x)
-    vecs = np.asarray([as_vector(space, v) for v in seq], dtype=float)
+    vecs = _finite_rows(space, seq)
     f = norming_functional(space, x)
     values = vecs @ f.coords
     selected, window = _largest_cluster(values, tau)
@@ -263,7 +263,7 @@ def theorem1_extract(space: SpaceSpec, seq, x, eps: float | None,
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
     x = _require_unit(space, x)
     vecs = np.asarray([as_vector(space, v) for v in seq], dtype=float)
-    sep = separation(space, vecs)
+    sep = separation(space, vecs)  # rejects non-finite coordinates
     if eps is None:
         eps = sep
         _check_eps(eps)
@@ -376,8 +376,8 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    seed = [as_vector(space, v) for v in seed]
-    dist = pair_norms(space, np.asarray(seed))
+    seed = _finite_rows(space, seed)
+    dist = pair_norms(space, seed)
     sep = _min_off_diagonal(dist)
     if sep < 1.0 - SLACK:
         raise PreconditionError(
@@ -402,15 +402,11 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
             steps=(), output=output, final_certificate=cert,
             status="completed")
 
-    k = len(xi)
     consumed: set[int] = set()
     outputs: list[np.ndarray] = []
     steps: list[TraceStep] = []
     status = "exhausted"
-    for pos in range(k * (k - 1)):
-        a, b = pair_enumeration(pos)
-        if a in consumed or b in consumed:
-            continue
+    for pos, (a, b) in _open_pairs(len(xi), consumed):
         y = xi[a] - xi[b]
         y_norm = norm(space, y)
         if outputs:
@@ -451,6 +447,27 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
         status=status)
 
 
+def _open_pairs(k: int, consumed: set[int]):
+    """Pairs of ``k`` indices avoiding ``consumed``, as ``(position, pair)``.
+
+    Positions and order are those of :func:`pair_enumeration`.
+    ``consumed`` is read again after each yield, so the caller may grow it
+    in between.  Block ``s`` holds ``(t, s)`` at position ``s(s-1) + 2t``
+    and ``(s, t)`` right after it; a consumed ``s`` skips the rest of its
+    block at once instead of enumerating it.
+    """
+    for s in range(1, k):
+        base = s * (s - 1)
+        for t in range(s):
+            if s in consumed:
+                break
+            if t in consumed:
+                continue
+            yield base + 2 * t, (t, s)
+            if s not in consumed:
+                yield base + 2 * t + 1, (s, t)
+
+
 def vectors_to_csv(path, vectors) -> None:
     """One vector per row, coordinates at 17 significant digits."""
     lines = [",".join(f"{float(c):.17g}" for c in v) for v in vectors]
@@ -475,9 +492,22 @@ def _min_off_diagonal(m: np.ndarray) -> float:
     return float(m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].min())
 
 
+def _finite_rows(space: SpaceSpec, seq) -> np.ndarray:
+    """The vectors of ``seq`` as the rows of an (n, d) float array.
+
+    A NaN or infinite coordinate raises ``PreconditionError``: distances
+    involving it are not numbers, and a NaN minimum compares false against
+    every threshold, so a certificate would silently pass.
+    """
+    arr = np.asarray([as_vector(space, v) for v in seq], dtype=float)
+    if not np.isfinite(arr).all():
+        raise PreconditionError("sequence has a non-finite coordinate")
+    return arr
+
+
 def _require_unit(space: SpaceSpec, x) -> np.ndarray:
     x = as_vector(space, x)
-    if abs(norm(space, x) - 1.0) > SLACK:
+    if not abs(norm(space, x) - 1.0) <= SLACK:
         raise PreconditionError(f"x must be a unit vector, norm {norm(space, x)!r}")
     return x
 

@@ -91,7 +91,7 @@ def as_vector(space: SpaceSpec, coords) -> Vec:
 def norm(space: SpaceSpec, v: Vec) -> float:
     """p-norm ``(sum |v_i|^p)^(1/p)``; zero iff ``v`` is the zero vector."""
     v = as_vector(space, v)
-    return float(np.sum(np.abs(v) ** space.p) ** (1.0 / space.p))
+    return float(np.add.reduce(np.abs(v) ** space.p) ** (1.0 / space.p))
 
 
 def normalize(space: SpaceSpec, v: Vec) -> Vec:
@@ -185,6 +185,18 @@ def pair_norms(space: SpaceSpec, arr: np.ndarray, x=None) -> np.ndarray:
         else:
             out[i] = norms
     return out
+
+
+def _row_norms(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
+    """p-norms of the rows of a 2-D array, equal to :func:`norm` bit for bit.
+
+    The sums of p-th powers run over contiguous rows, as in :func:`norm`;
+    the root is taken per row by the scalar libm ``pow``, because numpy's
+    array ``pow`` differs from it in the last bit on some inputs.
+    """
+    sums = np.add.reduce(np.abs(rows) ** space.p, axis=-1)
+    inv = 1.0 / space.p
+    return np.array([math.pow(s, inv) for s in sums.tolist()])
 
 
 def _abs_norms(space: SpaceSpec, buf: np.ndarray) -> np.ndarray:

@@ -229,6 +229,16 @@ def test_verify_sampler_exhaustion_exit_2_without_traceback():
     assert "lemma23" in proc.stderr and "p=1.5, d=2, eps=1e-08" in proc.stderr
 
 
+def test_modulus_empirical_dimension_one_exit_2(capsys):
+    code, stdout, err = run(capsys, "modulus", "--p", "2", "--d", "1",
+                            "--method", "empirical", "--eps", "1",
+                            "--budget", "1000")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "dimension 1" in err
+
+
 def test_verify_corrupted_curve_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("eps,delta,method,witness_x,witness_y\n"

@@ -212,6 +212,17 @@ def test_empirical_budget_validation():
         empirical_delta(SpaceSpec(p=2, d=2), 1.0, budget=0, rng_seed=0)
 
 
+def test_empirical_dimension_one_needs_eps_two():
+    # every feasible pair in one dimension is antipodal: delta = 1 > eps/2
+    space = SpaceSpec(p=2, d=1)
+    with pytest.raises(PreconditionError, match="dimension 1"):
+        empirical_delta(space, 1.0, budget=1000, rng_seed=0)
+    with pytest.raises(PreconditionError):
+        build_curve(1.5, [0.5, 2.0], "empirical", d=1, budget=100)
+    pt = empirical_delta(space, 2.0, budget=1000, rng_seed=0)
+    assert pt.delta == 1.0
+
+
 def test_witness_validation_catches_corruption():
     space = SpaceSpec(p=2, d=2)
     good = empirical_delta(space, 1.0, budget=1_000, rng_seed=0)

@@ -181,6 +181,30 @@ def test_theorem1_rejects_non_unit_x():
         theorem1_extract(space, seq, seq[0] * 1.1, eps=SQRT2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_sequences_are_rejected(bad):
+    space = SpaceSpec(p=2, d=4)
+    seq = np.eye(4)
+    seq[2] = bad
+    e0 = np.eye(4)[0]
+    with pytest.raises(PreconditionError, match="non-finite"):
+        theorem1_extract(space, seq, e0, eps=1.0)
+    with pytest.raises(PreconditionError, match="non-finite"):
+        separation(space, seq)
+    with pytest.raises(PreconditionError, match="non-finite"):
+        certify(space, seq, threshold=1.0)
+    with pytest.raises(PreconditionError, match="non-finite"):
+        baseline_extract(space, seq, e0, tau=0.1)
+    with pytest.raises(PreconditionError, match="non-finite"):
+        theorem3_construct(space, list(seq), max_len=2)
+
+
+def test_theorem1_rejects_non_finite_x():
+    space = SpaceSpec(p=2, d=4)
+    with pytest.raises(PreconditionError):
+        theorem1_extract(space, np.eye(4), np.full(4, math.nan), eps=1.0)
+
+
 def test_theorem1_eps_none_uses_measured_separation():
     space = SpaceSpec(p=3, d=40)
     rng = np.random.default_rng(4)
@@ -300,6 +324,26 @@ def test_pair_enumeration_covers_all_pairs(n):
     seen = [pair_enumeration(i) for i in range(n * (n - 1))]
     assert len(set(seen)) == len(seen)
     assert set(seen) == {(a, b) for a in range(n) for b in range(n) if a != b}
+
+
+@pytest.mark.parametrize("k", [2, 3, 9, 30])
+def test_open_pairs_follow_the_enumeration(k):
+    # consume both indices of every third candidate, as an acceptance would
+    def walk(candidates):
+        consumed, seen = set(), []
+        for pos, (a, b) in candidates(consumed):
+            seen.append((pos, (a, b)))
+            if len(seen) % 3 == 1:
+                consumed.update((a, b))
+        return seen
+
+    def brute(consumed):
+        for pos in range(k * (k - 1)):
+            a, b = pair_enumeration(pos)
+            if a not in consumed and b not in consumed:
+                yield pos, (a, b)
+
+    assert walk(lambda c: sequences._open_pairs(k, c)) == walk(brute)
 
 
 def test_pair_enumeration_rejects_negative():
