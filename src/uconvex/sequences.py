@@ -262,8 +262,8 @@ def theorem1_extract(space: SpaceSpec, seq, x, eps: float | None,
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
     x = _require_unit(space, x)
-    vecs = np.asarray([as_vector(space, v) for v in seq], dtype=float)
-    sep = separation(space, vecs)  # rejects non-finite coordinates
+    vecs = _finite_rows(space, seq)
+    sep = separation(space, vecs)
     if eps is None:
         eps = sep
         _check_eps(eps)
@@ -316,22 +316,22 @@ def ramsey_extract(values, split: float) -> tuple[list[int], str]:
     if np.any(np.diag(values) != 0.0):
         raise PreconditionError("distance matrix must have zero diagonal")
 
-    remaining = list(range(n))
+    remaining = np.arange(n)
     colored: list[tuple[int, str]] = []
     last = None
-    while remaining:
-        pivot, rest = remaining[0], remaining[1:]
-        if not rest:
+    while remaining.size:
+        pivot, rest = int(remaining[0]), remaining[1:]
+        if not rest.size:
             last = pivot
             break
-        low = [i for i in rest if values[pivot, i] <= split]
-        high = [i for i in rest if values[pivot, i] > split]
-        if len(low) >= len(high):
+        low = values[pivot, rest] <= split
+        n_low = int(np.count_nonzero(low))
+        if n_low >= rest.size - n_low:
             colored.append((pivot, "low"))
-            remaining = low
+            remaining = rest[low]
         else:
             colored.append((pivot, "high"))
-            remaining = high
+            remaining = rest[~low]
 
     n_low = sum(1 for _, c in colored if c == "low")
     branch = "low" if n_low >= len(colored) - n_low else "high"
@@ -403,14 +403,16 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
             status="completed")
 
     consumed: set[int] = set()
-    outputs: list[np.ndarray] = []
+    # each accepted candidate consumes two indices of xi
+    outputs = np.empty((min(max_len, len(xi) // 2), space.d))
+    m = 0
     steps: list[TraceStep] = []
     status = "exhausted"
     for pos, (a, b) in _open_pairs(len(xi), consumed):
         y = xi[a] - xi[b]
         y_norm = norm(space, y)
-        if outputs:
-            dists = batch_norm(space, np.asarray(outputs) - y)
+        if m:
+            dists = batch_norm(space, outputs[:m] - y)
             min_dist = float(dists.min())
             accepted = bool(min_dist >= 1.0 + delta1)
         else:
@@ -426,24 +428,26 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
                 f"accepted candidate norm {y_norm:.17g} outside the "
                 f"low-branch window [1, {split:.17g}]")
         x_m = y / y_norm
-        if outputs:
-            gap = float(batch_norm(space, np.asarray(outputs) - x_m).min())
+        if m:
+            gap = float(batch_norm(space, outputs[:m] - x_m).min())
             if gap < split - SLACK:
                 raise CertificateError(
                     "normalization estimate violated: distance "
                     f"{gap:.17g} below {split:.17g}")
         consumed.update((a, b))
-        outputs.append(x_m)
-        if len(outputs) >= max_len:
+        outputs[m] = x_m
+        m += 1
+        if m >= max_len:
             status = "completed"
             break
 
-    cert = certify(space, outputs, threshold=split)
-    if len(outputs) >= 2 and not cert.passed:
+    output = tuple(outputs[:m])
+    cert = certify(space, output, threshold=split)
+    if m >= 2 and not cert.passed:
         raise CertificateError("final certificate failed after construction")
     return ConstructionTrace(
         seed_description=seed_description, delta1=delta1, branch="low",
-        steps=tuple(steps), output=tuple(outputs), final_certificate=cert,
+        steps=tuple(steps), output=output, final_certificate=cert,
         status=status)
 
 
@@ -495,14 +499,12 @@ def _min_off_diagonal(m: np.ndarray) -> float:
 def _finite_rows(space: SpaceSpec, seq) -> np.ndarray:
     """The vectors of ``seq`` as the rows of an (n, d) float array.
 
-    A NaN or infinite coordinate raises ``PreconditionError``: distances
-    involving it are not numbers, and a NaN minimum compares false against
-    every threshold, so a certificate would silently pass.
+    :func:`spaces.as_vector` checks each row, so a NaN or infinite
+    coordinate raises ``PreconditionError``: distances involving it are not
+    numbers, and a NaN minimum compares false against every threshold, so a
+    certificate would silently pass.
     """
-    arr = np.asarray([as_vector(space, v) for v in seq], dtype=float)
-    if not np.isfinite(arr).all():
-        raise PreconditionError("sequence has a non-finite coordinate")
-    return arr
+    return np.asarray([as_vector(space, v) for v in seq], dtype=float)
 
 
 def _require_unit(space: SpaceSpec, x) -> np.ndarray:

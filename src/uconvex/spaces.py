@@ -13,10 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroVectorError
+from .errors import DimensionMismatchError, PreconditionError, ZeroVectorError
 
 # Default absolute tolerance for algebraic identities (norming, normalizing).
 ATOL = 1e-12
+
+# Exponents that numpy's ``**`` maps to sqrt, a copy or square; they cost
+# the same on zeros as on anything else.
+_FAST_EXPONENTS = (0.5, 1.0, 2.0)
+
+# Fewest entries for which keeping zeros off ``pow`` can pay: the mask
+# costs about as much as 128 zero lanes (numpy 2.4, x86-64 AVX-512).
+_MASK_MIN_SIZE = 128
 
 Vec = np.ndarray
 
@@ -45,6 +53,11 @@ class SpaceSpec:
     def q(self) -> float:
         """Dual exponent, 1/p + 1/q = 1."""
         return self.p / (self.p - 1.0)
+
+    @property
+    def dual(self) -> "SpaceSpec":
+        """The dual space l^q_d, where functionals take their norms."""
+        return SpaceSpec(self.q, self.d)
 
     def __str__(self) -> str:
         return f"l^{self.p:g}_{self.d}"
@@ -79,19 +92,31 @@ class ContractionMap:
 
 
 def as_vector(space: SpaceSpec, coords) -> Vec:
-    """Coerce ``coords`` to a float vector of the space's dimension."""
+    """Coerce ``coords`` to a finite float vector of the space's dimension.
+
+    A NaN or infinite coordinate raises ``PreconditionError``: every norm,
+    distance and pairing involving it is not a number, and a NaN compares
+    false against every threshold, so checks built on it would pass.
+    """
     v = np.asarray(coords, dtype=float)
     if v.shape != (space.d,):
         raise DimensionMismatchError(
             f"expected {space.d} coordinates, got shape {v.shape}"
         )
+    if np.count_nonzero(np.isfinite(v)) < space.d:
+        raise PreconditionError("vector has a non-finite coordinate")
     return v
 
 
 def norm(space: SpaceSpec, v: Vec) -> float:
-    """p-norm ``(sum |v_i|^p)^(1/p)``; zero iff ``v`` is the zero vector."""
+    """p-norm ``(sum |v_i|^p)^(1/p)``; zero iff ``v`` is the zero vector.
+
+    The p-th powers come from :func:`_pow_abs`, so exact zeros skip
+    numpy's ``pow`` when ``v`` has one; the result is the same bit for bit.
+    """
     v = as_vector(space, v)
-    return float(np.add.reduce(np.abs(v) ** space.p) ** (1.0 / space.p))
+    return float(np.add.reduce(_pow_abs(np.abs(v), space.p))
+                 ** (1.0 / space.p))
 
 
 def normalize(space: SpaceSpec, v: Vec) -> Vec:
@@ -114,14 +139,22 @@ def norming_functional(space: SpaceSpec, x: Vec) -> Functional:
     n = norm(space, x)
     if n == 0.0:
         raise ZeroVectorError("the zero vector has no norming functional")
-    coords = np.sign(x) * np.abs(x) ** (space.p - 1.0) / n ** (space.p - 1.0)
-    return Functional(coords)
+    return Functional(duality_map(space, x) / n ** (space.p - 1.0))
+
+
+def duality_map(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
+    """``sign(X) * |X|^(p-1)`` elementwise: unnormalized norming functionals.
+
+    For a unit row ``x`` the result is its norming functional; in general
+    it pairs with ``x`` to ``||x||^p`` and has dual norm ``||x||^(p-1)``.
+    The power comes from :func:`_pow_abs`.
+    """
+    return np.sign(X) * _pow_abs(np.abs(X), space.p - 1.0)
 
 
 def dual_norm(space: SpaceSpec, f: Functional) -> float:
     """q-norm of a functional's coordinates (norm in the dual space)."""
-    coords = as_vector(space, f.coords)
-    return float(np.sum(np.abs(coords) ** space.q) ** (1.0 / space.q))
+    return float(batch_norm(space.dual, as_vector(space, f.coords)))
 
 
 def random_unit(space: SpaceSpec, rng_seed) -> Vec:
@@ -151,7 +184,11 @@ def unit_batch(space: SpaceSpec, rng: np.random.Generator, n: int) -> np.ndarray
 
 
 def batch_norm(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
-    """p-norms of the rows of an (n, d) array; ``rows`` is left unmodified."""
+    """p-norms along the last axis of ``rows``, which is left unmodified.
+
+    Runs :func:`_abs_norms`, so rows whose first row has an exact zero
+    skip ``pow`` on their zeros, with the same result bit for bit.
+    """
     return _abs_norms(space, np.abs(rows, dtype=float))
 
 
@@ -163,7 +200,9 @@ def pair_norms(space: SpaceSpec, arr: np.ndarray, x=None) -> np.ndarray:
     then mirrored, so the matrix is exactly symmetric with zero diagonal.
     Each row is computed in one reused (n, d) buffer with the ufuncs of
     :func:`batch_norm` in the same order, so every entry equals the
-    :func:`batch_norm` of its difference vector bit for bit.
+    :func:`batch_norm` of its difference vector bit for bit.  Differences
+    of sparse vectors (bases, shifted bases) are mostly exact zeros, which
+    :func:`_abs_norms` keeps off ``pow``.
     """
     arr = np.asarray(arr, dtype=float)
     n = len(arr)
@@ -194,18 +233,40 @@ def _row_norms(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     the root is taken per row by the scalar libm ``pow``, because numpy's
     array ``pow`` differs from it in the last bit on some inputs.
     """
-    sums = np.add.reduce(np.abs(rows) ** space.p, axis=-1)
+    sums = np.add.reduce(_pow_abs(np.abs(rows), space.p), axis=-1)
     inv = 1.0 / space.p
     return np.array([math.pow(s, inv) for s in sums.tolist()])
 
 
 def _abs_norms(space: SpaceSpec, buf: np.ndarray) -> np.ndarray:
-    """p-norms of the rows of ``buf``, which holds absolute values.
+    """p-norms along the last axis of ``buf``, which holds absolute values.
 
-    Raises ``buf`` to the p-th power in place.
+    Raises ``buf`` to the p-th power in place by :func:`_pow_abs`: when
+    its first row has an exact zero, zeros are left as they are instead of
+    going through ``pow``, which gives the same bits.
     """
-    buf **= space.p
-    return np.sum(buf, axis=-1) ** (1.0 / space.p)
+    return np.sum(_pow_abs(buf, space.p), axis=-1) ** (1.0 / space.p)
+
+
+def _pow_abs(buf: np.ndarray, e: float) -> np.ndarray:
+    """Raise ``buf``, which holds absolute values, to the power ``e`` in place.
+
+    The one p-th-power primitive of the package.  numpy's SIMD ``pow``
+    with a general exponent takes a slow path on zero lanes, several times
+    the cost of a nonzero one.  When the first row of ``buf`` (an O(d)
+    probe) has an exact zero, only the nonzero entries are raised; the
+    zeros stay ``+0.0``, which is ``pow(+0, e)`` for ``e > 0``, and a lane's
+    ``pow`` does not depend on its neighbours, so both paths give the same
+    bits.  Buffers smaller than :data:`_MASK_MIN_SIZE`, dense first rows
+    and the exponents of :data:`_FAST_EXPONENTS` take the plain ``**=``:
+    masking costs more than it saves there.
+    """
+    if (buf.size >= _MASK_MIN_SIZE and e not in _FAST_EXPONENTS
+            and np.count_nonzero(buf[(0,) * (buf.ndim - 1)]) < buf.shape[-1]):
+        np.power(buf, e, out=buf, where=buf != 0.0)
+    else:
+        buf **= e
+    return buf
 
 
 def make_contraction(space: SpaceSpec, rows) -> ContractionMap:
@@ -215,8 +276,7 @@ def make_contraction(space: SpaceSpec, rows) -> ContractionMap:
         raise DimensionMismatchError(
             f"rows must have {space.d} coordinates, got {rows.shape[1]}"
         )
-    q = space.q
-    row_norms = np.sum(np.abs(rows) ** q, axis=1) ** (1.0 / q)
+    row_norms = batch_norm(space.dual, rows)
     if np.any(row_norms > 1.0 + ATOL):
         raise ValueError(
             f"row dual norm exceeds 1: max {row_norms.max():.17g}"

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import SamplerExhaustedError
 from .modulus import (EMPIRICAL_MONOTONE_SLACK, ModulusCurve, WITNESS_TOL,
                       delta_from_constraint, lp_delta)
-from .spaces import SpaceSpec, batch_norm, norm, unit_batch
+from .spaces import SpaceSpec, batch_norm, duality_map, norm, unit_batch
 
 BATCH = 2048
 MAX_ATTEMPT_FACTOR = 1000  # give up if kept rate stays near zero
@@ -101,7 +101,7 @@ def check_lemma23(space: SpaceSpec, eps: float, trials: int,
         n = _remaining(attempted, trials, "lemma23", space, eps)
         X = unit_batch(space, rng, n)
         Xp, s = _stressed_near_unit(space, rng, X, delta, t_scale)
-        F = np.sign(X) * np.abs(X) ** (space.p - 1.0)
+        F = duality_map(space, X)
         cond_i = np.abs(1.0 - batch_norm(space, Xp)) < delta
         pairing = np.einsum("ij,ij->i", X - Xp, F)
         cond_iii = np.abs(pairing) < delta
@@ -148,7 +148,7 @@ def check_thm2_condition3(space: SpaceSpec, eps: float, trials: int,
         W = unit_batch(space, rng, n)
         anchor[perturb] += f_scale * W[perturb]
         anchor /= batch_norm(space, anchor)[:, None]
-        F = np.sign(anchor) * np.abs(anchor) ** (space.p - 1.0)
+        F = duality_map(space, anchor)
         iv = np.abs(np.einsum("ij,ij->i", X, F)) > 1.0 - delta
         pairing = np.einsum("ij,ij->i", X - Xp, F)
         v = np.abs(pairing) < delta
@@ -189,7 +189,7 @@ def check_remark45(space: SpaceSpec, eps: float, trials: int, k: int,
     delta = 0.5 * lp_delta(space.p, 4.0 * eps / 5.0)
     rng = np.random.default_rng(rng_seed)
     t_scale = min(1.0, math.sqrt(2.0 * delta))
-    q = space.q
+    dual = space.dual
     attempted = kept = 0
     violations: list[dict] = []
     while kept < trials:
@@ -197,11 +197,10 @@ def check_remark45(space: SpaceSpec, eps: float, trials: int, k: int,
         X = unit_batch(space, rng, n)
         Xp, s = _stressed_near_unit(space, rng, X, delta, t_scale)
         rows = np.empty((n, k, space.d))
-        rows[:, 0, :] = np.sign(X) * np.abs(X) ** (space.p - 1.0)
+        rows[:, 0, :] = duality_map(space, X)
         if k > 1:
             G = rng.standard_normal((n, k - 1, space.d))
-            qn = np.sum(np.abs(G) ** q, axis=2) ** (1.0 / q)
-            rows[:, 1:, :] = G / qn[:, :, None]
+            rows[:, 1:, :] = G / batch_norm(dual, G)[:, :, None]
         tx = np.einsum("nkd,nd->nk", rows, X)
         txp = np.einsum("nkd,nd->nk", rows, Xp)
         cond_i = np.abs(1.0 - batch_norm(space, Xp)) < delta

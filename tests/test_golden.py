@@ -1,14 +1,17 @@
 """Empirical-modulus outputs against the pinned hashes of ``perfbench/``.
 
-Runs, in-process, the benchmark's ``modulus-empirical`` step at the pinned
-seed and the README's empirical example, and compares the sha256 of each
-output file with ``perfbench/golden.json``.  The goldens are only read.
+Runs, in-process, the benchmark's ``modulus-empirical``, ``extract-p2``
+and ``construct-p3`` steps at the pinned seed and the README's empirical
+example, and compares the sha256 of each output file with
+``perfbench/golden.json``.  The goldens are only read.
 """
 
 import hashlib
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from uconvex.cli import main
 
@@ -41,3 +44,12 @@ def test_readme_empirical_example_matches_golden(tmp_path, capsys):
     capsys.readouterr()
     out = Path(argv[argv.index("--out") + 1])
     assert _sha256(out) == pinned["sha256"]
+
+
+@pytest.mark.parametrize("name", ["extract-p2", "construct-p3"])
+def test_pairwise_step_matches_golden(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.json"
+    step = STEPS[name]
+    assert main(step.argv(GOLDEN["default_seed"], out)) == step.expected_exit
+    capsys.readouterr()
+    assert _sha256(out) == GOLDEN["steps"][name]

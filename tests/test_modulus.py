@@ -232,6 +232,17 @@ def test_witness_validation_catches_corruption():
         validate_witness(space, bad)
 
 
+def test_witness_validation_rejects_nan_coordinate():
+    space = SpaceSpec(p=1.5, d=2)
+    good = empirical_delta(space, 0.5, budget=1_000, rng_seed=0)
+    x = good.witness[0].copy()
+    x[0] = math.nan
+    bad = ModulusPoint(eps=0.5, delta=good.delta, method="empirical",
+                       witness=(x, good.witness[1]))
+    with pytest.raises(PreconditionError, match="non-finite"):
+        validate_witness(space, bad)
+
+
 # ----------------------------- points and curves -----------------------------
 
 def test_modulus_point_validation():

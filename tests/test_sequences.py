@@ -14,7 +14,7 @@ from uconvex.sequences import (baseline_extract, certify, pair_enumeration,
                                shifted_basis_seed, theorem1_extract,
                                theorem3_construct, unit_basis_seed,
                                vectors_to_csv)
-from uconvex.spaces import SpaceSpec, normalize
+from uconvex.spaces import SpaceSpec, batch_norm, normalize, pair_norms
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -295,6 +295,42 @@ def test_ramsey_preconditions():
         ramsey_extract(np.array([[1.0, 1.0], [1.0, 0.0]]), split=2.0)
 
 
+def _ramsey_pivots_by_comprehension(values, split):
+    """The pivot loop of ``ramsey_extract`` written with Python lists."""
+    remaining = list(range(len(values)))
+    colored, last = [], None
+    while remaining:
+        pivot, rest = remaining[0], remaining[1:]
+        if not rest:
+            last = pivot
+            break
+        low = [i for i in rest if values[pivot, i] <= split]
+        high = [i for i in rest if values[pivot, i] > split]
+        if len(low) >= len(high):
+            colored.append((pivot, "low"))
+            remaining = low
+        else:
+            colored.append((pivot, "high"))
+            remaining = high
+    n_low = sum(1 for _, c in colored if c == "low")
+    branch = "low" if n_low >= len(colored) - n_low else "high"
+    selected = [i for i, c in colored if c == branch]
+    if last is not None:
+        selected.append(last)
+    return sorted(selected), branch
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ramsey_matches_list_comprehension_pivots(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 70))
+    m = np.triu(rng.choice([0.9, 1.0, 1.1], size=(n, n)), 1)
+    m = m + m.T
+    idx, branch = ramsey_extract(m, split=1.0)
+    assert (idx, branch) == _ramsey_pivots_by_comprehension(m, 1.0)
+    assert all(type(i) is int for i in idx)
+
+
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_ramsey_random_two_valued(seed):
@@ -381,6 +417,31 @@ def test_theorem3_shifted_seed_runs_greedy_low_branch():
     assert all(abs(s.y_norm - 1.0) <= 1e-9 for s in accepted)
     used = [i for s in accepted for i in s.pair]
     assert len(used) == len(set(used))  # disjoint index pairs
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_theorem3_low_branch_measures_every_prior_output(p):
+    space = SpaceSpec(p=p, d=24)
+    base = np.asarray(shifted_basis_seed(space, 23))
+    seed = base + 1e-3 * np.random.default_rng(1).standard_normal(base.shape)
+    seed = seed / separation(space, seed) * (1.0 + 1e-12)
+    trace = theorem3_construct(space, list(seed), max_len=100)
+    assert trace.branch == "low" and len(trace.output) > 2
+    split = 1.0 + 0.5 * trace.delta1
+    extracted, _ = ramsey_extract(pair_norms(space, seed), split)
+    xi = seed[extracted]
+    prior = []
+    for step in trace.steps:
+        y = xi[step.pair[0]] - xi[step.pair[1]]
+        if prior:
+            expected = batch_norm(space, np.asarray(prior) - y).min()
+            assert step.min_dist_to_prior == pytest.approx(expected,
+                                                           rel=1e-14)
+        else:
+            assert step.min_dist_to_prior is None
+        if step.accepted:
+            prior.append(trace.output[len(prior)])
+    assert len(prior) == len(trace.output)
 
 
 def test_theorem3_max_len_one():

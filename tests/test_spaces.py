@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uconvex.errors import DimensionMismatchError, ZeroVectorError
-from uconvex.spaces import (ContractionMap, SpaceSpec, apply, batch_norm,
-                            dual_norm, make_contraction, norm,
-                            norming_functional, normalize, pair_norms,
-                            random_unit, unit_batch)
+from uconvex.errors import (DimensionMismatchError, PreconditionError,
+                            ZeroVectorError)
+from uconvex.sequences import shifted_basis_seed
+from uconvex.spaces import (ContractionMap, Functional, SpaceSpec, _pow_abs,
+                            apply, batch_norm, dual_norm, duality_map,
+                            make_contraction, norm, norming_functional,
+                            normalize, pair_norms, random_unit, unit_batch)
 
 ATOL = 1e-12
 
@@ -54,6 +56,20 @@ def test_norm_p15_ones():
 def test_norm_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         norm(SpaceSpec(p=2, d=3), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_norm_and_normalize_reject_non_finite(bad):
+    space = SpaceSpec(p=3, d=3)
+    v = [1.0, bad, 0.0]
+    with pytest.raises(PreconditionError, match="non-finite"):
+        norm(space, v)
+    with pytest.raises(PreconditionError, match="non-finite"):
+        normalize(space, v)
+    with pytest.raises(PreconditionError, match="non-finite"):
+        norming_functional(space, v)
+    with pytest.raises(PreconditionError, match="non-finite"):
+        dual_norm(space, Functional(np.array(v)))
 
 
 def test_normalize_345():
@@ -250,3 +266,92 @@ def test_apply_contraction_inequality_randomized():
         sups = np.max(np.abs(vs @ rows.T), axis=1)
         norms = np.sum(np.abs(vs) ** p, axis=1) ** (1.0 / p)
         assert np.all(sups <= norms * (1.0 + 1e-12))
+
+
+# ------------------------- the p-th power primitive -------------------------
+
+POW_EXPONENTS = [1.1, 1.5, 3.0, 7.0, 1.0 / 3.0, 2.0 / 3.0, 0.5, 1.0, 2.0]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.int64),
+        np.ascontiguousarray(b).view(np.int64))
+
+
+def _pow_inputs():
+    """Absolute values with zeros in every position the probe can see.
+
+    Apart from the small cases, sizes exceed the primitive's masking
+    minimum, so both of its paths run.
+    """
+    rng = np.random.default_rng(11)
+    dense = np.abs(rng.standard_normal((6, 150)))
+    scattered = dense.copy()
+    scattered[rng.random(scattered.shape) < 0.4] = 0.0
+    zero_rows = dense.copy()
+    zero_rows[[0, 3]] = 0.0
+    neg_zero = np.abs(np.where(scattered == 0.0, -0.0, -scattered))
+    dense_over_sparse = scattered.copy()
+    dense_over_sparse[0] = dense[0]
+    sparse_over_dense = dense.copy()
+    sparse_over_dense[0] = scattered[1]
+    sparse_over_dense[0, 0] = 0.0
+    blocks = np.abs(rng.standard_normal((3, 4, 16)))
+    blocks[rng.random(blocks.shape) < 0.5] = 0.0
+    return {
+        "dense": dense, "scattered": scattered, "zero_rows": zero_rows,
+        "from_neg_zero": neg_zero, "dense_over_sparse": dense_over_sparse,
+        "sparse_over_dense": sparse_over_dense, "1d": scattered[1],
+        "1d_dense": dense[2], "3d": blocks, "small": scattered[:2, :9],
+        "empty": np.empty((0, 5)), "empty_1d": np.empty(0),
+    }
+
+
+@pytest.mark.parametrize("e", POW_EXPONENTS)
+@pytest.mark.parametrize("case", sorted(_pow_inputs()))
+def test_pow_abs_equals_plain_power_bit_for_bit(e, case):
+    a = _pow_inputs()[case]
+    expected = a ** e
+    buf = a.copy()
+    assert _pow_abs(buf, e) is buf
+    assert _same_bits(buf, expected)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_pair_norms_on_shifted_basis_equal_per_pair_batch_norm(p):
+    space = SpaceSpec(p=p, d=12)
+    arr = np.asarray(shifted_basis_seed(space, 11))
+    x = arr[4] - arr[7]
+    plain = pair_norms(space, arr)
+    shifted = pair_norms(space, arr, x)
+    n = len(arr)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                assert plain[i, j] == batch_norm(
+                    space, (arr[j] - arr[i])[None])[0]
+            assert shifted[i, j] == batch_norm(
+                space, (x - (arr[i] - arr[j]))[None])[0]
+    assert np.allclose(plain[~np.eye(n, dtype=bool)], 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 4.0])
+def test_duality_map_equals_closed_form_bit_for_bit(p):
+    space = SpaceSpec(p=p, d=9)
+    X = np.random.default_rng(8).standard_normal((40, 9))
+    X[X > 1.0] = 0.0
+    X[5] = -0.0
+    expected = np.sign(X) * np.abs(X) ** (p - 1.0)
+    assert _same_bits(duality_map(space, X), expected)
+    assert _same_bits(norming_functional(space, X[1]).coords,
+                      expected[1] / norm(space, X[1]) ** (p - 1.0))
+
+
+def test_dual_norm_is_the_q_norm():
+    space = SpaceSpec(p=3, d=5)
+    f = np.array([0.3, -1.0, 0.0, 2.0, 0.5])
+    q = space.q
+    expected = np.sum(np.abs(f) ** q) ** (1.0 / q)
+    assert dual_norm(space, Functional(f)) == expected
+    assert space.dual == SpaceSpec(p=q, d=5)
