@@ -24,7 +24,8 @@ import numpy as np
 from .errors import (BisectionError, CertificateError, PreconditionError,
                      ZeroVectorError)
 from .search import EvalBudget, refine, sample_feasible_pairs
-from .spaces import SpaceSpec, _row_norms, batch_norm, norm, unit_batch
+from .spaces import (SpaceSpec, _row_norms, batch_norm, norm, row_blocks,
+                     unit_batch)
 
 METHODS = ("clarkson", "hanner", "empirical")
 
@@ -274,7 +275,10 @@ def empirical_delta(space: SpaceSpec, eps: float, budget: int,
     sample_budget = max(0, int(0.7 * budget) - len(candidates))
     if sample_budget > 0:
         X, Y = sample_feasible_pairs(space, eps, rng, sample_budget)
-        vals = 1.0 - 0.5 * batch_norm(space, X + Y)
+        vals = np.empty(len(X))
+        for blk in row_blocks(len(X), d):
+            vals[blk] = batch_norm(space, X[blk] + Y[blk])
+        vals = 1.0 - 0.5 * vals
         top = np.argsort(vals, kind="stable")[:8]
         for i in top:
             candidates.append((float(vals[i]), X[i], Y[i]))

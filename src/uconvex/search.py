@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spaces import SpaceSpec, batch_norm, normalize, unit_batch
+from .spaces import SpaceSpec, batch_norm, normalize, row_blocks, unit_batch
 
 REFINE_ROUNDS = 30
 SHRINK = 0.5
@@ -122,48 +122,72 @@ def sample_feasible_pairs(space: SpaceSpec, eps: float,
     remaining rows fall back to interpolating ``y`` toward ``-x`` until the
     separation constraint holds (a boundary pair).
 
+    The distances and the fallback stream the rows in blocks of
+    :func:`spaces.row_blocks`, so their temporaries are O(block), not
+    O(count).  Every random draw is made whole and in a fixed order: only
+    a batch's last draw may be split into blocks without changing the
+    numbers, and the fallback draws nothing.
+
     Returns ``(X, Y)`` arrays of shape (count, d).
     """
     X = unit_batch(space, rng, count)
     Y = unit_batch(space, rng, count)
-    bad = batch_norm(space, X - Y) < eps
+    bad = _too_close(space, eps, X, Y)
     rounds = 0
     while np.any(bad) and rounds < max_resample_rounds:
         if bad.mean() > 0.99:
             break
         Y[bad] = unit_batch(space, rng, int(bad.sum()))
-        bad = batch_norm(space, X - Y) < eps
+        bad = _too_close(space, eps, X, Y)
         rounds += 1
     if np.any(bad):
-        Y[bad] = _interpolate_to_boundary(space, eps, X[bad], Y[bad])
+        _interpolate_to_boundary(space, eps, X, Y, np.flatnonzero(bad))
     return X, Y
 
 
-def _interpolate_to_boundary(space: SpaceSpec, eps: float,
-                             X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Move each y along the sphere toward -x until ``||x - y|| >= eps``.
+def _too_close(space: SpaceSpec, eps: float, X: np.ndarray,
+               Y: np.ndarray) -> np.ndarray:
+    """``||x - y|| < eps`` for each row pair, one row block at a time."""
+    bad = np.empty(len(X), dtype=bool)
+    for blk in row_blocks(len(X), space.d):
+        bad[blk] = batch_norm(space, X[blk] - Y[blk]) < eps
+    return bad
 
-    Bisection on the interpolation parameter; t = 1 (the antipode) is
-    always feasible since ``||x - (-x)|| = 2 >= eps``.
+
+def _interpolate_to_boundary(space: SpaceSpec, eps: float, X: np.ndarray,
+                             Y: np.ndarray, rows: np.ndarray) -> None:
+    """Move ``Y[rows]`` along the sphere toward ``-X[rows]``, in place.
+
+    Each ``y`` moves until ``||x - y|| >= eps``, by bisection on the
+    interpolation parameter; t = 1 (the antipode) is always feasible since
+    ``||x - (-x)|| = 2 >= eps``.  The rows are gathered and bisected one
+    block of :func:`spaces.row_blocks` at a time, through all 40 steps, so
+    the working set is O(block) for any number of rows.  Rows are
+    independent, so the result is that of bisecting all rows at once, bit
+    for bit.
     """
-    lo = np.zeros(len(X))
-    hi = np.ones(len(X))
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        cand = (1.0 - mid)[:, None] * Y - mid[:, None] * X
-        norms = batch_norm(space, cand)
-        # exact antipode can make the interpolant vanish; nudge past it
-        degenerate = norms == 0.0
-        if np.any(degenerate):
-            mid[degenerate] = np.nextafter(mid[degenerate], 2.0)
-            cand = (1.0 - mid)[:, None] * Y - mid[:, None] * X
+    for blk in row_blocks(len(rows), space.d):
+        r = rows[blk]
+        x, y = X[r], Y[r]
+        lo = np.zeros(len(r))
+        hi = np.ones(len(r))
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            cand = (1.0 - mid)[:, None] * y - mid[:, None] * x
             norms = batch_norm(space, cand)
-        cand /= norms[:, None]
-        feas = batch_norm(space, X - cand) >= eps
-        hi[feas] = mid[feas]
-        lo[~feas] = mid[~feas]
-    final = (1.0 - hi)[:, None] * Y - hi[:, None] * X
-    return final / batch_norm(space, final)[:, None]
+            # exact antipode can make the interpolant vanish; nudge past it
+            degenerate = norms == 0.0
+            if np.any(degenerate):
+                mid[degenerate] = np.nextafter(mid[degenerate], 2.0)
+                cand = (1.0 - mid)[:, None] * y - mid[:, None] * x
+                norms = batch_norm(space, cand)
+            cand /= norms[:, None]
+            feas = batch_norm(space, x - cand) >= eps
+            hi[feas] = mid[feas]
+            lo[~feas] = mid[~feas]
+        final = (1.0 - hi)[:, None] * y - hi[:, None] * x
+        final /= batch_norm(space, final)[:, None]
+        Y[r] = final
 
 
 def maximize_min_distance(space: SpaceSpec, anchors: list[np.ndarray],

@@ -26,6 +26,10 @@ _FAST_EXPONENTS = (0.5, 1.0, 2.0)
 # costs about as much as 128 zero lanes (numpy 2.4, x86-64 AVX-512).
 _MASK_MIN_SIZE = 128
 
+# Most float64 entries per array in one block of a row-blocked loop
+# (256 KiB), so the block's temporaries stay in a core's L2 cache.
+BLOCK_ELEMS = 1 << 15
+
 Vec = np.ndarray
 
 
@@ -114,15 +118,22 @@ def norm(space: SpaceSpec, v: Vec) -> float:
     The p-th powers come from :func:`_pow_abs`, so exact zeros skip
     numpy's ``pow`` when ``v`` has one; the result is the same bit for bit.
     """
-    v = as_vector(space, v)
+    return _vector_norm(space, as_vector(space, v))
+
+
+def _vector_norm(space: SpaceSpec, v: Vec) -> float:
+    """:func:`norm` of a vector that :func:`as_vector` has already checked."""
     return float(np.add.reduce(_pow_abs(np.abs(v), space.p))
                  ** (1.0 / space.p))
 
 
 def normalize(space: SpaceSpec, v: Vec) -> Vec:
-    """Return ``v / ||v||``, a unit vector parallel to ``v``."""
+    """Return ``v / ||v||``, a unit vector parallel to ``v``.
+
+    ``v`` is coerced and checked once, then normed as :func:`norm` does.
+    """
     v = as_vector(space, v)
-    n = norm(space, v)
+    n = _vector_norm(space, v)
     if n == 0.0:
         raise ZeroVectorError("cannot normalize the zero vector")
     return v / n
@@ -172,15 +183,34 @@ def random_unit(space: SpaceSpec, rng_seed) -> Vec:
 
 
 def unit_batch(space: SpaceSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n unit vectors as rows of an (n, d) array; see :func:`random_unit`."""
+    """n unit vectors as rows of an (n, d) array; see :func:`random_unit`.
+
+    The norms are taken one row block at a time and the rows divided in
+    place, so no temporary is as large as the batch.
+    """
     g = rng.standard_normal((n, space.d))
-    norms = batch_norm(space, g)
+    norms = np.empty(n)
+    for blk in row_blocks(n, space.d):
+        norms[blk] = batch_norm(space, g[blk])
     bad = norms == 0.0
     while np.any(bad):
         g[bad] = rng.standard_normal((int(bad.sum()), space.d))
-        norms = batch_norm(space, g)
+        norms[bad] = batch_norm(space, g[bad])
         bad = norms == 0.0
-    return g / norms[:, None]
+    g /= norms[:, None]
+    return g
+
+
+def row_blocks(n: int, width: int):
+    """Consecutive slices covering ``range(n)``: the row blocks of a loop.
+
+    Each block has at most ``BLOCK_ELEMS // width`` rows (at least one),
+    so an array with ``width`` entries per row stays within
+    :data:`BLOCK_ELEMS` on every block.
+    """
+    step = max(1, BLOCK_ELEMS // max(1, width))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
 
 def batch_norm(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:

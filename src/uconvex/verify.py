@@ -6,6 +6,12 @@ theorem's conclusion on every kept trial.  Violations are collected as
 self-contained records that re-verify from their stored data; for the
 theorem-backed statements any violation is a release-blocking defect in
 either the sampler or the modulus engines, never an expected outcome.
+
+A batch's draws are made whole and in a fixed order; the hypotheses and
+conclusions are then evaluated one row block (:func:`spaces.row_blocks`)
+at a time, so no temporary grows with the batch.  Only a batch's last
+draw may itself be split into blocks: that gives the same numbers, any
+earlier draw would shift the ones after it.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ import numpy as np
 from .errors import SamplerExhaustedError
 from .modulus import (EMPIRICAL_MONOTONE_SLACK, ModulusCurve, WITNESS_TOL,
                       delta_from_constraint, lp_delta)
-from .spaces import SpaceSpec, batch_norm, duality_map, norm, unit_batch
+from .spaces import (SpaceSpec, batch_norm, duality_map, norm, row_blocks,
+                     unit_batch)
 
 BATCH = 2048
 MAX_ATTEMPT_FACTOR = 1000  # give up if kept rate stays near zero
@@ -101,16 +108,20 @@ def check_lemma23(space: SpaceSpec, eps: float, trials: int,
         n = _remaining(attempted, trials, "lemma23", space, eps)
         X = unit_batch(space, rng, n)
         Xp, s = _stressed_near_unit(space, rng, X, delta, t_scale)
-        F = duality_map(space, X)
-        cond_i = np.abs(1.0 - batch_norm(space, Xp)) < delta
-        pairing = np.einsum("ij,ij->i", X - Xp, F)
-        cond_iii = np.abs(pairing) < delta
-        keep = cond_i & cond_iii
-        dist = batch_norm(space, X - Xp)
-        viol = keep & ~(dist < eps)
-        for i in np.flatnonzero(viol):
-            violations.append(_lemma23_record(space, eps, delta, X[i], Xp[i],
-                                              F[i], pairing[i], dist[i]))
+        keep = np.empty(n, dtype=bool)
+        for blk in row_blocks(n, space.d):
+            x, xp = X[blk], Xp[blk]
+            F = duality_map(space, x)
+            cond_i = np.abs(1.0 - batch_norm(space, xp)) < delta
+            diff = x - xp
+            pairing = np.einsum("ij,ij->i", diff, F)
+            cond_iii = np.abs(pairing) < delta
+            keep[blk] = cond_i & cond_iii
+            dist = batch_norm(space, diff)
+            for i in np.flatnonzero(keep[blk] & ~(dist < eps)):
+                violations.append(_lemma23_record(space, eps, delta, x[i],
+                                                  xp[i], F[i], pairing[i],
+                                                  dist[i]))
         attempted += n
         kept += int(keep.sum())
         t_scale = _adapt(t_scale, keep.mean())
@@ -140,30 +151,34 @@ def check_thm2_condition3(space: SpaceSpec, eps: float, trials: int,
         n = _remaining(attempted, trials, "thm2_condition3", space, eps)
         X = unit_batch(space, rng, n)
         U = unit_batch(space, rng, n)
-        Xp = X + t_scale * U
-        Xp /= batch_norm(space, Xp)[:, None]
         # half exact norming functionals, half functionals of nearby points
-        anchor = X.copy()
         perturb = rng.random(n) < 0.5
         W = unit_batch(space, rng, n)
-        anchor[perturb] += f_scale * W[perturb]
-        anchor /= batch_norm(space, anchor)[:, None]
-        F = duality_map(space, anchor)
-        iv = np.abs(np.einsum("ij,ij->i", X, F)) > 1.0 - delta
-        pairing = np.einsum("ij,ij->i", X - Xp, F)
-        v = np.abs(pairing) < delta
-        keep = iv & v
-        dist = batch_norm(space, X - Xp)
-        viol = keep & ~(dist < eps)
-        for i in np.flatnonzero(viol):
-            violations.append({
-                "p": space.p, "eps": eps, "delta": delta,
-                "x": X[i].tolist(), "x_prime": Xp[i].tolist(),
-                "functional": F[i].tolist(),
-                "pairing_x": float(np.dot(X[i], F[i])),
-                "pairing_diff": float(pairing[i]),
-                "dist": float(dist[i]),
-            })
+        keep = np.empty(n, dtype=bool)
+        for blk in row_blocks(n, space.d):
+            x = X[blk]
+            xp = x + t_scale * U[blk]
+            xp /= batch_norm(space, xp)[:, None]
+            anchor = x.copy()
+            near = perturb[blk]
+            anchor[near] += f_scale * W[blk][near]
+            anchor /= batch_norm(space, anchor)[:, None]
+            F = duality_map(space, anchor)
+            iv = np.abs(np.einsum("ij,ij->i", x, F)) > 1.0 - delta
+            diff = x - xp
+            pairing = np.einsum("ij,ij->i", diff, F)
+            v = np.abs(pairing) < delta
+            keep[blk] = iv & v
+            dist = batch_norm(space, diff)
+            for i in np.flatnonzero(keep[blk] & ~(dist < eps)):
+                violations.append({
+                    "p": space.p, "eps": eps, "delta": delta,
+                    "x": x[i].tolist(), "x_prime": xp[i].tolist(),
+                    "functional": F[i].tolist(),
+                    "pairing_x": float(np.dot(x[i], F[i])),
+                    "pairing_diff": float(pairing[i]),
+                    "dist": float(dist[i]),
+                })
         attempted += n
         kept += int(keep.sum())
         t_scale = _adapt(t_scale, keep.mean())
@@ -183,6 +198,14 @@ def check_remark45(space: SpaceSpec, eps: float, trials: int, k: int,
     ||Tx - Tx'||_sup < delta and must conclude ||x - x'|| < eps.  The
     source statement is given without proof, so a reproducible violation
     here would be a finding to surface, not a sampler bug.
+
+    The k - 1 random functionals are the batch's last random draw, so they
+    are drawn one block of :func:`spaces.row_blocks` at a time (k * d
+    entries per row): numpy fills a normal draw in order, so the blocks
+    get the numbers of one batch-wide draw.  Each block is normalized in
+    place and paired with its ``x`` and ``x'``; the (n, k, d) array of all
+    functionals is never built, and a violation record takes its ``rows``
+    from its block.
     """
     if k < 1:
         raise ValueError(f"contraction rank k must be >= 1, got {k}")
@@ -196,30 +219,33 @@ def check_remark45(space: SpaceSpec, eps: float, trials: int, k: int,
         n = _remaining(attempted, trials, "remark45", space, eps)
         X = unit_batch(space, rng, n)
         Xp, s = _stressed_near_unit(space, rng, X, delta, t_scale)
-        rows = np.empty((n, k, space.d))
-        rows[:, 0, :] = duality_map(space, X)
-        if k > 1:
-            G = rng.standard_normal((n, k - 1, space.d))
-            rows[:, 1:, :] = G / batch_norm(dual, G)[:, :, None]
-        tx = np.einsum("nkd,nd->nk", rows, X)
-        txp = np.einsum("nkd,nd->nk", rows, Xp)
-        cond_i = np.abs(1.0 - batch_norm(space, Xp)) < delta
-        cond_ii = np.max(np.abs(tx), axis=1) > 1.0 - delta
-        sup_diff = np.max(np.abs(tx - txp), axis=1)
-        cond_iii = sup_diff < delta
-        keep = cond_i & cond_ii & cond_iii
-        dist = batch_norm(space, X - Xp)
-        viol = keep & ~(dist < eps)
-        for i in np.flatnonzero(viol):
-            violations.append({
-                "p": space.p, "eps": eps, "delta": delta,
-                "x": X[i].tolist(), "x_prime": Xp[i].tolist(),
-                "rows": rows[i].tolist(),
-                "norm_x_prime": float(batch_norm(space, Xp[i][None])[0]),
-                "sup_tx": float(np.max(np.abs(tx[i]))),
-                "sup_diff": float(sup_diff[i]),
-                "dist": float(dist[i]),
-            })
+        keep = np.empty(n, dtype=bool)
+        for blk in row_blocks(n, k * space.d):
+            x, xp = X[blk], Xp[blk]
+            rows = np.empty((len(x), k, space.d))
+            rows[:, 0, :] = duality_map(space, x)
+            if k > 1:
+                G = rng.standard_normal((len(x), k - 1, space.d))
+                G /= batch_norm(dual, G)[:, :, None]
+                rows[:, 1:, :] = G
+            tx = np.einsum("nkd,nd->nk", rows, x)
+            txp = np.einsum("nkd,nd->nk", rows, xp)
+            cond_i = np.abs(1.0 - batch_norm(space, xp)) < delta
+            cond_ii = np.max(np.abs(tx), axis=1) > 1.0 - delta
+            sup_diff = np.max(np.abs(tx - txp), axis=1)
+            cond_iii = sup_diff < delta
+            keep[blk] = cond_i & cond_ii & cond_iii
+            dist = batch_norm(space, x - xp)
+            for i in np.flatnonzero(keep[blk] & ~(dist < eps)):
+                violations.append({
+                    "p": space.p, "eps": eps, "delta": delta,
+                    "x": x[i].tolist(), "x_prime": xp[i].tolist(),
+                    "rows": rows[i].tolist(),
+                    "norm_x_prime": float(batch_norm(space, xp[i][None])[0]),
+                    "sup_tx": float(np.max(np.abs(tx[i]))),
+                    "sup_diff": float(sup_diff[i]),
+                    "dist": float(dist[i]),
+                })
         attempted += n
         kept += int(keep.sum())
         t_scale = _adapt(t_scale, keep.mean())
@@ -337,10 +363,14 @@ def _stressed_near_unit(space: SpaceSpec, rng: np.random.Generator,
     """
     n = len(X)
     s = delta * rng.choice((-1.0, 1.0), size=n) * rng.beta(4.0, 1.0, size=n)
-    U = unit_batch(space, rng, n)
-    base = X + t_scale * U
-    base /= batch_norm(space, base)[:, None]
-    return (1.0 + s)[:, None] * base, s
+    Xp = unit_batch(space, rng, n)
+    for blk in row_blocks(n, space.d):
+        base = Xp[blk]  # u becomes x' in place: x + t*u, normalized, scaled
+        base *= t_scale
+        base += X[blk]
+        base /= batch_norm(space, base)[:, None]
+        base *= (1.0 + s[blk])[:, None]
+    return Xp, s
 
 
 def _lemma23_record(space, eps, delta, x, xp, f, pairing, dist) -> dict:

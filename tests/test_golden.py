@@ -1,9 +1,9 @@
-"""Empirical-modulus outputs against the pinned hashes of ``perfbench/``.
+"""Step and README outputs against the pinned hashes of ``perfbench/``.
 
-Runs, in-process, the benchmark's ``modulus-empirical``, ``extract-p2``
-and ``construct-p3`` steps at the pinned seed and the README's empirical
-example, and compares the sha256 of each output file with
-``perfbench/golden.json``.  The goldens are only read.
+Runs, in-process, the benchmark's four steps at the pinned seed and the
+README's empirical and ``verify --statement all`` examples, and compares
+the sha256 of each output file with ``perfbench/golden.json``.  The
+goldens are only read.
 """
 
 import hashlib
@@ -36,10 +36,28 @@ def test_modulus_empirical_step_matches_golden(tmp_path, capsys):
     assert _sha256(out) == GOLDEN["steps"]["modulus-empirical"]
 
 
+def test_verify_grid_step_matches_golden(tmp_path, capsys):
+    out = tmp_path / "reports.json"
+    step = STEPS["verify-grid"]
+    assert main(step.argv(GOLDEN["default_seed"], out)) == 0
+    capsys.readouterr()
+    assert _sha256(out) == GOLDEN["steps"]["verify-grid"]
+
+
 def test_readme_empirical_example_matches_golden(tmp_path, capsys):
     argv = [a.replace("{dir}", str(tmp_path))
             for a in README_EXAMPLES["modulus-empirical"]]
     pinned = GOLDEN["readme"]["modulus-empirical"]
+    assert main(argv) == pinned["exit_code"]
+    capsys.readouterr()
+    out = Path(argv[argv.index("--out") + 1])
+    assert _sha256(out) == pinned["sha256"]
+
+
+def test_readme_verify_all_example_matches_golden(tmp_path, capsys):
+    argv = [a.replace("{dir}", str(tmp_path))
+            for a in README_EXAMPLES["verify-all"]]
+    pinned = GOLDEN["readme"]["verify-all"]
     assert main(argv) == pinned["exit_code"]
     capsys.readouterr()
     out = Path(argv[argv.index("--out") + 1])

@@ -355,3 +355,45 @@ def test_dual_norm_is_the_q_norm():
     expected = np.sum(np.abs(f) ** q) ** (1.0 / q)
     assert dual_norm(space, Functional(f)) == expected
     assert space.dual == SpaceSpec(p=q, d=5)
+
+
+def _old_normalize(space, v):
+    v = np.asarray(v, dtype=float)
+    return v / norm(space, v)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 7.0])
+@pytest.mark.parametrize("d", [1, 3, 16, 200])
+def test_normalize_equals_old_formula_bit_for_bit(p, d):
+    space = SpaceSpec(p, d)
+    rng = np.random.default_rng(d)
+    for scale in (1e-3, 1.0, 1e3):
+        v = scale * rng.standard_normal(d)
+        if d > 1:
+            v[::3] = 0.0
+        assert np.array_equal(normalize(space, v), _old_normalize(space, v))
+        assert np.array_equal(normalize(space, v.tolist()),
+                              _old_normalize(space, v))
+
+
+def test_normalize_checks_its_input_once(monkeypatch):
+    import uconvex.spaces as spaces_mod
+
+    calls = []
+    real = spaces_mod.as_vector
+
+    def counting(space, coords):
+        calls.append(1)
+        return real(space, coords)
+
+    monkeypatch.setattr(spaces_mod, "as_vector", counting)
+    normalize(SpaceSpec(1.5, 4), [1.0, -2.0, 0.0, 3.0])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_normalize_rejects_non_finite_after_single_check(bad):
+    with pytest.raises(PreconditionError):
+        normalize(SpaceSpec(1.5, 3), [1.0, bad, 0.5])
+    with pytest.raises(ZeroVectorError):
+        normalize(SpaceSpec(1.5, 3), [0.0, 0.0, 0.0])
