@@ -19,9 +19,8 @@ from .sequences import (BaselineResult, ConstructionTrace, ExtractionResult,
                         certify, pair_enumeration, ramsey_extract, riesz_seed,
                         separation, shifted_basis_seed, theorem1_extract,
                         theorem3_construct, unit_basis_seed)
-from .spaces import (ContractionMap, Functional, SpaceSpec, apply, as_vector,
-                     dual_norm, make_contraction, norm, norming_functional,
-                     normalize, random_unit)
+from .spaces import (Functional, SpaceSpec, as_vector, dual_norm, norm,
+                     norming_functional, normalize)
 from .verify import (VerificationReport, check_lemma23,
                      check_modulus_properties, check_remark45,
                      check_thm2_condition3, reverify_violation, run_grid,
@@ -31,18 +30,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineResult", "BisectionError", "CapacityError", "CertificateError",
-    "ConstructionTrace", "ContractionMap", "DimensionMismatchError",
-    "ExtractionResult", "Functional", "InsufficientClusterError",
-    "ModulusCurve", "ModulusPoint", "PreconditionError",
-    "SamplerExhaustedError", "SeparationCertificate", "SpaceSpec",
-    "TheoremBounds", "TraceStep", "UconvexError", "VerificationReport",
-    "ZeroVectorError", "apply", "as_vector", "baseline_extract",
+    "ConstructionTrace", "DimensionMismatchError", "ExtractionResult",
+    "Functional", "InsufficientClusterError", "ModulusCurve", "ModulusPoint",
+    "PreconditionError", "SamplerExhaustedError", "SeparationCertificate",
+    "SpaceSpec", "TheoremBounds", "TraceStep", "UconvexError",
+    "VerificationReport", "ZeroVectorError", "as_vector", "baseline_extract",
     "build_curve", "certify", "check_lemma23", "check_modulus_properties",
     "check_remark45", "check_thm2_condition3", "clarkson_delta",
     "delta_from_constraint", "dual_norm", "empirical_delta", "hanner_delta",
-    "lp_delta", "make_contraction", "norm", "norming_functional",
-    "normalize", "pair_enumeration", "ramsey_extract", "random_unit",
-    "reverify_violation", "riesz_seed", "run_grid", "separation",
-    "shifted_basis_seed", "summary_line", "theorem1_extract",
+    "lp_delta", "norm", "norming_functional", "normalize", "pair_enumeration",
+    "ramsey_extract", "reverify_violation", "riesz_seed", "run_grid",
+    "separation", "shifted_basis_seed", "summary_line", "theorem1_extract",
     "theorem3_construct", "theorem_bounds", "unit_basis_seed", "__version__",
 ]

@@ -92,15 +92,9 @@ def _resolve_seed(ns) -> int:
     return 0
 
 
-def _check_parallelism(ns) -> None:
-    if getattr(ns, "parallelism", 1) < 1:
-        raise ValueError("--parallelism must be >= 1")
-
-
 # ----------------------------- modulus -----------------------------
 
 def _cmd_modulus(ns) -> int:
-    _check_parallelism(ns)
     eps_values = parse_values(ns.eps)
     for e in eps_values:
         if not 0.0 < e <= 2.0:
@@ -145,7 +139,6 @@ def _make_seed(ns, space: SpaceSpec, rng_seed: int):
 
 
 def _cmd_construct(ns) -> int:
-    _check_parallelism(ns)
     space = SpaceSpec(p=ns.p, d=ns.d)
     seed_vectors, description = _make_seed(ns, space, _resolve_seed(ns))
     max_len = ns.max_len if ns.max_len is not None else len(seed_vectors)
@@ -189,7 +182,6 @@ def _make_sequence(ns, space: SpaceSpec):
 
 
 def _cmd_extract(ns) -> int:
-    _check_parallelism(ns)
     space = SpaceSpec(p=ns.p, d=ns.d)
     seq = _make_sequence(ns, space)
     x = sequences.unit_basis_seed(space, 1)[0]
@@ -212,7 +204,6 @@ def _cmd_extract(ns) -> int:
 # ----------------------------- verify -----------------------------
 
 def _cmd_verify(ns) -> int:
-    _check_parallelism(ns)
     if ns.statement == "modulus-props":
         if not ns.curve_file:
             raise ValueError("--statement modulus-props needs --curve-file")
@@ -227,8 +218,7 @@ def _cmd_verify(ns) -> int:
         ps = parse_values(ns.p)
         ds = [int(v) for v in parse_values(ns.d)]
         eps_values = parse_values(ns.eps)
-        statements = (["lemma23", "thm2_condition3", "remark45"]
-                      if ns.statement == "all"
+        statements = (list(verify.SAMPLERS) if ns.statement == "all"
                       else [ns.statement.replace("-", "_")])
         cells = len(ps) * len(ds) * len(eps_values)
         reports = []
@@ -248,12 +238,9 @@ def _cmd_verify(ns) -> int:
 
 # ----------------------------- parser -----------------------------
 
-def _add_common(sub, *, seed=True):
-    sub.add_argument("--parallelism", type=int, default=1,
-                     help="execution hint; results never depend on it")
-    if seed:
-        sub.add_argument("--seed", type=int, default=None,
-                         help="rng seed (fallback: UCONVEX_SEED, then 0)")
+def _add_seed(sub):
+    sub.add_argument("--seed", type=int, default=None,
+                     help="rng seed (fallback: UCONVEX_SEED, then 0)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -274,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--budget", type=int, default=100000)
     m.add_argument("--format", choices=("csv", "json"), default="csv")
     m.add_argument("--out", default=None)
-    _add_common(m)
+    _add_seed(m)
     m.set_defaults(func=_cmd_modulus)
 
     c = sub.add_parser("construct", help="run the greedy separated-sequence "
@@ -290,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--max-len", type=int, default=None)
     c.add_argument("--out", default=None, help="trace JSON path")
     c.add_argument("--vectors-out", default=None, help="output vectors CSV")
-    _add_common(c)
+    _add_seed(c)
     c.set_defaults(func=_cmd_construct)
 
     e = sub.add_parser("extract", help="extract a certified cluster from a "
@@ -311,13 +298,12 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--tau", type=float, default=0.01,
                    help="baseline window width")
     e.add_argument("--out", default=None)
-    _add_common(e, seed=False)
     e.set_defaults(func=_cmd_extract)
 
     v = sub.add_parser("verify", help="adversarial verification of the "
                                       "eps-delta statements")
     v.add_argument("--statement",
-                   choices=("lemma23", "thm2-condition3", "remark45",
+                   choices=(*(s.replace("_", "-") for s in verify.SAMPLERS),
                             "modulus-props", "all"),
                    default="all")
     v.add_argument("--p", default=DEFAULT_GRID_P,
@@ -332,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--curve-file", default=None,
                    help="curve to check (modulus-props)")
     v.add_argument("--out", default=None, help="reports JSON path")
-    _add_common(v)
+    _add_seed(v)
     v.set_defaults(func=_cmd_verify)
 
     return parser

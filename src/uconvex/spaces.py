@@ -80,21 +80,6 @@ class Functional:
         return float(np.dot(self.coords, v))
 
 
-@dataclass(frozen=True, eq=False)
-class ContractionMap:
-    """Linear map into l^inf_k given by ``k`` rows of dual norm <= 1.
-
-    With a sup-norm codomain and unit-dual rows the operator norm is <= 1
-    by construction (Hoelder), so the map is a genuine contraction.
-    """
-
-    rows: np.ndarray  # shape (k, d)
-
-    @property
-    def k(self) -> int:
-        return self.rows.shape[0]
-
-
 def as_vector(space: SpaceSpec, coords) -> Vec:
     """Coerce ``coords`` to a finite float vector of the space's dimension.
 
@@ -168,22 +153,13 @@ def dual_norm(space: SpaceSpec, f: Functional) -> float:
     return float(batch_norm(space.dual, as_vector(space, f.coords)))
 
 
-def random_unit(space: SpaceSpec, rng_seed) -> Vec:
-    """A random vector on the unit sphere, deterministic given the seed.
-
-    Coordinates are sampled from a standard normal and normalized in the
-    p-norm.  This has full support on the sphere; it is uniform only for
-    p = 2, which nothing downstream requires.
-    """
-    rng = _as_generator(rng_seed)
-    while True:
-        g = rng.standard_normal(space.d)
-        if np.any(g != 0.0):
-            return normalize(space, g)
-
-
 def unit_batch(space: SpaceSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n unit vectors as rows of an (n, d) array; see :func:`random_unit`.
+    """n random unit vectors as rows of an (n, d) array.
+
+    Coordinates are sampled from a standard normal and each row is
+    normalized in the p-norm; a row that is exactly zero is drawn again.
+    This has full support on the sphere; it is uniform only for p = 2,
+    which nothing downstream requires.
 
     The norms are taken one row block at a time and the rows divided in
     place, so no temporary is as large as the batch.
@@ -297,35 +273,3 @@ def _pow_abs(buf: np.ndarray, e: float) -> np.ndarray:
     else:
         buf **= e
     return buf
-
-
-def make_contraction(space: SpaceSpec, rows) -> ContractionMap:
-    """Build a :class:`ContractionMap`, validating every row's dual norm."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[1] != space.d:
-        raise DimensionMismatchError(
-            f"rows must have {space.d} coordinates, got {rows.shape[1]}"
-        )
-    row_norms = batch_norm(space.dual, rows)
-    if np.any(row_norms > 1.0 + ATOL):
-        raise ValueError(
-            f"row dual norm exceeds 1: max {row_norms.max():.17g}"
-        )
-    return ContractionMap(rows)
-
-
-def apply(cmap: ContractionMap, v: Vec) -> tuple[np.ndarray, float]:
-    """Apply the contraction to ``v``; returns (values, sup-norm of values)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (cmap.rows.shape[1],):
-        raise DimensionMismatchError(
-            f"expected {cmap.rows.shape[1]} coordinates, got shape {v.shape}"
-        )
-    values = cmap.rows @ v
-    return values, float(np.max(np.abs(values))) if values.size else 0.0
-
-
-def _as_generator(rng_seed) -> np.random.Generator:
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.default_rng(rng_seed)

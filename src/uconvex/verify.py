@@ -1,14 +1,17 @@
 """Randomized adversarial verification of the quantitative statements.
 
-Each checker samples near the hypothesis boundary (where the inequalities
-are tight), filters trials through the exact hypotheses, and asserts the
-theorem's conclusion on every kept trial.  Violations are collected as
-self-contained records that re-verify from their stored data; for the
-theorem-backed statements any violation is a release-blocking defect in
-either the sampler or the modulus engines, never an expected outcome.
+Each sampler statement is one entry of :data:`SAMPLERS`: a delta rule,
+trials drawn near the hypothesis boundary (where the inequalities are
+tight) and the hypotheses as one vectorised mask.  One driver filters the
+trials through the hypotheses and asserts the shared conclusion
+``||x - x'|| < eps`` on every kept trial.  Violations are self-contained
+records; :func:`reverify_violation` applies the same hypotheses and
+conclusion to a batch of one built from a record.  For the theorem-backed
+statements any violation is a release-blocking defect in either the
+sampler or the modulus engines, never an expected outcome.
 
 A batch's draws are made whole and in a fixed order; the hypotheses and
-conclusions are then evaluated one row block (:func:`spaces.row_blocks`)
+conclusion are then evaluated one row block (:func:`spaces.row_blocks`)
 at a time, so no temporary grows with the batch.  Only a batch's last
 draw may itself be split into blocks: that gives the same numbers, any
 earlier draw would shift the ones after it.
@@ -21,19 +24,18 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import SamplerExhaustedError
 from .modulus import (EMPIRICAL_MONOTONE_SLACK, ModulusCurve, WITNESS_TOL,
                       delta_from_constraint, lp_delta)
-from .spaces import (SpaceSpec, batch_norm, duality_map, norm, row_blocks,
-                     unit_batch)
+from .spaces import (SpaceSpec, as_vector, batch_norm, duality_map,
+                     row_blocks, unit_batch)
 
 BATCH = 2048
 MAX_ATTEMPT_FACTOR = 1000  # give up if kept rate stays near zero
-
-STATEMENTS = ("lemma23", "thm2_condition3", "remark45", "modulus_properties")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +92,128 @@ def summary_line(report: VerificationReport) -> str:
             f"{report.trials},{report.kept},{len(report.violations)}")
 
 
+# ----------------------------- statement table -----------------------------
+
+class _Sampler(NamedTuple):
+    """What one sampler statement adds to the shared driver.
+
+    ``batch`` makes a batch's whole draws in their fixed order, then yields
+    ``(blk, x, x', witness)`` per row block; ``hypotheses`` returns the mask
+    of rows satisfying them all and ``fields(i)``, row ``i``'s record
+    fields.  ``witness`` is its record key; ``ranked`` takes the rank ``k``.
+    """
+
+    delta: Callable
+    batch: Callable
+    hypotheses: Callable
+    witness: str
+    ranked: bool = False
+
+
+def _lemma23_batch(space, rng, n, delta, t_scale, k):
+    """Unit x, a rim-stressed x' and the norming functional of x."""
+    X, Xp = _near_unit_pairs(space, rng, n, delta, t_scale)
+    for blk in row_blocks(n, space.d):
+        yield blk, X[blk], Xp[blk], duality_map(space, X[blk])
+
+
+def _lemma23_hypotheses(space, delta, x, xp, f):
+    """Hypotheses (i) and (iii) of :func:`check_lemma23`."""
+    norm_xp = batch_norm(space, xp)
+    pairing = np.einsum("ij,ij->i", x - xp, f)
+    mask = (np.abs(1.0 - norm_xp) < delta) & (np.abs(pairing) < delta)
+    return mask, lambda i: {"norm_x_prime": float(norm_xp[i]),
+                            "pairing_diff": float(pairing[i])}
+
+
+def _thm2_batch(space, rng, n, delta, t_scale, k):
+    """Unit x, unit x' near x, and the norming functional of x or, for
+    half the rows, of a nearby point."""
+    f_scale = 0.7 * math.sqrt(delta)
+    X = unit_batch(space, rng, n)
+    U = unit_batch(space, rng, n)
+    perturb = rng.random(n) < 0.5
+    W = unit_batch(space, rng, n)
+    for blk in row_blocks(n, space.d):
+        x = X[blk]
+        xp = x + t_scale * U[blk]
+        xp /= batch_norm(space, xp)[:, None]
+        anchor = x.copy()
+        near = perturb[blk]
+        anchor[near] += f_scale * W[blk][near]
+        anchor /= batch_norm(space, anchor)[:, None]
+        yield blk, x, xp, duality_map(space, anchor)
+
+
+def _thm2_hypotheses(space, delta, x, xp, f):
+    """Conditions (iv) and (v) of :func:`check_thm2_condition3`."""
+    pairing = np.einsum("ij,ij->i", x - xp, f)
+    mask = ((np.abs(np.einsum("ij,ij->i", x, f)) > 1.0 - delta)
+            & (np.abs(pairing) < delta))
+    # the record keeps BLAS dot for <x, x*>, which einsum may miss by an ulp
+    return mask, lambda i: {"pairing_x": float(np.dot(x[i], f[i])),
+                            "pairing_diff": float(pairing[i])}
+
+
+def _remark45_batch(space, rng, n, delta, t_scale, k):
+    """Unit x, a rim-stressed x' and the k rows of T: the norming
+    functional of x, then k - 1 random unit-dual functionals.
+
+    The random functionals, the batch's last draw, are drawn per block:
+    numpy fills a normal draw in order, so the blocks get the numbers of
+    one batch-wide draw, and no (n, k, d) array is built.
+    """
+    X, Xp = _near_unit_pairs(space, rng, n, delta, t_scale)
+    dual = space.dual
+    for blk in row_blocks(n, k * space.d):
+        x = X[blk]
+        rows = np.empty((len(x), k, space.d))
+        rows[:, 0, :] = duality_map(space, x)
+        if k > 1:
+            G = rng.standard_normal((len(x), k - 1, space.d))
+            G /= batch_norm(dual, G)[:, :, None]
+            rows[:, 1:, :] = G
+        yield blk, x, Xp[blk], rows
+
+
+def _remark45_hypotheses(space, delta, x, xp, rows):
+    """Hypotheses (i) to (iii) of :func:`check_remark45`."""
+    norm_xp = batch_norm(space, xp)
+    tx = np.einsum("nkd,nd->nk", rows, x)
+    sup_tx = np.max(np.abs(tx), axis=1)
+    sup_diff = np.max(np.abs(tx - np.einsum("nkd,nd->nk", rows, xp)), axis=1)
+    mask = ((np.abs(1.0 - norm_xp) < delta) & (sup_tx > 1.0 - delta)
+            & (sup_diff < delta))
+    return mask, lambda i: {"norm_x_prime": float(norm_xp[i]),
+                            "sup_tx": float(sup_tx[i]),
+                            "sup_diff": float(sup_diff[i])}
+
+
+# The delta rules name lp_delta and delta_from_constraint at call time, so
+# rebinding them in this module reaches the samplers.
+SAMPLERS = {
+    "lemma23": _Sampler(
+        delta=lambda space, eps: lp_delta(space.p, 2.0 * eps / 3.0),
+        batch=_lemma23_batch, hypotheses=_lemma23_hypotheses,
+        witness="functional"),
+    "thm2_condition3": _Sampler(
+        delta=lambda space, eps: delta_from_constraint(
+            lambda e: lp_delta(space.p, e), eps, 0.5),
+        batch=_thm2_batch, hypotheses=_thm2_hypotheses,
+        witness="functional"),
+    "remark45": _Sampler(
+        delta=lambda space, eps: 0.5 * lp_delta(space.p, 4.0 * eps / 5.0),
+        batch=_remark45_batch, hypotheses=_remark45_hypotheses,
+        witness="rows", ranked=True),
+}
+
+
+def _conclusion(space: SpaceSpec, eps: float, x, xp):
+    """The shared conclusion ||x - x'|| < eps, and the distances."""
+    dist = batch_norm(space, x - xp)
+    return dist < eps, dist
+
+
 def check_lemma23(space: SpaceSpec, eps: float, trials: int,
                   rng_seed) -> VerificationReport:
     """Near-unit vectors close in the norming pairing stay eps-close.
@@ -99,36 +223,7 @@ def check_lemma23(space: SpaceSpec, eps: float, trials: int,
     trials satisfying |1 - ||x'||| < delta and |<x - x', x*>| < delta must
     conclude ||x - x'|| < eps.
     """
-    delta = lp_delta(space.p, 2.0 * eps / 3.0)
-    rng = np.random.default_rng(rng_seed)
-    t_scale = min(1.0, math.sqrt(2.0 * delta))
-    attempted = kept = 0
-    violations: list[dict] = []
-    while kept < trials:
-        n = _remaining(attempted, trials, "lemma23", space, eps)
-        X = unit_batch(space, rng, n)
-        Xp, s = _stressed_near_unit(space, rng, X, delta, t_scale)
-        keep = np.empty(n, dtype=bool)
-        for blk in row_blocks(n, space.d):
-            x, xp = X[blk], Xp[blk]
-            F = duality_map(space, x)
-            cond_i = np.abs(1.0 - batch_norm(space, xp)) < delta
-            diff = x - xp
-            pairing = np.einsum("ij,ij->i", diff, F)
-            cond_iii = np.abs(pairing) < delta
-            keep[blk] = cond_i & cond_iii
-            dist = batch_norm(space, diff)
-            for i in np.flatnonzero(keep[blk] & ~(dist < eps)):
-                violations.append(_lemma23_record(space, eps, delta, x[i],
-                                                  xp[i], F[i], pairing[i],
-                                                  dist[i]))
-        attempted += n
-        kept += int(keep.sum())
-        t_scale = _adapt(t_scale, keep.mean())
-    return VerificationReport(
-        statement="lemma23", p=space.p, d=space.d, eps=eps, delta_used=delta,
-        trials=attempted, kept=kept, violations=tuple(violations),
-        rng_seed=_seed_int(rng_seed))
+    return _sample("lemma23", space, eps, trials, rng_seed)
 
 
 def check_thm2_condition3(space: SpaceSpec, eps: float, trials: int,
@@ -141,51 +236,7 @@ def check_thm2_condition3(space: SpaceSpec, eps: float, trials: int,
     |<x, x*>| > 1 - delta and |<x - x', x*>| < delta must conclude
     ||x - x'|| < eps.
     """
-    delta = delta_from_constraint(lambda e: lp_delta(space.p, e), eps, 0.5)
-    rng = np.random.default_rng(rng_seed)
-    t_scale = min(1.0, math.sqrt(2.0 * delta))
-    f_scale = 0.7 * math.sqrt(delta)
-    attempted = kept = 0
-    violations: list[dict] = []
-    while kept < trials:
-        n = _remaining(attempted, trials, "thm2_condition3", space, eps)
-        X = unit_batch(space, rng, n)
-        U = unit_batch(space, rng, n)
-        # half exact norming functionals, half functionals of nearby points
-        perturb = rng.random(n) < 0.5
-        W = unit_batch(space, rng, n)
-        keep = np.empty(n, dtype=bool)
-        for blk in row_blocks(n, space.d):
-            x = X[blk]
-            xp = x + t_scale * U[blk]
-            xp /= batch_norm(space, xp)[:, None]
-            anchor = x.copy()
-            near = perturb[blk]
-            anchor[near] += f_scale * W[blk][near]
-            anchor /= batch_norm(space, anchor)[:, None]
-            F = duality_map(space, anchor)
-            iv = np.abs(np.einsum("ij,ij->i", x, F)) > 1.0 - delta
-            diff = x - xp
-            pairing = np.einsum("ij,ij->i", diff, F)
-            v = np.abs(pairing) < delta
-            keep[blk] = iv & v
-            dist = batch_norm(space, diff)
-            for i in np.flatnonzero(keep[blk] & ~(dist < eps)):
-                violations.append({
-                    "p": space.p, "eps": eps, "delta": delta,
-                    "x": x[i].tolist(), "x_prime": xp[i].tolist(),
-                    "functional": F[i].tolist(),
-                    "pairing_x": float(np.dot(x[i], F[i])),
-                    "pairing_diff": float(pairing[i]),
-                    "dist": float(dist[i]),
-                })
-        attempted += n
-        kept += int(keep.sum())
-        t_scale = _adapt(t_scale, keep.mean())
-    return VerificationReport(
-        statement="thm2_condition3", p=space.p, d=space.d, eps=eps,
-        delta_used=delta, trials=attempted, kept=kept,
-        violations=tuple(violations), rng_seed=_seed_int(rng_seed))
+    return _sample("thm2_condition3", space, eps, trials, rng_seed)
 
 
 def check_remark45(space: SpaceSpec, eps: float, trials: int, k: int,
@@ -194,63 +245,44 @@ def check_remark45(space: SpaceSpec, eps: float, trials: int, k: int,
 
     T maps into l^inf_k: first row the norming functional of x (so
     ||Tx|| > 1 - delta holds exactly), remaining rows random unit-dual
-    functionals.  Kept trials satisfy (i) |1 - ||x'||| < delta and (iii)
-    ||Tx - Tx'||_sup < delta and must conclude ||x - x'|| < eps.  The
-    source statement is given without proof, so a reproducible violation
-    here would be a finding to surface, not a sampler bug.
-
-    The k - 1 random functionals are the batch's last random draw, so they
-    are drawn one block of :func:`spaces.row_blocks` at a time (k * d
-    entries per row): numpy fills a normal draw in order, so the blocks
-    get the numbers of one batch-wide draw.  Each block is normalized in
-    place and paired with its ``x`` and ``x'``; the (n, k, d) array of all
-    functionals is never built, and a violation record takes its ``rows``
-    from its block.
+    functionals.  Kept trials satisfy (i) |1 - ||x'||| < delta, (ii)
+    ||Tx||_sup > 1 - delta and (iii) ||Tx - Tx'||_sup < delta and must
+    conclude ||x - x'|| < eps.  The source statement is given without
+    proof, so a reproducible violation here would be a finding to surface,
+    not a sampler bug.
     """
     if k < 1:
         raise ValueError(f"contraction rank k must be >= 1, got {k}")
-    delta = 0.5 * lp_delta(space.p, 4.0 * eps / 5.0)
+    return _sample("remark45", space, eps, trials, rng_seed, k)
+
+
+def _sample(statement: str, space: SpaceSpec, eps: float, trials: int,
+            rng_seed, k: int = 1) -> VerificationReport:
+    """The one sampler driver: ``trials`` kept trials of one cell."""
+    st = SAMPLERS[statement]
+    delta = st.delta(space, eps)
     rng = np.random.default_rng(rng_seed)
     t_scale = min(1.0, math.sqrt(2.0 * delta))
-    dual = space.dual
     attempted = kept = 0
     violations: list[dict] = []
     while kept < trials:
-        n = _remaining(attempted, trials, "remark45", space, eps)
-        X = unit_batch(space, rng, n)
-        Xp, s = _stressed_near_unit(space, rng, X, delta, t_scale)
+        n = _remaining(attempted, trials, statement, space, eps)
         keep = np.empty(n, dtype=bool)
-        for blk in row_blocks(n, k * space.d):
-            x, xp = X[blk], Xp[blk]
-            rows = np.empty((len(x), k, space.d))
-            rows[:, 0, :] = duality_map(space, x)
-            if k > 1:
-                G = rng.standard_normal((len(x), k - 1, space.d))
-                G /= batch_norm(dual, G)[:, :, None]
-                rows[:, 1:, :] = G
-            tx = np.einsum("nkd,nd->nk", rows, x)
-            txp = np.einsum("nkd,nd->nk", rows, xp)
-            cond_i = np.abs(1.0 - batch_norm(space, xp)) < delta
-            cond_ii = np.max(np.abs(tx), axis=1) > 1.0 - delta
-            sup_diff = np.max(np.abs(tx - txp), axis=1)
-            cond_iii = sup_diff < delta
-            keep[blk] = cond_i & cond_ii & cond_iii
-            dist = batch_norm(space, x - xp)
-            for i in np.flatnonzero(keep[blk] & ~(dist < eps)):
+        for blk, x, xp, w in st.batch(space, rng, n, delta, t_scale, k):
+            keep[blk], fields = st.hypotheses(space, delta, x, xp, w)
+            holds, dist = _conclusion(space, eps, x, xp)
+            for i in np.flatnonzero(keep[blk] & ~holds):
                 violations.append({
                     "p": space.p, "eps": eps, "delta": delta,
                     "x": x[i].tolist(), "x_prime": xp[i].tolist(),
-                    "rows": rows[i].tolist(),
-                    "norm_x_prime": float(batch_norm(space, xp[i][None])[0]),
-                    "sup_tx": float(np.max(np.abs(tx[i]))),
-                    "sup_diff": float(sup_diff[i]),
+                    st.witness: w[i].tolist(), **fields(i),
                     "dist": float(dist[i]),
                 })
         attempted += n
         kept += int(keep.sum())
         t_scale = _adapt(t_scale, keep.mean())
     return VerificationReport(
-        statement="remark45", p=space.p, d=space.d, eps=eps,
+        statement=statement, p=space.p, d=space.d, eps=eps,
         delta_used=delta, trials=attempted, kept=kept,
         violations=tuple(violations), rng_seed=_seed_int(rng_seed))
 
@@ -290,34 +322,23 @@ def check_modulus_properties(curve: ModulusCurve) -> VerificationReport:
 
 
 def reverify_violation(statement: str, rec: dict) -> bool:
-    """Re-evaluate a violation record from its stored data alone."""
+    """Re-evaluate a violation record from its stored data alone.
+
+    A sampler record goes through its statement's hypotheses and the
+    shared conclusion as a batch of one row, the sampler's own arithmetic.
+    """
     if statement == "modulus_properties":
         if rec["kind"] == "bound":
             return rec["delta"] > rec["eps"] / 2.0 + rec["slack"]
         return rec["delta"] < rec["prev_delta"] - rec["slack"]
 
+    st = _sampler(statement)
     space = SpaceSpec(p=rec["p"], d=len(rec["x"]))
-    x = np.asarray(rec["x"])
-    xp = np.asarray(rec["x_prime"])
-    delta, eps = rec["delta"], rec["eps"]
-    conclusion_fails = not norm(space, x - xp) < eps
-    if statement == "lemma23":
-        f = np.asarray(rec["functional"])
-        hyp = (abs(1.0 - norm(space, xp)) < delta
-               and abs(float(np.dot(x - xp, f))) < delta)
-        return hyp and conclusion_fails
-    if statement == "thm2_condition3":
-        f = np.asarray(rec["functional"])
-        hyp = (abs(float(np.dot(x, f))) > 1.0 - delta
-               and abs(float(np.dot(x - xp, f))) < delta)
-        return hyp and conclusion_fails
-    if statement == "remark45":
-        rows = np.asarray(rec["rows"])
-        hyp = (abs(1.0 - norm(space, xp)) < delta
-               and float(np.max(np.abs(rows @ x))) > 1.0 - delta
-               and float(np.max(np.abs(rows @ (x - xp)))) < delta)
-        return hyp and conclusion_fails
-    raise ValueError(f"unknown statement {statement!r}")
+    x, xp = (as_vector(space, rec[key])[None] for key in ("x", "x_prime"))
+    w = np.asarray(rec[st.witness], dtype=float)[None]
+    mask, _ = st.hypotheses(space, rec["delta"], x, xp, w)
+    holds, _ = _conclusion(space, rec["eps"], x, xp)
+    return bool(mask[0] and not holds[0])
 
 
 def run_grid(statement: str, ps, ds, eps_values, kept_total: int, rng_seed,
@@ -326,26 +347,18 @@ def run_grid(statement: str, ps, ds, eps_values, kept_total: int, rng_seed,
 
     The kept-trial total is spread evenly over the cells (rounded up);
     per-cell seeds are split deterministically from ``rng_seed``, so the
-    report list is reproducible byte for byte.
+    report list is reproducible byte for byte.  Each cell runs through the
+    module's ``check_<statement>`` name, looked up at call time.
     """
+    rank = (k,) if _sampler(statement).ranked else ()
+    check = globals()[f"check_{statement}"]
     cells = list(itertools.product(ps, ds, eps_values))
     if not cells:
         raise ValueError("empty verification grid")
     quota = max(1, math.ceil(kept_total / len(cells)))
     seeds = np.random.SeedSequence(rng_seed).spawn(len(cells))
-    reports = []
-    for (p, d, eps), seed in zip(cells, seeds):
-        space = SpaceSpec(p=p, d=d)
-        if statement == "lemma23":
-            rep = check_lemma23(space, eps, quota, seed)
-        elif statement == "thm2_condition3":
-            rep = check_thm2_condition3(space, eps, quota, seed)
-        elif statement == "remark45":
-            rep = check_remark45(space, eps, quota, k, seed)
-        else:
-            raise ValueError(f"unknown sampler statement {statement!r}")
-        reports.append(rep)
-    return reports
+    return [check(SpaceSpec(p=p, d=d), eps, quota, *rank, seed)
+            for (p, d, eps), seed in zip(cells, seeds)]
 
 
 def reports_to_json(path, reports) -> None:
@@ -353,15 +366,22 @@ def reports_to_json(path, reports) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _stressed_near_unit(space: SpaceSpec, rng: np.random.Generator,
-                        X: np.ndarray, delta: float, t_scale: float):
-    """x' = (1 + s) * normalize(x + t*u) with |s| < delta biased to the rim.
+def _sampler(statement: str) -> _Sampler:
+    try:
+        return SAMPLERS[statement]
+    except KeyError:
+        raise ValueError(f"unknown sampler statement {statement!r}") from None
+
+
+def _near_unit_pairs(space: SpaceSpec, rng: np.random.Generator, n: int,
+                     delta: float, t_scale: float):
+    """Unit x and x' = (1 + s) * normalize(x + t*u), |s| < delta at the rim.
 
     The radial factor makes hypothesis (i) hold by construction while
     stressing its boundary; the tangential term drives the pairing
     condition toward its own boundary at the adapted scale.
     """
-    n = len(X)
+    X = unit_batch(space, rng, n)
     s = delta * rng.choice((-1.0, 1.0), size=n) * rng.beta(4.0, 1.0, size=n)
     Xp = unit_batch(space, rng, n)
     for blk in row_blocks(n, space.d):
@@ -370,17 +390,7 @@ def _stressed_near_unit(space: SpaceSpec, rng: np.random.Generator,
         base += X[blk]
         base /= batch_norm(space, base)[:, None]
         base *= (1.0 + s[blk])[:, None]
-    return Xp, s
-
-
-def _lemma23_record(space, eps, delta, x, xp, f, pairing, dist) -> dict:
-    return {
-        "p": space.p, "eps": eps, "delta": delta,
-        "x": x.tolist(), "x_prime": xp.tolist(), "functional": f.tolist(),
-        "norm_x_prime": float(batch_norm(space, xp[None])[0]),
-        "pairing_diff": float(pairing),
-        "dist": float(dist),
-    }
+    return X, Xp
 
 
 def _adapt(t_scale: float, keep_rate: float) -> float:

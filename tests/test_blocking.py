@@ -108,8 +108,14 @@ def _old_check_lemma23(space, eps, trials, rng_seed):
         dist = batch_norm(space, X - Xp)
         viol = keep & ~(dist < eps)
         for i in np.flatnonzero(viol):
-            violations.append(verify._lemma23_record(
-                space, eps, delta, X[i], Xp[i], F[i], pairing[i], dist[i]))
+            violations.append({
+                "p": space.p, "eps": eps, "delta": delta,
+                "x": X[i].tolist(), "x_prime": Xp[i].tolist(),
+                "functional": F[i].tolist(),
+                "norm_x_prime": float(batch_norm(space, Xp[i][None])[0]),
+                "pairing_diff": float(pairing[i]),
+                "dist": float(dist[i]),
+            })
         attempted += n
         kept += int(keep.sum())
         t_scale = verify._adapt(t_scale, keep.mean())
@@ -355,6 +361,7 @@ def test_remark45_violation_records_equal_one_shot(k, monkeypatch):
     assert len(new.violations) > _rows_per_block(k * REMARK45_D)
     _assert_same_report(new, old)
     assert all(len(rec["rows"]) == k for rec in new.violations)
+    assert new.reverify()
 
 
 @pytest.mark.parametrize("p,d,eps", [(1.5, 24, 0.5), (3.0, 64, 1.9),
@@ -379,6 +386,7 @@ def test_lemma23_violation_records_equal_one_shot(monkeypatch):
     new = verify.check_lemma23(space, 0.5, 300, 2)
     assert len(new.violations) > _rows_per_block(REMARK45_D)
     _assert_same_report(new, _old_check_lemma23(space, 0.5, 300, 2))
+    assert new.reverify()
 
 
 def test_thm2_condition3_violation_records_equal_one_shot(monkeypatch):
@@ -387,6 +395,7 @@ def test_thm2_condition3_violation_records_equal_one_shot(monkeypatch):
     new = verify.check_thm2_condition3(space, 0.5, 300, 2)
     assert len(new.violations) > _rows_per_block(REMARK45_D)
     _assert_same_report(new, _old_check_thm2_condition3(space, 0.5, 300, 2))
+    assert new.reverify()
 
 
 # ------------------------------- working set -------------------------------

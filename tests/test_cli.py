@@ -61,9 +61,6 @@ def test_modulus_invalid_configs(capsys):
     code, _, _ = run(capsys, "modulus", "--p", "2", "--method", "empirical",
                      "--eps", "1")  # missing --d
     assert code == 2
-    code, _, _ = run(capsys, "modulus", "--p", "2", "--method", "clarkson",
-                     "--eps", "1", "--parallelism", "0")
-    assert code == 2
 
 
 def test_modulus_empirical_deterministic_files(tmp_path, capsys):

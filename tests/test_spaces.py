@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from uconvex.errors import (DimensionMismatchError, PreconditionError,
                             ZeroVectorError)
 from uconvex.sequences import shifted_basis_seed
-from uconvex.spaces import (ContractionMap, Functional, SpaceSpec, _pow_abs,
-                            apply, batch_norm, dual_norm, duality_map,
-                            make_contraction, norm, norming_functional,
-                            normalize, pair_norms, random_unit, unit_batch)
+from uconvex.spaces import (Functional, SpaceSpec, _pow_abs, batch_norm,
+                            dual_norm, duality_map, norm, norming_functional,
+                            normalize, pair_norms, unit_batch)
 
 ATOL = 1e-12
 
@@ -152,18 +151,22 @@ def test_norming_functional_zero_rejected():
         norming_functional(SpaceSpec(p=2, d=2), np.zeros(2))
 
 
+def _random_unit(space, seed):
+    return unit_batch(space, np.random.default_rng(seed), 1)[0]
+
+
 def test_random_unit_determinism_and_norm():
     space = SpaceSpec(p=2.5, d=5)
-    a = random_unit(space, 42)
-    b = random_unit(space, 42)
+    a = _random_unit(space, 42)
+    b = _random_unit(space, 42)
     assert np.array_equal(a, b)
     assert abs(norm(space, a) - 1.0) <= ATOL
-    assert not np.array_equal(a, random_unit(space, 43))
+    assert not np.array_equal(a, _random_unit(space, 43))
 
 
 def test_random_unit_d1_is_sign():
     for seed in range(8):
-        v = random_unit(SpaceSpec(p=2, d=1), seed)
+        v = _random_unit(SpaceSpec(p=2, d=1), seed)
         assert v[0] in (1.0, -1.0)
 
 
@@ -231,29 +234,6 @@ def test_batch_norm_accepts_lists_and_integer_arrays():
     assert batch_norm(space, [[3, 4], [-6, 8]]).tolist() == [5.0, 10.0]
 
 
-def test_apply_norming_row_reaches_norm():
-    space = SpaceSpec(p=3, d=4)
-    x = np.array([0.3, -1.2, 0.05, 2.0])
-    cmap = make_contraction(space, [norming_functional(space, x).coords])
-    values, sup = apply(cmap, x)
-    assert sup == pytest.approx(norm(space, x), abs=1e-10)
-    _, sup0 = apply(cmap, np.zeros(4))
-    assert sup0 == 0.0
-
-
-def test_apply_dimension_mismatch():
-    space = SpaceSpec(p=2, d=3)
-    cmap = make_contraction(space, np.eye(3))
-    with pytest.raises(DimensionMismatchError):
-        apply(cmap, np.ones(2))
-
-
-def test_make_contraction_rejects_large_rows():
-    space = SpaceSpec(p=2, d=2)
-    with pytest.raises(ValueError):
-        make_contraction(space, [[1.0, 1.0]])  # dual 2-norm sqrt(2) > 1
-
-
 def test_apply_contraction_inequality_randomized():
     # 1e5 randomized trials: sup-norm of the image never exceeds ||v||_p
     for p in (1.5, 2.0, 3.0):
@@ -261,7 +241,6 @@ def test_apply_contraction_inequality_randomized():
         rng = np.random.default_rng(11)
         rows = np.sign(g := rng.standard_normal((4, 6))) * np.abs(g)
         rows /= np.sum(np.abs(rows) ** space.q, axis=1)[:, None] ** (1 / space.q)
-        cmap = ContractionMap(rows)
         vs = rng.standard_normal((100_000 // 3 + 1, 6)) * 10.0
         sups = np.max(np.abs(vs @ rows.T), axis=1)
         norms = np.sum(np.abs(vs) ** p, axis=1) ** (1.0 / p)

@@ -7,7 +7,7 @@ import pytest
 from uconvex.modulus import (ModulusCurve, ModulusPoint, build_curve,
                              delta_from_constraint, lp_delta)
 from uconvex.sequences import unit_basis_seed
-from uconvex.spaces import SpaceSpec, norm, norming_functional, random_unit
+from uconvex.spaces import SpaceSpec, norm, norming_functional, unit_batch
 from uconvex.verify import (check_lemma23, check_modulus_properties,
                             check_remark45, check_thm2_condition3,
                             reverify_violation, run_grid, summary_line)
@@ -94,7 +94,7 @@ def test_lemma23_trivial_and_radial_cases():
     # x' = x and x' = (1 + 0.99 delta) x both satisfy the hypotheses and
     # the conclusion; neither may re-verify as a violation
     space = SpaceSpec(p=2, d=3)
-    x = random_unit(space, 0)
+    x = unit_batch(space, np.random.default_rng(0), 1)[0]
     f = norming_functional(space, x).coords
     eps = 1.0
     delta = lp_delta(space.p, 2 * eps / 3)
@@ -114,7 +114,7 @@ def test_thm2_antipodal_trial_is_rejected_not_violating():
     # x' = -x: condition (iv) holds for the norming functional but (v)
     # fails since |<x - x', x*>| = 2 > delta, so the trial is filtered out
     space = SpaceSpec(p=2, d=3)
-    x = random_unit(space, 1)
+    x = unit_batch(space, np.random.default_rng(1), 1)[0]
     f = norming_functional(space, x).coords
     eps = 1.0
     delta = delta_from_constraint(lambda e: lp_delta(space.p, e), eps, 0.5)
@@ -157,6 +157,9 @@ def test_remark45_reverify_shapes():
     assert reverify_violation("remark45", record)
     assert not reverify_violation(
         "remark45", {**record, "x_prime": x.tolist()})
+    # ||Tx||_sup = 0.05 is not above 1 - delta: hypothesis (ii) fails
+    assert not reverify_violation(
+        "remark45", {**record, "rows": [[0.05, 0.0], [0.0, 0.2]]})
     with pytest.raises(ValueError):
         reverify_violation("unknown", record)
 
