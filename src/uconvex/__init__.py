@@ -19,8 +19,8 @@ from .sequences import (BaselineResult, ConstructionTrace, ExtractionResult,
                         certify, pair_enumeration, ramsey_extract, riesz_seed,
                         separation, shifted_basis_seed, theorem1_extract,
                         theorem3_construct, unit_basis_seed)
-from .spaces import (Functional, SpaceSpec, as_vector, dual_norm, norm,
-                     norming_functional, normalize)
+from .spaces import (SpaceSpec, as_vector, norm, norming_functional,
+                     normalize)
 from .verify import (VerificationReport, check_lemma23,
                      check_modulus_properties, check_remark45,
                      check_thm2_condition3, reverify_violation, run_grid,
@@ -31,13 +31,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BaselineResult", "BisectionError", "CapacityError", "CertificateError",
     "ConstructionTrace", "DimensionMismatchError", "ExtractionResult",
-    "Functional", "InsufficientClusterError", "ModulusCurve", "ModulusPoint",
+    "InsufficientClusterError", "ModulusCurve", "ModulusPoint",
     "PreconditionError", "SamplerExhaustedError", "SeparationCertificate",
     "SpaceSpec", "TheoremBounds", "TraceStep", "UconvexError",
     "VerificationReport", "ZeroVectorError", "as_vector", "baseline_extract",
     "build_curve", "certify", "check_lemma23", "check_modulus_properties",
     "check_remark45", "check_thm2_condition3", "clarkson_delta",
-    "delta_from_constraint", "dual_norm", "empirical_delta", "hanner_delta",
+    "delta_from_constraint", "empirical_delta", "hanner_delta",
     "lp_delta", "norm", "norming_functional", "normalize", "pair_enumeration",
     "ramsey_extract", "reverify_violation", "riesz_seed", "run_grid",
     "separation", "shifted_basis_seed", "summary_line", "theorem1_extract",

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import modulus, sequences, verify
-from .errors import (CapacityError, CertificateError, InsufficientClusterError,
+from .errors import (CertificateError, InsufficientClusterError,
                      PreconditionError, SamplerExhaustedError, UconvexError)
 from .spaces import SpaceSpec
 
@@ -45,8 +45,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return ns.func(ns)
-    except (ValueError, CapacityError, PreconditionError,
-            SamplerExhaustedError) as exc:
+    except (ValueError, SamplerExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InsufficientClusterError as exc:
@@ -121,14 +120,18 @@ def _cmd_modulus(ns) -> int:
 
 # ----------------------------- construct -----------------------------
 
+def _fixed_seed(kind: str, space: SpaceSpec, n: int | None):
+    """The basis or shifted-basis vectors; n defaults to as many as fit."""
+    if kind == "basis":
+        return sequences.unit_basis_seed(space, space.d if n is None else n)
+    return sequences.shifted_basis_seed(space,
+                                        space.d - 1 if n is None else n)
+
+
 def _make_seed(ns, space: SpaceSpec, rng_seed: int):
-    if ns.seed_kind == "basis":
-        n = ns.n if ns.n is not None else space.d
-        return sequences.unit_basis_seed(space, n), f"basis n={n} in {space}"
-    if ns.seed_kind == "shifted-basis":
-        n = ns.n if ns.n is not None else space.d - 1
-        return (sequences.shifted_basis_seed(space, n),
-                f"shifted-basis n={n} in {space}")
+    if ns.seed_kind != "riesz":
+        vectors = _fixed_seed(ns.seed_kind, space, ns.n)
+        return vectors, f"{ns.seed_kind} n={len(vectors)} in {space}"
     n = ns.n if ns.n is not None else space.d
     vectors, cert = sequences.riesz_seed(space, n, ns.eta, ns.budget, rng_seed)
     if not cert.passed:
@@ -171,14 +174,11 @@ def _make_sequence(ns, space: SpaceSpec):
         rows = [line for line in
                 Path(ns.seq_file).read_text().splitlines() if line.strip()]
         return [np.array([float(t) for t in row.split(",")]) for row in rows]
-    n = ns.n if ns.n is not None else space.d
-    if ns.seq_kind == "basis":
-        return sequences.unit_basis_seed(space, n)
-    if ns.seq_kind == "shifted-basis":
-        return sequences.shifted_basis_seed(space, n)
-    # constant: n copies of the first basis vector
+    if ns.seq_kind != "constant":
+        return _fixed_seed(ns.seq_kind, space, ns.n)
+    # n copies of the first basis vector
     e0 = sequences.unit_basis_seed(space, 1)[0]
-    return [e0.copy() for _ in range(n)]
+    return [e0.copy() for _ in range(ns.n if ns.n is not None else space.d)]
 
 
 def _cmd_extract(ns) -> int:
@@ -187,13 +187,11 @@ def _cmd_extract(ns) -> int:
     x = sequences.unit_basis_seed(space, 1)[0]
     if ns.mode == "baseline":
         result = sequences.baseline_extract(space, seq, x, ns.tau)
-        print(f"selected {len(result.selected)} indices, "
-              f"pair_min={result.pair_min:.17g} >= {result.guaranteed:.17g}")
     else:
         result = sequences.theorem1_extract(space, seq, x, ns.eps,
                                             kappa=ns.kappa)
-        print(f"selected {len(result.selected)} indices, "
-              f"pair_min={result.pair_min:.17g} >= {result.guaranteed:.17g}")
+    print(f"selected {len(result.selected)} indices, "
+          f"pair_min={result.pair_min:.17g} >= {result.guaranteed:.17g}")
     if ns.out:
         Path(ns.out).write_text(
             json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n")

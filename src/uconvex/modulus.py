@@ -301,7 +301,7 @@ def empirical_delta(space: SpaceSpec, eps: float, budget: int,
     point = ModulusPoint(eps=eps, delta=max(best_val, 0.0),
                          method="empirical", witness=(best_x, best_y))
     validate_witness(space, point)
-    if point.delta > eps / 2.0 + WITNESS_TOL:
+    if curve_violations((point,)):
         raise CertificateError(
             f"empirical estimate {point.delta:.17g} exceeds the eps/2 bound "
             f"at eps={eps:.17g}")
@@ -451,8 +451,9 @@ def build_curve(p: float, eps_values, method: str, *, d: int | None = None,
 
     For the closed-form engines the curve is exactly monotone with
     ``delta <= eps/2`` at every point; the empirical engine is allowed the
-    documented 2e-3 slack.  Violations raise ``CertificateError`` since a
-    fresh engine output must satisfy its own invariants.
+    documented slacks of :func:`curve_violations`.  Any violation raises
+    ``CertificateError`` since a fresh engine output must satisfy its own
+    invariants.
     """
     eps_values = [float(e) for e in eps_values]
     points = []
@@ -476,22 +477,44 @@ def build_curve(p: float, eps_values, method: str, *, d: int | None = None,
         raise ValueError(f"unknown method {method!r}")
 
     curve = ModulusCurve(space=space, points=tuple(points))
-    _assert_fresh_curve(curve)
+    bad = curve_violations(curve.points)
+    if bad:
+        rec = bad[0]
+        raise CertificateError(
+            f"engine produced a curve breaking {rec['kind']} at "
+            f"eps={rec['eps']:.17g}, delta={rec['delta']:.17g}")
     return curve
 
 
-def _assert_fresh_curve(curve: ModulusCurve) -> None:
-    for pt in curve.points:
-        slack = WITNESS_TOL if pt.method == "empirical" else 0.0
-        if pt.delta > pt.eps / 2.0 + slack:
-            raise CertificateError(
-                f"engine produced delta {pt.delta:.17g} > eps/2 at eps={pt.eps:.17g}")
-    for a, b in zip(curve.points, curve.points[1:]):
-        slack = (EMPIRICAL_MONOTONE_SLACK
-                 if "empirical" in (a.method, b.method) else 0.0)
-        if b.delta < a.delta - slack:
-            raise CertificateError(
-                f"engine produced non-monotone curve at eps={b.eps:.17g}")
+def curve_violations(points) -> list[dict]:
+    """Records of the curve invariants that a point sequence breaks.
+
+    Each point is checked against ``delta <= eps/2`` (a ``bound`` record)
+    and each adjacent pair against monotonicity (a ``monotonicity``
+    record); bound records come first.  Closed-form points are held to
+    exact comparisons, empirical ones get :data:`WITNESS_TOL` on the bound
+    and :data:`EMPIRICAL_MONOTONE_SLACK` on monotonicity.  A record keeps
+    the values and the slack it was judged with, so :func:`curve_violated`
+    re-judges it from the record alone.
+    """
+    records = [{"kind": "bound", "eps": pt.eps, "delta": pt.delta,
+                "method": pt.method,
+                "slack": WITNESS_TOL if pt.method == "empirical" else 0.0}
+               for pt in points]
+    records += [{"kind": "monotonicity", "eps": b.eps, "delta": b.delta,
+                 "method": b.method, "prev_eps": a.eps,
+                 "prev_delta": a.delta, "prev_method": a.method,
+                 "slack": (EMPIRICAL_MONOTONE_SLACK
+                           if "empirical" in (a.method, b.method) else 0.0)}
+                for a, b in zip(points, points[1:])]
+    return [rec for rec in records if curve_violated(rec)]
+
+
+def curve_violated(rec: dict) -> bool:
+    """True when a :func:`curve_violations` record breaks its invariant."""
+    if rec["kind"] == "bound":
+        return rec["delta"] > rec["eps"] / 2.0 + rec["slack"]
+    return rec["delta"] < rec["prev_delta"] - rec["slack"]
 
 
 def _check_eps(eps: float) -> None:

@@ -27,6 +27,9 @@ from .spaces import SpaceSpec, batch_norm, normalize, row_blocks, unit_batch
 REFINE_ROUNDS = 30
 SHRINK = 0.5
 INIT_STEP = 0.25
+MAX_SWEEPS = 200           # sweeps per step level
+MAX_RESAMPLE_ROUNDS = 8    # rejection rounds before the boundary fallback
+MULTISTARTS = 16           # refined starts of maximize_min_distance
 
 
 class EvalBudget:
@@ -49,16 +52,15 @@ class EvalBudget:
 
 
 def refine(x0: np.ndarray, objective, project, feasible, budget: EvalBudget,
-           *, evaluate=None, rounds: int = REFINE_ROUNDS,
-           step0: float = INIT_STEP, shrink: float = SHRINK,
-           max_sweeps: int = 200):
+           *, evaluate=None, step0: float = INIT_STEP):
     """Pattern-search minimization over a projected parameter vector.
 
     Starts from ``project(x0)``.  Perturbs one coordinate at a time by
     +-step, re-projects via ``project``, discards moves that fail
     ``feasible`` or do not strictly decrease ``objective``; the step
-    shrinks by ``shrink`` once a sweep makes no progress, for ``rounds``
-    step levels.  Each move consumes one evaluation of ``budget``.
+    shrinks by :data:`SHRINK` once a sweep makes no progress (or after
+    :data:`MAX_SWEEPS` sweeps), for :data:`REFINE_ROUNDS` step levels.
+    Each move consumes one evaluation of ``budget``.
 
     ``evaluate(x, best, step, start, count)`` tries the moves at positions
     ``start .. start+count-1`` of the sweep in order, where position ``k``
@@ -90,8 +92,8 @@ def refine(x0: np.ndarray, objective, project, feasible, budget: EvalBudget,
 
     moves = 2 * x.size
     step = step0
-    for _ in range(rounds):
-        for _ in range(max_sweeps):
+    for _ in range(REFINE_ROUNDS):
+        for _ in range(MAX_SWEEPS):
             improved = False
             k = 0
             while k < moves:
@@ -106,21 +108,21 @@ def refine(x0: np.ndarray, objective, project, feasible, budget: EvalBudget,
                     improved = True
             if not improved:
                 break
-        step *= shrink
+        step *= SHRINK
         if budget.exhausted:
             break
     return x, best
 
 
 def sample_feasible_pairs(space: SpaceSpec, eps: float,
-                          rng: np.random.Generator, count: int,
-                          *, max_resample_rounds: int = 8):
+                          rng: np.random.Generator, count: int):
     """Sample ``count`` unit-vector pairs with ``||x - y|| >= eps``.
 
     Pairs are drawn independently on the sphere; infeasible ``y`` rows are
-    re-sampled.  If rejection leaves more than 99% of rows infeasible the
-    remaining rows fall back to interpolating ``y`` toward ``-x`` until the
-    separation constraint holds (a boundary pair).
+    re-sampled for at most :data:`MAX_RESAMPLE_ROUNDS` rounds.  If rejection
+    leaves more than 99% of rows infeasible the remaining rows fall back to
+    interpolating ``y`` toward ``-x`` until the separation constraint holds
+    (a boundary pair).
 
     The distances and the fallback stream the rows in blocks of
     :func:`spaces.row_blocks`, so their temporaries are O(block), not
@@ -134,7 +136,7 @@ def sample_feasible_pairs(space: SpaceSpec, eps: float,
     Y = unit_batch(space, rng, count)
     bad = _too_close(space, eps, X, Y)
     rounds = 0
-    while np.any(bad) and rounds < max_resample_rounds:
+    while np.any(bad) and rounds < MAX_RESAMPLE_ROUNDS:
         if bad.mean() > 0.99:
             break
         Y[bad] = unit_batch(space, rng, int(bad.sum()))
@@ -191,12 +193,12 @@ def _interpolate_to_boundary(space: SpaceSpec, eps: float, X: np.ndarray,
 
 
 def maximize_min_distance(space: SpaceSpec, anchors: list[np.ndarray],
-                          rng: np.random.Generator, budget: EvalBudget,
-                          *, starts: int = 16):
+                          rng: np.random.Generator, budget: EvalBudget):
     """Find a unit vector far from all anchors: maximize min_j ||c - v_j||.
 
-    Random multistart plus the shared pattern refinement (on the negated
-    objective).  Returns ``(vector, min_distance)``.
+    Random multistart (the best :data:`MULTISTARTS` probes) plus the shared
+    pattern refinement (on the negated objective).  Returns
+    ``(vector, min_distance)``.
     """
     if not anchors:
         c = unit_batch(space, rng, 1)[0]
@@ -206,11 +208,11 @@ def maximize_min_distance(space: SpaceSpec, anchors: list[np.ndarray],
     def neg_min_dist(c):
         return -float(np.min(batch_norm(space, A - c)))
 
-    n_probe = max(starts * 8, 32)
+    n_probe = max(MULTISTARTS * 8, 32)
     probes = unit_batch(space, rng, n_probe)
     budget.take(n_probe)
     scores = np.array([neg_min_dist(c) for c in probes])
-    order = np.argsort(scores)[:starts]
+    order = np.argsort(scores)[:MULTISTARTS]
 
     best_c, best_v = None, np.inf
     for idx in order:

@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import (CapacityError, CertificateError, InsufficientClusterError,
                      PreconditionError)
-from .modulus import lp_delta
+from .modulus import _check_eps, lp_delta
 from .search import EvalBudget, maximize_min_distance
-from .spaces import (Functional, SpaceSpec, as_vector, batch_norm, norm,
+from .spaces import (SpaceSpec, as_vector, batch_norm, norm,
                      norming_functional, pair_norms, unit_batch)
 
 # Arithmetic slack on exact theorem inequalities.
@@ -77,7 +77,7 @@ class BaselineResult:
 class ExtractionResult:
     """Certified output of the theorem-1 extraction."""
 
-    functional: Functional
+    functional: np.ndarray  # norming functional of x
     window: tuple[float, float]
     selected: tuple[int, ...]
     pair_min: float
@@ -86,7 +86,7 @@ class ExtractionResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "functional": [float(c) for c in self.functional.coords],
+            "functional": [float(c) for c in self.functional],
             "window": list(self.window),
             "selected": list(self.selected),
             "pair_min": self.pair_min,
@@ -149,19 +149,15 @@ def separation(space: SpaceSpec, seq) -> float:
     return _min_off_diagonal(pair_norms(space, _finite_rows(space, seq)))
 
 
-def certify(space: SpaceSpec, seq, threshold: float,
-            indices=None) -> SeparationCertificate:
-    """Recompute a separation certificate from scratch.
+def certify(space: SpaceSpec, seq, threshold: float) -> SeparationCertificate:
+    """Recompute a separation certificate of the whole sequence from scratch.
 
     The minimum comes from :func:`separation`, hence from the pairwise
     kernel :func:`spaces.pair_norms`.
     """
-    if indices is None:
-        indices = tuple(range(len(seq)))
-    vecs = [seq[i] for i in indices]
-    min_pairwise = separation(space, vecs) if len(vecs) >= 2 else math.inf
+    min_pairwise = separation(space, seq) if len(seq) >= 2 else math.inf
     return SeparationCertificate(
-        indices=tuple(int(i) for i in indices),
+        indices=tuple(range(len(seq))),
         min_pairwise=min_pairwise,
         threshold=float(threshold),
         passed=min_pairwise >= threshold,
@@ -234,7 +230,7 @@ def baseline_extract(space: SpaceSpec, seq, x, tau: float) -> BaselineResult:
     x = _require_unit(space, x)
     vecs = _finite_rows(space, seq)
     f = norming_functional(space, x)
-    values = vecs @ f.coords
+    values = vecs @ f
     selected, window = _largest_cluster(values, tau)
     pair_min = _pair_min(space, vecs, selected, x)
     if pair_min < 1.0 - tau - SLACK:
@@ -274,7 +270,7 @@ def theorem1_extract(space: SpaceSpec, seq, x, eps: float | None,
     delta_eps = lp_delta(space.p, 2.0 * eps / 3.0)
     width = kappa * delta_eps
     f = norming_functional(space, x)
-    values = vecs @ f.coords
+    values = vecs @ f
     selected, window = _largest_cluster(values, width)
 
     # intermediate invariant: every pair's xi pairs above 1 - width; the
@@ -476,11 +472,6 @@ def vectors_to_csv(path, vectors) -> None:
     """One vector per row, coordinates at 17 significant digits."""
     lines = [",".join(f"{float(c):.17g}" for c in v) for v in vectors]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps <= 2.0:
-        raise ValueError(f"eps must lie in (0, 2], got {eps}")
 
 
 def _min_off_diagonal(m: np.ndarray) -> float:

@@ -1,8 +1,9 @@
 """Finite-dimensional l^p spaces: norms, pairwise distances, duality
 mapping, sphere sampling.
 
-Vectors are plain numpy arrays of length ``d``; a :class:`SpaceSpec` fixes
-the exponent and dimension and every operation takes the space explicitly.
+Vectors and dual functionals are plain numpy arrays of length ``d``; a
+:class:`SpaceSpec` fixes the exponent and dimension and every operation
+takes the space explicitly.
 All operations are pure; randomness always enters through an explicit seed.
 """
 
@@ -67,19 +68,6 @@ class SpaceSpec:
         return f"l^{self.p:g}_{self.d}"
 
 
-@dataclass(frozen=True, eq=False)
-class Functional:
-    """A dual vector acting by ``<v, f> = sum_i f_i v_i``.
-
-    Instances produced by :func:`norming_functional` have dual q-norm 1.
-    """
-
-    coords: np.ndarray
-
-    def __call__(self, v: Vec) -> float:
-        return float(np.dot(self.coords, v))
-
-
 def as_vector(space: SpaceSpec, coords) -> Vec:
     """Coerce ``coords`` to a finite float vector of the space's dimension.
 
@@ -124,8 +112,10 @@ def normalize(space: SpaceSpec, v: Vec) -> Vec:
     return v / n
 
 
-def norming_functional(space: SpaceSpec, x: Vec) -> Functional:
+def norming_functional(space: SpaceSpec, x: Vec) -> Vec:
     """Duality map: the unit dual functional with ``<x, f> = ||x||``.
+
+    A functional is a plain array ``f`` acting by ``<v, f> = sum_i f_i v_i``.
 
     Closed form in l^p: ``f_i = sign(x_i) |x_i|^(p-1) / ||x||^(p-1)`` with
     the convention sign(0) = 0.  The result has dual q-norm exactly 1 and
@@ -135,7 +125,7 @@ def norming_functional(space: SpaceSpec, x: Vec) -> Functional:
     n = norm(space, x)
     if n == 0.0:
         raise ZeroVectorError("the zero vector has no norming functional")
-    return Functional(duality_map(space, x) / n ** (space.p - 1.0))
+    return duality_map(space, x) / n ** (space.p - 1.0)
 
 
 def duality_map(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
@@ -146,11 +136,6 @@ def duality_map(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
     The power comes from :func:`_pow_abs`.
     """
     return np.sign(X) * _pow_abs(np.abs(X), space.p - 1.0)
-
-
-def dual_norm(space: SpaceSpec, f: Functional) -> float:
-    """q-norm of a functional's coordinates (norm in the dual space)."""
-    return float(batch_norm(space.dual, as_vector(space, f.coords)))
 
 
 def unit_batch(space: SpaceSpec, rng: np.random.Generator, n: int) -> np.ndarray:

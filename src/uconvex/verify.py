@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import SamplerExhaustedError
-from .modulus import (EMPIRICAL_MONOTONE_SLACK, ModulusCurve, WITNESS_TOL,
+from .modulus import (ModulusCurve, curve_violated, curve_violations,
                       delta_from_constraint, lp_delta)
 from .spaces import (SpaceSpec, as_vector, batch_norm, duality_map,
                      row_blocks, unit_batch)
@@ -44,14 +44,15 @@ class VerificationReport:
 
     ``trials`` counts attempts, ``kept`` the trials whose hypotheses held.
     Violation records carry every vector and computed quantity needed to
-    re-check them, see :func:`reverify_violation`.
+    re-check them, see :func:`reverify_violation`.  A curve report has no
+    cell: its ``p``, ``eps`` and ``delta_used`` are None and ``d`` is 0.
     """
 
     statement: str
-    p: float
+    p: float | None
     d: int
-    eps: float
-    delta_used: float
+    eps: float | None
+    delta_used: float | None
     trials: int
     kept: int
     violations: tuple[dict, ...]
@@ -72,10 +73,10 @@ class VerificationReport:
         return {
             "statement": self.statement,
             "space": self.space,
-            "p": _json_float(self.p),
+            "p": self.p,
             "d": self.d,
-            "eps": _json_float(self.eps),
-            "delta_used": _json_float(self.delta_used),
+            "eps": self.eps,
+            "delta_used": self.delta_used,
             "trials": self.trials,
             "kept": self.kept,
             "violations": [dict(rec) for rec in self.violations],
@@ -85,9 +86,9 @@ class VerificationReport:
 
 def summary_line(report: VerificationReport) -> str:
     """`statement,p,d,eps,delta,trials,kept,violations` for stdout."""
-    p = "" if math.isnan(report.p) else f"{report.p:g}"
-    eps = "" if math.isnan(report.eps) else f"{report.eps:g}"
-    delta = "" if math.isnan(report.delta_used) else f"{report.delta_used:.17g}"
+    p = "" if report.p is None else f"{report.p:g}"
+    eps = "" if report.eps is None else f"{report.eps:g}"
+    delta = "" if report.delta_used is None else f"{report.delta_used:.17g}"
     return (f"{report.statement},{p},{report.d or ''},{eps},{delta},"
             f"{report.trials},{report.kept},{len(report.violations)}")
 
@@ -147,11 +148,10 @@ def _thm2_batch(space, rng, n, delta, t_scale, k):
 
 def _thm2_hypotheses(space, delta, x, xp, f):
     """Conditions (iv) and (v) of :func:`check_thm2_condition3`."""
+    pairing_x = np.einsum("ij,ij->i", x, f)
     pairing = np.einsum("ij,ij->i", x - xp, f)
-    mask = ((np.abs(np.einsum("ij,ij->i", x, f)) > 1.0 - delta)
-            & (np.abs(pairing) < delta))
-    # the record keeps BLAS dot for <x, x*>, which einsum may miss by an ulp
-    return mask, lambda i: {"pairing_x": float(np.dot(x[i], f[i])),
+    mask = (np.abs(pairing_x) > 1.0 - delta) & (np.abs(pairing) < delta)
+    return mask, lambda i: {"pairing_x": float(pairing_x[i]),
                             "pairing_diff": float(pairing[i])}
 
 
@@ -290,47 +290,26 @@ def _sample(statement: str, space: SpaceSpec, eps: float, trials: int,
 def check_modulus_properties(curve: ModulusCurve) -> VerificationReport:
     """Check delta <= eps/2 and monotonicity on a curve, reporting failures.
 
-    Closed-form points are held to exact comparisons; empirical points get
-    the estimator's documented slacks.  Unlike the engines, this checker
+    The checks are :func:`modulus.curve_violations`, the ones
+    :func:`modulus.build_curve` asserts.  Unlike the engines, this checker
     never raises on bad data -- corrupted curves come back as violations.
     """
-    violations: list[dict] = []
-    checks = 0
-    for pt in curve.points:
-        checks += 1
-        slack = WITNESS_TOL if pt.method == "empirical" else 0.0
-        if pt.delta > pt.eps / 2.0 + slack:
-            violations.append({
-                "kind": "bound", "eps": pt.eps, "delta": pt.delta,
-                "method": pt.method, "slack": slack,
-            })
-    for a, b in zip(curve.points, curve.points[1:]):
-        checks += 1
-        slack = (EMPIRICAL_MONOTONE_SLACK
-                 if "empirical" in (a.method, b.method) else 0.0)
-        if b.delta < a.delta - slack:
-            violations.append({
-                "kind": "monotonicity",
-                "eps": b.eps, "delta": b.delta, "method": b.method,
-                "prev_eps": a.eps, "prev_delta": a.delta,
-                "prev_method": a.method, "slack": slack,
-            })
+    checks = max(0, 2 * len(curve.points) - 1)
     return VerificationReport(
-        statement="modulus_properties", p=math.nan, d=0, eps=math.nan,
-        delta_used=math.nan, trials=checks, kept=checks,
-        violations=tuple(violations), rng_seed=None)
+        statement="modulus_properties", p=None, d=0, eps=None,
+        delta_used=None, trials=checks, kept=checks,
+        violations=tuple(curve_violations(curve.points)), rng_seed=None)
 
 
 def reverify_violation(statement: str, rec: dict) -> bool:
     """Re-evaluate a violation record from its stored data alone.
 
-    A sampler record goes through its statement's hypotheses and the
-    shared conclusion as a batch of one row, the sampler's own arithmetic.
+    A curve record goes through :func:`modulus.curve_violated`.  A sampler
+    record goes through its statement's hypotheses and the shared
+    conclusion as a batch of one row, the sampler's own arithmetic.
     """
     if statement == "modulus_properties":
-        if rec["kind"] == "bound":
-            return rec["delta"] > rec["eps"] / 2.0 + rec["slack"]
-        return rec["delta"] < rec["prev_delta"] - rec["slack"]
+        return curve_violated(rec)
 
     st = _sampler(statement)
     space = SpaceSpec(p=rec["p"], d=len(rec["x"]))
@@ -419,7 +398,3 @@ def _seed_int(rng_seed) -> int | None:
         ent = rng_seed.entropy
         return int(ent) if isinstance(ent, (int, np.integer)) else None
     return None
-
-
-def _json_float(v: float):
-    return None if (isinstance(v, float) and not math.isfinite(v)) else v

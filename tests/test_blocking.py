@@ -146,7 +146,8 @@ def _old_check_thm2_condition3(space, eps, trials, rng_seed):
         anchor[perturb] += f_scale * W[perturb]
         anchor /= batch_norm(space, anchor)[:, None]
         F = duality_map(space, anchor)
-        iv = np.abs(np.einsum("ij,ij->i", X, F)) > 1.0 - delta
+        pairing_x = np.einsum("ij,ij->i", X, F)
+        iv = np.abs(pairing_x) > 1.0 - delta
         pairing = np.einsum("ij,ij->i", X - Xp, F)
         v = np.abs(pairing) < delta
         keep = iv & v
@@ -157,7 +158,7 @@ def _old_check_thm2_condition3(space, eps, trials, rng_seed):
                 "p": space.p, "eps": eps, "delta": delta,
                 "x": X[i].tolist(), "x_prime": Xp[i].tolist(),
                 "functional": F[i].tolist(),
-                "pairing_x": float(np.dot(X[i], F[i])),
+                "pairing_x": float(pairing_x[i]),
                 "pairing_diff": float(pairing[i]),
                 "dist": float(dist[i]),
             })

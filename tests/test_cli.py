@@ -152,6 +152,14 @@ def test_extract_theorem1_basis(tmp_path, capsys):
     assert result["pair_min"] == pytest.approx(3.0 ** 0.5, abs=1e-9)
 
 
+def test_extract_shifted_basis_default_length(capsys):
+    # without --n the shifted basis takes its d - 1 vectors, as construct does
+    code, stdout, err = run(capsys, "extract", "--p", "2", "--d", "8",
+                            "--seq-kind", "shifted-basis")
+    assert code == 0, err
+    assert stdout.startswith("selected 7 indices, ")
+
+
 def test_extract_baseline_constant(capsys):
     code, stdout, _ = run(capsys, "extract", "--mode", "baseline", "--p", "2",
                           "--d", "8", "--seq-kind", "constant", "--n", "5",

@@ -1,9 +1,9 @@
 """Step and README outputs against the pinned hashes of ``perfbench/``.
 
 Runs, in-process, the benchmark's four steps at the pinned seed and the
-README's empirical and ``verify --statement all`` examples, and compares
-the sha256 of each output file with ``perfbench/golden.json``.  The
-goldens are only read.
+seven README examples, and compares the sha256 of each output (the output
+file, or stdout for the examples without one) and each README exit code
+with ``perfbench/golden.json``.  The goldens are only read.
 """
 
 import hashlib
@@ -44,24 +44,37 @@ def test_verify_grid_step_matches_golden(tmp_path, capsys):
     assert _sha256(out) == GOLDEN["steps"]["verify-grid"]
 
 
+def _readme_digest(label: str, tmp_path: Path, capsys) -> dict:
+    """Exit code and sha256 of a README example's output, as the goldens
+    record them: the ``--out`` file, or stdout when there is none."""
+    argv = [a.replace("{dir}", str(tmp_path)) for a in README_EXAMPLES[label]]
+    code = main(argv)
+    stdout = capsys.readouterr().out
+    if "--out" in argv:
+        digest = _sha256(Path(argv[argv.index("--out") + 1]))
+    else:
+        digest = hashlib.sha256(stdout.encode()).hexdigest()
+    return {"exit_code": code, "sha256": digest}
+
+
 def test_readme_empirical_example_matches_golden(tmp_path, capsys):
-    argv = [a.replace("{dir}", str(tmp_path))
-            for a in README_EXAMPLES["modulus-empirical"]]
-    pinned = GOLDEN["readme"]["modulus-empirical"]
-    assert main(argv) == pinned["exit_code"]
-    capsys.readouterr()
-    out = Path(argv[argv.index("--out") + 1])
-    assert _sha256(out) == pinned["sha256"]
+    assert (_readme_digest("modulus-empirical", tmp_path, capsys)
+            == GOLDEN["readme"]["modulus-empirical"])
 
 
 def test_readme_verify_all_example_matches_golden(tmp_path, capsys):
-    argv = [a.replace("{dir}", str(tmp_path))
-            for a in README_EXAMPLES["verify-all"]]
-    pinned = GOLDEN["readme"]["verify-all"]
-    assert main(argv) == pinned["exit_code"]
-    capsys.readouterr()
-    out = Path(argv[argv.index("--out") + 1])
-    assert _sha256(out) == pinned["sha256"]
+    assert (_readme_digest("verify-all", tmp_path, capsys)
+            == GOLDEN["readme"]["verify-all"])
+
+
+@pytest.mark.parametrize("label", ["modulus-clarkson", "construct",
+                                   "extract-theorem1", "extract-baseline",
+                                   "verify-modulus-props"])
+def test_readme_example_matches_golden(label, tmp_path, capsys):
+    if label == "verify-modulus-props":
+        # checks the curve file that the clarkson example writes
+        _readme_digest("modulus-clarkson", tmp_path, capsys)
+    assert _readme_digest(label, tmp_path, capsys) == GOLDEN["readme"][label]
 
 
 @pytest.mark.parametrize("name", ["extract-p2", "construct-p3"])

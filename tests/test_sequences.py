@@ -254,7 +254,7 @@ def test_theorem1_window_members_inside_window():
     seq = [q[:, i] for i in range(40)]
     x = normalize(space, rng.standard_normal(40))
     res = theorem1_extract(space, seq, x, eps=SQRT2 * (1 - 1e-12))
-    f = np.asarray(res.functional.coords)
+    f = res.functional
     lo, hi = res.window
     for i in res.selected:
         assert lo - 1e-12 <= float(seq[i] @ f) <= hi + 1e-12

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from uconvex import modulus
+from uconvex.errors import CertificateError
 from uconvex.modulus import (ModulusCurve, ModulusPoint, build_curve,
                              delta_from_constraint, lp_delta)
 from uconvex.sequences import unit_basis_seed
@@ -95,7 +97,7 @@ def test_lemma23_trivial_and_radial_cases():
     # the conclusion; neither may re-verify as a violation
     space = SpaceSpec(p=2, d=3)
     x = unit_batch(space, np.random.default_rng(0), 1)[0]
-    f = norming_functional(space, x).coords
+    f = norming_functional(space, x)
     eps = 1.0
     delta = lp_delta(space.p, 2 * eps / 3)
     for xp in (x.copy(), (1 + 0.99 * delta) * x):
@@ -115,7 +117,7 @@ def test_thm2_antipodal_trial_is_rejected_not_violating():
     # fails since |<x - x', x*>| = 2 > delta, so the trial is filtered out
     space = SpaceSpec(p=2, d=3)
     x = unit_batch(space, np.random.default_rng(1), 1)[0]
-    f = norming_functional(space, x).coords
+    f = norming_functional(space, x)
     eps = 1.0
     delta = delta_from_constraint(lambda e: lp_delta(space.p, e), eps, 0.5)
     assert abs(float(np.dot(x, f))) > 1 - delta
@@ -193,9 +195,23 @@ def test_modulus_properties_corrupted_curve():
     assert line.endswith(",2")
 
 
+def test_build_curve_rejects_what_the_checker_reports(monkeypatch):
+    # an engine that breaks both invariants: over eps/2 at 0.5, then a drop
+    fake = {0.5: 0.3, 1.0: 0.1, 1.5: 0.2}
+    monkeypatch.setattr(modulus, "clarkson_delta", lambda p, e: fake[e])
+    with pytest.raises(CertificateError, match="breaking bound at eps=0.5"):
+        build_curve(2.0, list(fake), "clarkson")
+    pts = tuple(ModulusPoint(e, d, "clarkson") for e, d in fake.items())
+    rep = check_modulus_properties(ModulusCurve(space="l^2", points=pts))
+    assert [v["kind"] for v in rep.violations] == ["bound", "monotonicity"]
+    assert rep.trials == rep.kept == 5
+    assert rep.reverify()
+
+
 def test_modulus_properties_empirical_slack():
     pts = (ModulusPoint(0.5, 0.03, "empirical"),
-           ModulusPoint(1.0, 0.029, "empirical"))  # dip within 2e-3 slack
+           ModulusPoint(1.0, 0.029, "empirical"),  # dip within 2e-3 slack
+           ModulusPoint(1.5, 0.75 + 5e-10, "empirical"))  # eps/2 + 1e-9 slack
     rep = check_modulus_properties(ModulusCurve(space="l^2_2", points=pts))
     assert rep.violations == ()
 
@@ -203,7 +219,7 @@ def test_modulus_properties_empirical_slack():
 def test_report_json_dict_is_json_serializable():
     curve = build_curve(2.0, [0.5, 1.0], "clarkson")
     rep = check_modulus_properties(curve)
-    payload = json.dumps(rep.to_json_dict())  # nan fields become null
+    payload = json.dumps(rep.to_json_dict())  # a curve report has no p
     assert json.loads(payload)["p"] is None
     rep2 = check_lemma23(SpaceSpec(p=2, d=2), 1.0, trials=50, rng_seed=0)
     assert json.loads(json.dumps(rep2.to_json_dict()))["p"] == 2.0
