@@ -5,41 +5,55 @@ implicit equation, randomized adversarial estimation), constructs
 separated sequences on unit spheres via Ramsey dichotomy plus greedy
 normalized differences, and verifies the quantitative uniform Kadec-Klee
 statements by randomized search with reproducible counterexample reports.
+
+The public names are resolved on first use (PEP 562), so ``import uconvex``
+loads no submodule and no numpy; :mod:`uconvex.cli` relies on this to set
+up numpy's environment before numpy is imported.
 """
 
-from .errors import (BisectionError, CapacityError, CertificateError,
-                     DimensionMismatchError, InsufficientClusterError,
-                     PreconditionError, SamplerExhaustedError, UconvexError,
-                     ZeroVectorError)
-from .modulus import (ModulusCurve, ModulusPoint, TheoremBounds, build_curve,
-                      clarkson_delta, delta_from_constraint, empirical_delta,
-                      hanner_delta, lp_delta, theorem_bounds)
-from .sequences import (BaselineResult, ConstructionTrace, ExtractionResult,
-                        SeparationCertificate, TraceStep, baseline_extract,
-                        certify, pair_enumeration, ramsey_extract, riesz_seed,
-                        separation, shifted_basis_seed, theorem1_extract,
-                        theorem3_construct, unit_basis_seed)
-from .spaces import (SpaceSpec, as_vector, norm, norming_functional,
-                     normalize)
-from .verify import (VerificationReport, check_lemma23,
-                     check_modulus_properties, check_remark45,
-                     check_thm2_condition3, reverify_violation, run_grid,
-                     summary_line)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaselineResult", "BisectionError", "CapacityError", "CertificateError",
-    "ConstructionTrace", "DimensionMismatchError", "ExtractionResult",
-    "InsufficientClusterError", "ModulusCurve", "ModulusPoint",
-    "PreconditionError", "SamplerExhaustedError", "SeparationCertificate",
-    "SpaceSpec", "TheoremBounds", "TraceStep", "UconvexError",
-    "VerificationReport", "ZeroVectorError", "as_vector", "baseline_extract",
-    "build_curve", "certify", "check_lemma23", "check_modulus_properties",
-    "check_remark45", "check_thm2_condition3", "clarkson_delta",
-    "delta_from_constraint", "empirical_delta", "hanner_delta",
-    "lp_delta", "norm", "norming_functional", "normalize", "pair_enumeration",
-    "ramsey_extract", "reverify_violation", "riesz_seed", "run_grid",
-    "separation", "shifted_basis_seed", "summary_line", "theorem1_extract",
-    "theorem3_construct", "theorem_bounds", "unit_basis_seed", "__version__",
-]
+# Submodule of each public name.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("BisectionError", "CapacityError", "CertificateError",
+         "DimensionMismatchError", "InsufficientClusterError",
+         "PreconditionError", "SamplerExhaustedError", "UconvexError",
+         "ZeroVectorError"), "errors"),
+    **dict.fromkeys(
+        ("ModulusCurve", "ModulusPoint", "TheoremBounds", "build_curve",
+         "clarkson_delta", "delta_from_constraint", "empirical_delta",
+         "hanner_delta", "lp_delta", "theorem_bounds"), "modulus"),
+    **dict.fromkeys(
+        ("BaselineResult", "ConstructionTrace", "ExtractionResult",
+         "SeparationCertificate", "TraceStep", "baseline_extract", "certify",
+         "pair_enumeration", "ramsey_extract", "riesz_seed", "separation",
+         "shifted_basis_seed", "theorem1_extract", "theorem3_construct",
+         "unit_basis_seed"), "sequences"),
+    **dict.fromkeys(
+        ("SpaceSpec", "as_vector", "norm", "norming_functional",
+         "normalize"), "spaces"),
+    **dict.fromkeys(
+        ("VerificationReport", "check_lemma23", "check_modulus_properties",
+         "check_remark45", "check_thm2_condition3", "reverify_violation",
+         "run_grid", "summary_line"), "verify"),
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return __all__

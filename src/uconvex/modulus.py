@@ -56,8 +56,7 @@ class ModulusPoint:
     witness: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.eps <= 2.0:
-            raise ValueError(f"eps must lie in (0, 2], got {self.eps!r}")
+        _check_eps(self.eps)
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta!r}")
         if self.method not in METHODS:
@@ -453,10 +452,11 @@ def build_curve(p: float, eps_values, method: str, *, d: int | None = None,
     ``delta <= eps/2`` at every point; the empirical engine is allowed the
     documented slacks of :func:`curve_violations`.  Any violation raises
     ``CertificateError`` since a fresh engine output must satisfy its own
-    invariants.
+    invariants.  Every eps is checked before the first point is computed.
     """
     eps_values = [float(e) for e in eps_values]
-    points = []
+    for e in eps_values:
+        _check_eps(e)
     if method == "clarkson":
         points = [ModulusPoint(e, clarkson_delta(p, e), "clarkson")
                   for e in eps_values]

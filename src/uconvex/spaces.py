@@ -177,10 +177,12 @@ def row_blocks(n: int, width: int):
 def batch_norm(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     """p-norms along the last axis of ``rows``, which is left unmodified.
 
-    Runs :func:`_abs_norms`, so rows whose first row has an exact zero
-    skip ``pow`` on their zeros, with the same result bit for bit.
+    Accepts lists and integer arrays.  Runs :func:`_array_norms`: one
+    ``square`` pass at p = 2; at other exponents, rows whose first row has
+    an exact zero skip ``pow`` on their zeros.  Either way the result is
+    the same bit for bit.
     """
-    return _abs_norms(space, np.abs(rows, dtype=float))
+    return _array_norms(space, rows)
 
 
 def pair_norms(space: SpaceSpec, arr: np.ndarray, x=None) -> np.ndarray:
@@ -193,7 +195,7 @@ def pair_norms(space: SpaceSpec, arr: np.ndarray, x=None) -> np.ndarray:
     :func:`batch_norm` in the same order, so every entry equals the
     :func:`batch_norm` of its difference vector bit for bit.  Differences
     of sparse vectors (bases, shifted bases) are mostly exact zeros, which
-    :func:`_abs_norms` keeps off ``pow``.
+    :func:`_array_norms` keeps off ``pow``.
     """
     arr = np.asarray(arr, dtype=float)
     n = len(arr)
@@ -207,8 +209,7 @@ def pair_norms(space: SpaceSpec, arr: np.ndarray, x=None) -> np.ndarray:
             rows = buf
             np.subtract(arr[i], arr, out=rows)
             np.subtract(x, rows, out=rows)
-        np.abs(rows, out=rows)
-        norms = _abs_norms(space, rows)
+        norms = _array_norms(space, rows, out=rows)
         if x is None:
             out[i, i + 1:] = norms
             out[i + 1:, i] = norms
@@ -229,14 +230,22 @@ def _row_norms(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     return np.array([math.pow(s, inv) for s in sums.tolist()])
 
 
-def _abs_norms(space: SpaceSpec, buf: np.ndarray) -> np.ndarray:
-    """p-norms along the last axis of ``buf``, which holds absolute values.
+def _array_norms(space: SpaceSpec, a, out=None) -> np.ndarray:
+    """p-norms along the last axis of ``a``, its p-th powers put in ``out``.
 
-    Raises ``buf`` to the p-th power in place by :func:`_pow_abs`: when
-    its first row has an exact zero, zeros are left as they are instead of
-    going through ``pow``, which gives the same bits.
+    The one tail of :func:`batch_norm` and :func:`pair_norms`, and the one
+    place that chooses how they raise to the p-th power.  At p = 2 it
+    squares the signed entries in one pass: ``square(x)`` equals
+    ``square(|x|)`` bit for bit, -0.0, inf and overflow included, so an
+    ``abs`` pass would change nothing.  Other exponents take ``abs`` and
+    then :func:`_pow_abs`.  ``out`` may be ``a`` itself; without it the
+    powers go to a new float array and ``a`` is left unmodified.
     """
-    return np.sum(_pow_abs(buf, space.p), axis=-1) ** (1.0 / space.p)
+    if space.p == 2.0:
+        powers = np.square(a, out=out, dtype=float)
+    else:
+        powers = _pow_abs(np.abs(a, out=out, dtype=float), space.p)
+    return np.sum(powers, axis=-1) ** (1.0 / space.p)
 
 
 def _pow_abs(buf: np.ndarray, e: float) -> np.ndarray:

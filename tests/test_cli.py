@@ -234,6 +234,26 @@ def test_verify_sampler_exhaustion_exit_2_without_traceback():
     assert "lemma23" in proc.stderr and "p=1.5, d=2, eps=1e-08" in proc.stderr
 
 
+def test_modulus_bad_eps_fails_before_any_empirical_work(capsys,
+                                                          monkeypatch):
+    import uconvex.modulus
+
+    calls = []
+    real = uconvex.modulus.empirical_delta
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(uconvex.modulus, "empirical_delta", counting)
+    code, stdout, err = run(capsys, "modulus", "--p", "1.5", "--d", "4",
+                            "--method", "empirical", "--eps", "0.5,3")
+    assert code == 2
+    assert calls == []
+    assert stdout == ""
+    assert err == "error: eps must lie in (0, 2], got 3.0\n"
+
+
 def test_modulus_empirical_dimension_one_exit_2(capsys):
     code, stdout, err = run(capsys, "modulus", "--p", "2", "--d", "1",
                             "--method", "empirical", "--eps", "1",

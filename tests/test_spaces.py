@@ -374,3 +374,55 @@ def test_normalize_rejects_non_finite_after_single_check(bad):
         normalize(SpaceSpec(1.5, 3), [1.0, bad, 0.5])
     with pytest.raises(ZeroVectorError):
         normalize(SpaceSpec(1.5, 3), [0.0, 0.0, 0.0])
+
+
+# ----------------------------- p = 2 path -----------------------------
+
+def _p2_norms_abs_first(rows):
+    """The p = 2 norms as computed with an ``abs`` pass before squaring."""
+    return np.sum(np.abs(np.asarray(rows, dtype=float)) ** 2,
+                  axis=-1) ** 0.5
+
+
+def _p2_inputs():
+    rng = np.random.default_rng(21)
+    signed = rng.standard_normal((12, 7))
+    signed[rng.random(signed.shape) < 0.3] = 0.0
+    signed[rng.random(signed.shape) < 0.2] = -0.0
+    signed[3] = -0.0
+    huge = signed * 1e200
+    huge[0, 0] = -3e200
+    return {"signed": signed, "huge": huge,
+            "ints": rng.integers(-5, 6, (9, 7)),
+            "list": rng.integers(-5, 6, (6, 7)).tolist()}
+
+
+@pytest.mark.parametrize("case", sorted(_p2_inputs()))
+def test_p2_batch_norm_equals_abs_first_bit_for_bit(case):
+    rows = _p2_inputs()[case]
+    space = SpaceSpec(p=2, d=7)
+    before = np.array(rows, copy=True)
+    with np.errstate(over="ignore"):
+        got = batch_norm(space, rows)
+        want = _p2_norms_abs_first(rows)
+    assert _same_bits(got, want)
+    assert _same_bits(np.asarray(rows), before)
+    if case == "huge":
+        assert np.isinf(got).any() and np.isfinite(got).any()
+
+
+@pytest.mark.parametrize("case", sorted(_p2_inputs()))
+def test_p2_pair_norms_equal_abs_first_bit_for_bit(case):
+    arr = _p2_inputs()[case]
+    a = np.asarray(arr, dtype=float)
+    space = SpaceSpec(p=2, d=7)
+    x = a[1] - 2.0 * a[0] if case == "huge" else a[0] + 0.5
+    with np.errstate(over="ignore"):
+        plain = pair_norms(space, arr)
+        shifted = pair_norms(space, arr, x.tolist() if case == "list" else x)
+        want_plain = _p2_norms_abs_first(a[None, :, :] - a[:, None, :])
+        want_shifted = _p2_norms_abs_first(x - (a[:, None, :] - a[None, :, :]))
+    assert _same_bits(plain, want_plain)
+    assert _same_bits(shifted, want_shifted)
+    if case == "huge":
+        assert np.isinf(plain).any() and np.isinf(shifted).any()
