@@ -228,14 +228,8 @@ def baseline_extract(space: SpaceSpec, seq, x, tau: float) -> BaselineResult:
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     x = _require_unit(space, x)
-    vecs = _finite_rows(space, seq)
-    f = norming_functional(space, x)
-    values = vecs @ f
-    selected, window = _largest_cluster(values, tau)
-    pair_min = _pair_min(space, vecs, selected, x)
-    if pair_min < 1.0 - tau - SLACK:
-        raise CertificateError(
-            f"baseline certificate {pair_min:.17g} below 1 - tau")
+    _, selected, window, pair_min = _certified_cluster(
+        space, _finite_rows(space, seq), x, tau, 1.0 - tau)
     return BaselineResult(selected=selected, window=window,
                           pair_min=pair_min, guaranteed=1.0 - tau)
 
@@ -248,10 +242,11 @@ def theorem1_extract(space: SpaceSpec, seq, x, eps: float | None,
     the measured separation as eps.  Indices whose functional values lie in
     a window of width ``kappa * delta_eps`` are selected; for any two of
     them the vector ``xi = x - (v_i - v_j)`` pairs with the norming
-    functional to more than ``1 - delta_eps``, and eps-separation then
-    forces ``||xi|| >= 1 + delta_eps`` -- that bound is asserted pair by
-    pair, not assumed.  Both the separation and the pair values are
-    computed by the pairwise kernel :func:`spaces.pair_norms`.
+    functional to at least ``1 - kappa * delta_eps`` by construction of the
+    window, and eps-separation then forces ``||xi|| >= 1 + delta_eps`` --
+    that bound is asserted pair by pair, not assumed.  Both the separation
+    and the pair values are computed by the pairwise kernel
+    :func:`spaces.pair_norms`.
     """
     if eps is not None:
         _check_eps(eps)
@@ -268,26 +263,9 @@ def theorem1_extract(space: SpaceSpec, seq, x, eps: float | None,
             f"sequence separation {sep:.17g} is below eps={eps:.17g}")
 
     delta_eps = lp_delta(space.p, 2.0 * eps / 3.0)
-    width = kappa * delta_eps
-    f = norming_functional(space, x)
-    values = vecs @ f
-    selected, window = _largest_cluster(values, width)
-
-    # intermediate invariant: every pair's xi pairs above 1 - width; the
-    # lowest pairing belongs to the pair spanning the selected values
-    sel = np.asarray(selected)
-    i, j = sel[np.argmax(values[sel])], sel[np.argmin(values[sel])]
-    pairing = 1.0 - (values[i] - values[j])
-    if pairing <= 1.0 - width - SLACK:
-        raise CertificateError(
-            f"window pairing {pairing:.17g} at ({i},{j}) below 1 - width")
-
     guaranteed = 1.0 + delta_eps
-    pair_min = _pair_min(space, vecs, selected, x)
-    if pair_min < guaranteed - SLACK:
-        raise CertificateError(
-            f"pair value {pair_min:.17g} violates the bound "
-            f"{guaranteed:.17g}; release-blocking defect")
+    f, selected, window, pair_min = _certified_cluster(
+        space, vecs, x, kappa * delta_eps, guaranteed)
     return ExtractionResult(functional=f, window=window, selected=selected,
                             pair_min=pair_min, guaranteed=guaranteed,
                             delta_eps=delta_eps)
@@ -368,7 +346,8 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
     enumerated by :func:`pair_enumeration`, skipping pairs touching indices
     already consumed by an accepted candidate; a candidate is accepted when
     it keeps distance ``1 + delta1`` to all prior outputs, and its
-    normalization is certified to stay ``1 + delta1/2``-separated.
+    normalization then stays ``1 + delta1/2``-separated, which the final
+    :func:`certify` of the whole output asserts.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -388,14 +367,12 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
     xi = [seed[i] for i in extracted]
 
     if branch == "high":
+        # passes: it recomputes the entries the split judged above it
         output = tuple(xi[:max_len])
-        cert = certify(space, output, threshold=split)
-        if not cert.passed:
-            raise CertificateError(
-                "high-branch subsequence failed its own certificate")
         return ConstructionTrace(
             seed_description=seed_description, delta1=delta1, branch="high",
-            steps=(), output=output, final_certificate=cert,
+            steps=(), output=output,
+            final_certificate=certify(space, output, threshold=split),
             status="completed")
 
     consumed: set[int] = set()
@@ -423,15 +400,8 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
             raise CertificateError(
                 f"accepted candidate norm {y_norm:.17g} outside the "
                 f"low-branch window [1, {split:.17g}]")
-        x_m = y / y_norm
-        if m:
-            gap = float(batch_norm(space, outputs[:m] - x_m).min())
-            if gap < split - SLACK:
-                raise CertificateError(
-                    "normalization estimate violated: distance "
-                    f"{gap:.17g} below {split:.17g}")
         consumed.update((a, b))
-        outputs[m] = x_m
+        outputs[m] = y / y_norm
         m += 1
         if m >= max_len:
             status = "completed"
@@ -439,7 +409,7 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
 
     output = tuple(outputs[:m])
     cert = certify(space, output, threshold=split)
-    if m >= 2 and not cert.passed:
+    if not cert.passed:
         raise CertificateError("final certificate failed after construction")
     return ConstructionTrace(
         seed_description=seed_description, delta1=delta1, branch="low",
@@ -541,6 +511,19 @@ def _largest_cluster(values: np.ndarray,
     return tuple(sorted(int(i) for i in members)), (lo, lo + width)
 
 
-def _pair_min(space: SpaceSpec, vecs: np.ndarray, selected, x) -> float:
-    """min over ordered pairs i != j of ``||x - (v_i - v_j)||``."""
-    return _min_off_diagonal(pair_norms(space, vecs[list(selected)], x))
+def _certified_cluster(space: SpaceSpec, vecs: np.ndarray, x, width: float,
+                       guaranteed: float):
+    """Norming functional of ``x``, largest value window, and ``pair_min``.
+
+    ``pair_min`` is the min over selected ordered pairs i != j of
+    ``||x - (v_i - v_j)||``; below ``guaranteed - SLACK`` it raises
+    ``CertificateError``.
+    """
+    f = norming_functional(space, x)
+    selected, window = _largest_cluster(vecs @ f, width)
+    pair_min = _min_off_diagonal(pair_norms(space, vecs[list(selected)], x))
+    if pair_min < guaranteed - SLACK:
+        raise CertificateError(
+            f"pair value {pair_min:.17g} violates the bound "
+            f"{guaranteed:.17g}; release-blocking defect")
+    return f, selected, window, pair_min

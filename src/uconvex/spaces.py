@@ -49,7 +49,7 @@ class SpaceSpec:
         p = float(self.p)
         if not math.isfinite(p) or p <= 1.0:
             raise ValueError(f"exponent p must satisfy 1 < p < inf, got {self.p!r}")
-        if int(self.d) != self.d or self.d < 1:
+        if not (self.d >= 1 and float(self.d).is_integer()):
             raise ValueError(f"dimension d must be a positive integer, got {self.d!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "d", int(self.d))

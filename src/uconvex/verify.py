@@ -326,18 +326,21 @@ def run_grid(statement: str, ps, ds, eps_values, kept_total: int, rng_seed,
 
     The kept-trial total is spread evenly over the cells (rounded up);
     per-cell seeds are split deterministically from ``rng_seed``, so the
-    report list is reproducible byte for byte.  Each cell runs through the
-    module's ``check_<statement>`` name, looked up at call time.
+    report list is reproducible byte for byte.  All cell spaces are built
+    before the first cell runs, so a bad ``p`` or ``d`` fails up front.
+    Each cell runs through the module's ``check_<statement>`` name, looked
+    up at call time.
     """
     rank = (k,) if _sampler(statement).ranked else ()
     check = globals()[f"check_{statement}"]
-    cells = list(itertools.product(ps, ds, eps_values))
+    cells = [(SpaceSpec(p=p, d=d), eps)
+             for p, d, eps in itertools.product(ps, ds, eps_values)]
     if not cells:
         raise ValueError("empty verification grid")
     quota = max(1, math.ceil(kept_total / len(cells)))
     seeds = np.random.SeedSequence(rng_seed).spawn(len(cells))
-    return [check(SpaceSpec(p=p, d=d), eps, quota, *rank, seed)
-            for (p, d, eps), seed in zip(cells, seeds)]
+    return [check(space, eps, quota, *rank, seed)
+            for (space, eps), seed in zip(cells, seeds)]
 
 
 def reports_to_json(path, reports) -> None:

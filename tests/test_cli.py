@@ -254,6 +254,40 @@ def test_modulus_bad_eps_fails_before_any_empirical_work(capsys,
     assert err == "error: eps must lie in (0, 2], got 3.0\n"
 
 
+def test_modulus_missing_d_fails_before_bad_eps_and_empirical_work(
+        capsys, monkeypatch):
+    import uconvex.modulus
+
+    calls = []
+    monkeypatch.setattr(uconvex.modulus, "empirical_delta",
+                        lambda *args: calls.append(args))
+    code, stdout, err = run(capsys, "modulus", "--p", "1.5", "--method",
+                            "empirical", "--eps", "0.5,3")
+    assert code == 2
+    assert calls == []
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "dimension d" in err and "--d" in err
+
+
+@pytest.mark.parametrize("dims", ["2.5", "2,2.9", "inf"])
+def test_verify_non_integer_dimension_exit_2_before_any_cell(
+        capsys, monkeypatch, dims):
+    import uconvex.verify
+
+    calls = []
+    monkeypatch.setattr(uconvex.verify, "check_lemma23",
+                        lambda *args: calls.append(args))
+    code, stdout, err = run(capsys, "verify", "--statement", "lemma23",
+                            "--p", "2", "--d", dims, "--eps", "1",
+                            "--trials", "10")
+    assert code == 2
+    assert calls == []
+    assert stdout == ""
+    assert err.startswith("error: dimension d must be a positive integer")
+    assert err.count("\n") == 1
+
+
 def test_modulus_empirical_dimension_one_exit_2(capsys):
     code, stdout, err = run(capsys, "modulus", "--p", "2", "--d", "1",
                             "--method", "empirical", "--eps", "1",

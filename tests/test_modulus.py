@@ -107,6 +107,17 @@ def test_lp_delta_dispatch_and_agreement():
         lp_delta(math.inf, 1.0)
 
 
+def test_lp_delta_at_p2_is_clarkson_without_hanner(monkeypatch):
+    import uconvex.modulus
+
+    calls = []
+    monkeypatch.setattr(uconvex.modulus, "hanner_delta",
+                        lambda *args: calls.append(args))
+    for eps in np.linspace(0.02, 2.0, 100):
+        assert lp_delta(2.0, eps) == clarkson_delta(2.0, eps)
+    assert calls == []
+
+
 @given(st.floats(min_value=1.05, max_value=6.0),
        st.floats(min_value=1e-6, max_value=2.0))
 @settings(max_examples=150, deadline=None)

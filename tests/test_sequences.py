@@ -227,10 +227,12 @@ def test_theorem1_window_check_rejects_wide_cluster(monkeypatch):
     space = SpaceSpec(p=2, d=8)
     seq = unit_basis_seed(space, 8)
     # a "cluster" of every index spans the functional values 0 and 1,
-    # far wider than the window width kappa * delta
+    # far wider than the window width kappa * delta; the pair (0, j) gives
+    # x - (e_0 - e_j) = e_j of norm 1, which the pair-value certificate
+    # rejects
     monkeypatch.setattr(sequences, "_largest_cluster",
                         lambda values, width: (tuple(range(8)), (0.0, width)))
-    with pytest.raises(CertificateError, match="window pairing"):
+    with pytest.raises(CertificateError, match="pair value 1 violates"):
         theorem1_extract(space, seq, seq[0], eps=SQRT2)
 
 
@@ -450,6 +452,20 @@ def test_theorem3_max_len_one():
     assert trace.status == "completed"
     assert len(trace.output) == 1
     assert trace.final_certificate.passed  # vacuous
+
+
+def test_theorem3_final_certificate_rejects_close_low_branch_outputs(
+        monkeypatch):
+    # accept every candidate and let the enumeration reuse index 0: the
+    # outputs (e_1 - e_2)/sqrt2 and (e_1 - e_3)/sqrt2 lie at distance 1,
+    # below 1 + delta1/2, and only the final certificate stands in the way
+    space = SpaceSpec(p=2, d=5)
+    monkeypatch.setattr(sequences, "_open_pairs",
+                        lambda k, consumed: iter([(0, (0, 1)), (2, (0, 2))]))
+    monkeypatch.setattr(sequences, "batch_norm",
+                        lambda space, rows: np.full(len(rows), np.inf))
+    with pytest.raises(CertificateError, match="final certificate failed"):
+        theorem3_construct(space, shifted_basis_seed(space, 4), max_len=2)
 
 
 def test_theorem3_rejects_underseparated_seed():
