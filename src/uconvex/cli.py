@@ -150,12 +150,11 @@ def _cmd_construct(ns) -> int:
     max_len = ns.max_len if ns.max_len is not None else len(seed_vectors)
     trace = sequences.theorem3_construct(space, seed_vectors, max_len,
                                          seed_description=description)
-    target = 1.0 + 0.5 * trace.delta1
     cert = trace.final_certificate
     print(f"branch={trace.branch} status={trace.status} "
           f"output={len(trace.output)}")
     print(f"separation constant: {cert.min_pairwise:.17g}")
-    print(f"target 1 + delta(2/3)/2: {target:.17g}")
+    print(f"target 1 + delta(2/3)/2: {cert.threshold:.17g}")
     if ns.out:
         trace.to_json(ns.out)
         print(f"wrote trace to {ns.out}")
@@ -171,14 +170,14 @@ def _make_sequence(ns, space: SpaceSpec):
     if ns.seq_kind == "csv":
         if not ns.seq_file:
             raise ValueError("--seq-kind csv needs --seq-file")
-        rows = [line for line in
-                Path(ns.seq_file).read_text().splitlines() if line.strip()]
-        return [np.array([float(t) for t in row.split(",")]) for row in rows]
+        # the library makes the (n, d) array and reports ragged rows
+        lines = Path(ns.seq_file).read_text().splitlines()
+        return [[float(t) for t in line.split(",")] for line in lines
+                if line.strip()]
     if ns.seq_kind != "constant":
         return _fixed_seed(ns.seq_kind, space, ns.n)
-    # n copies of the first basis vector
-    e0 = sequences.unit_basis_seed(space, 1)[0]
-    return [e0.copy() for _ in range(ns.n if ns.n is not None else space.d)]
+    n = ns.n if ns.n is not None else space.d
+    return sequences.unit_basis_seed(space, 1)[[0] * n]  # n copies of e_0
 
 
 def _cmd_extract(ns) -> int:
@@ -211,8 +210,6 @@ def _cmd_verify(ns) -> int:
                  modulus.ModulusCurve.from_csv(path))
         reports = [verify.check_modulus_properties(curve)]
     else:
-        if ns.trials < 1:
-            raise ValueError(f"--trials must be >= 1, got {ns.trials}")
         ps = parse_values(ns.p)
         ds = parse_values(ns.d)
         eps_values = parse_values(ns.eps)

@@ -192,21 +192,16 @@ def _interpolate_to_boundary(space: SpaceSpec, eps: float, X: np.ndarray,
         Y[r] = final
 
 
-def maximize_min_distance(space: SpaceSpec, anchors: list[np.ndarray],
+def maximize_min_distance(space: SpaceSpec, anchors: np.ndarray,
                           rng: np.random.Generator, budget: EvalBudget):
     """Find a unit vector far from all anchors: maximize min_j ||c - v_j||.
 
-    Random multistart (the best :data:`MULTISTARTS` probes) plus the shared
-    pattern refinement (on the negated objective).  Returns
-    ``(vector, min_distance)``.
+    ``anchors`` holds the v_j as rows, at least one.  Random multistart
+    (the best :data:`MULTISTARTS` probes) plus the shared pattern
+    refinement (on the negated objective).  Returns ``(vector, min_distance)``.
     """
-    if not anchors:
-        c = unit_batch(space, rng, 1)[0]
-        return c, float("inf")
-    A = np.asarray(anchors)
-
     def neg_min_dist(c):
-        return -float(np.min(batch_norm(space, A - c)))
+        return -float(np.min(batch_norm(space, anchors - c)))
 
     n_probe = max(MULTISTARTS * 8, 32)
     probes = unit_batch(space, rng, n_probe)

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (CapacityError, CertificateError, InsufficientClusterError,
-                     PreconditionError)
+from .errors import (CapacityError, CertificateError, DimensionMismatchError,
+                     InsufficientClusterError, PreconditionError)
 from .modulus import _check_eps, lp_delta
 from .search import EvalBudget, maximize_min_distance
 from .spaces import (SpaceSpec, as_vector, batch_norm, norm,
@@ -86,7 +86,7 @@ class ExtractionResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "functional": [float(c) for c in self.functional],
+            "functional": self.functional.tolist(),
             "window": list(self.window),
             "selected": list(self.selected),
             "pair_min": self.pair_min,
@@ -114,7 +114,7 @@ class ConstructionTrace:
     delta1: float
     branch: str                   # "low" | "high"
     steps: tuple[TraceStep, ...]
-    output: tuple[np.ndarray, ...]
+    output: np.ndarray            # (n, d), one output vector per row
     final_certificate: SeparationCertificate
     status: str                   # "completed" | "exhausted"
 
@@ -131,7 +131,7 @@ class ConstructionTrace:
                 "min_dist_to_prior": s.min_dist_to_prior,
                 "accepted": s.accepted,
             } for s in self.steps],
-            "output": [[float(c) for c in v] for v in self.output],
+            "output": self.output.tolist(),
             "final_certificate": self.final_certificate.to_json_dict(),
         }
 
@@ -164,15 +164,15 @@ def certify(space: SpaceSpec, seq, threshold: float) -> SeparationCertificate:
     )
 
 
-def unit_basis_seed(space: SpaceSpec, n: int) -> list[np.ndarray]:
-    """First ``n`` standard basis vectors; pairwise distances 2^(1/p)."""
+def unit_basis_seed(space: SpaceSpec, n: int) -> np.ndarray:
+    """First ``n`` standard basis vectors as (n, d) rows; distances 2^(1/p)."""
     if not 1 <= n <= space.d:
         raise CapacityError(f"basis seed needs 1 <= n <= d={space.d}, got {n}")
-    return list(np.eye(n, space.d))
+    return np.eye(n, space.d)
 
 
-def shifted_basis_seed(space: SpaceSpec, n: int) -> list[np.ndarray]:
-    """Unit vectors ``(e_0 + e_k) / 2^(1/p)``, k = 1..n.
+def shifted_basis_seed(space: SpaceSpec, n: int) -> np.ndarray:
+    """Unit vectors ``(e_0 + e_k) / 2^(1/p)``, k = 1..n, as (n, d) rows.
 
     Pairwise distances are exactly ``||e_i - e_j|| / 2^(1/p) = 1`` for every
     exponent, which lands the whole seed in the low Ramsey branch.
@@ -180,19 +180,14 @@ def shifted_basis_seed(space: SpaceSpec, n: int) -> list[np.ndarray]:
     if not 1 <= n <= space.d - 1:
         raise CapacityError(
             f"shifted seed needs 1 <= n <= d-1={space.d - 1}, got {n}")
-    scale = 2.0 ** (1.0 / space.p)
-    out = []
-    for k in range(1, n + 1):
-        v = np.zeros(space.d)
-        v[0] = 1.0 / scale
-        v[k] = 1.0 / scale
-        out.append(v)
-    return out
+    seed = np.eye(n, space.d, k=1)
+    seed[:, 0] = 1.0
+    return seed / 2.0 ** (1.0 / space.p)
 
 
 def riesz_seed(space: SpaceSpec, n: int, eta: float, budget: int,
-               rng_seed) -> tuple[list[np.ndarray], SeparationCertificate]:
-    """Greedy (1 - eta)-separated unit vectors by maximin distance search.
+               rng_seed) -> tuple[np.ndarray, SeparationCertificate]:
+    """Greedy (1 - eta)-separated unit vectors, as (m, d) rows, m <= n.
 
     Each new vector maximizes the minimum distance to all previous ones
     (random multistart plus the shared pattern refinement); construction
@@ -206,14 +201,14 @@ def riesz_seed(space: SpaceSpec, n: int, eta: float, budget: int,
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     rng = np.random.default_rng(rng_seed)
-    vectors = [unit_batch(space, rng, 1)[0]]
+    vectors = unit_batch(space, rng, 1)
     share = max(1, budget // max(1, n - 1))
     for _ in range(n - 1):
         cand, min_dist = maximize_min_distance(space, vectors, rng,
                                                EvalBudget(share))
         if min_dist < 1.0 - eta:
             break
-        vectors.append(cand)
+        vectors = np.vstack([vectors, cand])
     return vectors, certify(space, vectors, threshold=1.0 - eta)
 
 
@@ -364,11 +359,11 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
     split = 1.0 + 0.5 * delta1
 
     extracted, branch = ramsey_extract(dist, split)
-    xi = [seed[i] for i in extracted]
+    xi = seed[extracted]
 
     if branch == "high":
         # passes: it recomputes the entries the split judged above it
-        output = tuple(xi[:max_len])
+        output = xi[:max_len]
         return ConstructionTrace(
             seed_description=seed_description, delta1=delta1, branch="high",
             steps=(), output=output,
@@ -396,10 +391,6 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
                                accepted=accepted))
         if not accepted:
             continue
-        if not (1.0 - SLACK <= y_norm <= split + SLACK):
-            raise CertificateError(
-                f"accepted candidate norm {y_norm:.17g} outside the "
-                f"low-branch window [1, {split:.17g}]")
         consumed.update((a, b))
         outputs[m] = y / y_norm
         m += 1
@@ -407,7 +398,7 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
             status = "completed"
             break
 
-    output = tuple(outputs[:m])
+    output = outputs[:m]
     cert = certify(space, output, threshold=split)
     if not cert.passed:
         raise CertificateError("final certificate failed after construction")
@@ -438,9 +429,9 @@ def _open_pairs(k: int, consumed: set[int]):
                 yield base + 2 * t + 1, (s, t)
 
 
-def vectors_to_csv(path, vectors) -> None:
+def vectors_to_csv(path, vectors: np.ndarray) -> None:
     """One vector per row, coordinates at 17 significant digits."""
-    lines = [",".join(f"{float(c):.17g}" for c in v) for v in vectors]
+    lines = [",".join(f"{c:.17g}" for c in v) for v in vectors.tolist()]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -460,12 +451,23 @@ def _min_off_diagonal(m: np.ndarray) -> float:
 def _finite_rows(space: SpaceSpec, seq) -> np.ndarray:
     """The vectors of ``seq`` as the rows of an (n, d) float array.
 
-    :func:`spaces.as_vector` checks each row, so a NaN or infinite
-    coordinate raises ``PreconditionError``: distances involving it are not
-    numbers, and a NaN minimum compares false against every threshold, so a
+    An empty ``seq`` has shape (0, d); ragged rows, a wrong width or a flat
+    vector raise ``DimensionMismatchError``.  A NaN or infinite coordinate
+    raises ``PreconditionError``: distances involving it are not numbers,
+    and a NaN minimum compares false against every threshold, so a
     certificate would silently pass.
     """
-    return np.asarray([as_vector(space, v) for v in seq], dtype=float)
+    try:
+        rows = (np.asarray(seq, dtype=float) if len(seq)
+                else np.empty((0, space.d)))
+    except ValueError:
+        raise DimensionMismatchError("ragged or non-numeric rows") from None
+    if rows.ndim != 2 or rows.shape[1] != space.d:
+        raise DimensionMismatchError(
+            f"expected rows of {space.d} coordinates, got shape {rows.shape}")
+    if np.count_nonzero(np.isfinite(rows)) < rows.size:
+        raise PreconditionError("sequence has a non-finite coordinate")
+    return rows
 
 
 def _require_unit(space: SpaceSpec, x) -> np.ndarray:

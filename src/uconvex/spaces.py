@@ -1,9 +1,9 @@
 """Finite-dimensional l^p spaces: norms, pairwise distances, duality
 mapping, sphere sampling.
 
-Vectors and dual functionals are plain numpy arrays of length ``d``; a
-:class:`SpaceSpec` fixes the exponent and dimension and every operation
-takes the space explicitly.
+Vectors and dual functionals are plain numpy arrays of length ``d``, and
+a family of vectors is one (n, d) array; a :class:`SpaceSpec` fixes the
+exponent and dimension and every operation takes the space explicitly.
 All operations are pure; randomness always enters through an explicit seed.
 """
 
@@ -88,16 +88,15 @@ def as_vector(space: SpaceSpec, coords) -> Vec:
 def norm(space: SpaceSpec, v: Vec) -> float:
     """p-norm ``(sum |v_i|^p)^(1/p)``; zero iff ``v`` is the zero vector.
 
-    The p-th powers come from :func:`_pow_abs`, so exact zeros skip
-    numpy's ``pow`` when ``v`` has one; the result is the same bit for bit.
+    The p-th-power sum comes from :func:`_power_sums`; the root is libm's
+    scalar ``pow``.
     """
     return _vector_norm(space, as_vector(space, v))
 
 
 def _vector_norm(space: SpaceSpec, v: Vec) -> float:
     """:func:`norm` of a vector that :func:`as_vector` has already checked."""
-    return float(np.add.reduce(_pow_abs(np.abs(v), space.p))
-                 ** (1.0 / space.p))
+    return float(_power_sums(space, v) ** (1.0 / space.p))
 
 
 def normalize(space: SpaceSpec, v: Vec) -> Vec:
@@ -177,12 +176,10 @@ def row_blocks(n: int, width: int):
 def batch_norm(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     """p-norms along the last axis of ``rows``, which is left unmodified.
 
-    Accepts lists and integer arrays.  Runs :func:`_array_norms`: one
-    ``square`` pass at p = 2; at other exponents, rows whose first row has
-    an exact zero skip ``pow`` on their zeros.  Either way the result is
-    the same bit for bit.
+    Accepts lists and integer arrays.  The numpy array root of
+    :func:`_power_sums`.
     """
-    return _array_norms(space, rows)
+    return _power_sums(space, rows) ** (1.0 / space.p)
 
 
 def pair_norms(space: SpaceSpec, arr: np.ndarray, x=None) -> np.ndarray:
@@ -195,7 +192,7 @@ def pair_norms(space: SpaceSpec, arr: np.ndarray, x=None) -> np.ndarray:
     :func:`batch_norm` in the same order, so every entry equals the
     :func:`batch_norm` of its difference vector bit for bit.  Differences
     of sparse vectors (bases, shifted bases) are mostly exact zeros, which
-    :func:`_array_norms` keeps off ``pow``.
+    :func:`_power_sums` keeps off ``pow``.
     """
     arr = np.asarray(arr, dtype=float)
     n = len(arr)
@@ -209,7 +206,7 @@ def pair_norms(space: SpaceSpec, arr: np.ndarray, x=None) -> np.ndarray:
             rows = buf
             np.subtract(arr[i], arr, out=rows)
             np.subtract(x, rows, out=rows)
-        norms = _array_norms(space, rows, out=rows)
+        norms = _power_sums(space, rows, out=rows) ** (1.0 / space.p)
         if x is None:
             out[i, i + 1:] = norms
             out[i + 1:, i] = norms
@@ -221,31 +218,31 @@ def pair_norms(space: SpaceSpec, arr: np.ndarray, x=None) -> np.ndarray:
 def _row_norms(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     """p-norms of the rows of a 2-D array, equal to :func:`norm` bit for bit.
 
-    The sums of p-th powers run over contiguous rows, as in :func:`norm`;
-    the root is taken per row by the scalar libm ``pow``, because numpy's
-    array ``pow`` differs from it in the last bit on some inputs.
+    The root of each row's :func:`_power_sums` is taken by the scalar libm
+    ``pow``, as in :func:`norm`, because numpy's array ``pow`` differs from
+    it in the last bit on some inputs.
     """
-    sums = np.add.reduce(_pow_abs(np.abs(rows), space.p), axis=-1)
     inv = 1.0 / space.p
-    return np.array([math.pow(s, inv) for s in sums.tolist()])
+    return np.array([math.pow(s, inv)
+                     for s in _power_sums(space, rows).tolist()])
 
 
-def _array_norms(space: SpaceSpec, a, out=None) -> np.ndarray:
-    """p-norms along the last axis of ``a``, its p-th powers put in ``out``.
+def _power_sums(space: SpaceSpec, a, out=None):
+    """``sum |a_i|^p`` over the last axis of ``a``; p-th powers go to ``out``.
 
-    The one tail of :func:`batch_norm` and :func:`pair_norms`, and the one
-    place that chooses how they raise to the p-th power.  At p = 2 it
-    squares the signed entries in one pass: ``square(x)`` equals
-    ``square(|x|)`` bit for bit, -0.0, inf and overflow included, so an
-    ``abs`` pass would change nothing.  Other exponents take ``abs`` and
-    then :func:`_pow_abs`.  ``out`` may be ``a`` itself; without it the
-    powers go to a new float array and ``a`` is left unmodified.
+    The one p-th-power sum under every norm; the norms differ only in how
+    they take the root.  At p = 2 it squares the signed entries in one
+    pass: ``square(x)`` equals ``square(|x|)`` bit for bit, -0.0, inf and
+    overflow included, so an ``abs`` pass would change nothing.  Other
+    exponents take ``abs`` and then :func:`_pow_abs`.  ``out`` may be ``a``
+    itself; without it the powers go to a new float array and ``a`` is
+    left unmodified.
     """
     if space.p == 2.0:
         powers = np.square(a, out=out, dtype=float)
     else:
         powers = _pow_abs(np.abs(a, out=out, dtype=float), space.p)
-    return np.sum(powers, axis=-1) ** (1.0 / space.p)
+    return np.add.reduce(powers, axis=-1)
 
 
 def _pow_abs(buf: np.ndarray, e: float) -> np.ndarray:

@@ -29,8 +29,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import SamplerExhaustedError
-from .modulus import (ModulusCurve, curve_violated, curve_violations,
-                      delta_from_constraint, lp_delta)
+from .modulus import (ModulusCurve, _check_eps, curve_violated,
+                      curve_violations, delta_from_constraint, lp_delta)
 from .spaces import (SpaceSpec, as_vector, batch_norm, duality_map,
                      row_blocks, unit_batch)
 
@@ -251,14 +251,13 @@ def check_remark45(space: SpaceSpec, eps: float, trials: int, k: int,
     proof, so a reproducible violation here would be a finding to surface,
     not a sampler bug.
     """
-    if k < 1:
-        raise ValueError(f"contraction rank k must be >= 1, got {k}")
     return _sample("remark45", space, eps, trials, rng_seed, k)
 
 
 def _sample(statement: str, space: SpaceSpec, eps: float, trials: int,
             rng_seed, k: int = 1) -> VerificationReport:
-    """The one sampler driver: ``trials`` kept trials of one cell."""
+    """The one sampler driver: ``trials`` >= 1 kept trials of one cell."""
+    _check_counts(trials, k)
     st = SAMPLERS[statement]
     delta = st.delta(space, eps)
     rng = np.random.default_rng(rng_seed)
@@ -326,10 +325,10 @@ def run_grid(statement: str, ps, ds, eps_values, kept_total: int, rng_seed,
 
     The kept-trial total is spread evenly over the cells (rounded up);
     per-cell seeds are split deterministically from ``rng_seed``, so the
-    report list is reproducible byte for byte.  All cell spaces are built
-    before the first cell runs, so a bad ``p`` or ``d`` fails up front.
-    Each cell runs through the module's ``check_<statement>`` name, looked
-    up at call time.
+    report list is reproducible byte for byte.  All cell spaces, every eps,
+    the per-cell quota and ``k`` are checked before the first cell runs, so
+    a bad flag fails up front.  Each cell runs through the module's
+    ``check_<statement>`` name, looked up at call time.
     """
     rank = (k,) if _sampler(statement).ranked else ()
     check = globals()[f"check_{statement}"]
@@ -337,7 +336,10 @@ def run_grid(statement: str, ps, ds, eps_values, kept_total: int, rng_seed,
              for p, d, eps in itertools.product(ps, ds, eps_values)]
     if not cells:
         raise ValueError("empty verification grid")
-    quota = max(1, math.ceil(kept_total / len(cells)))
+    for eps in eps_values:
+        _check_eps(eps)
+    quota = math.ceil(kept_total / len(cells))  # >= 1 iff kept_total >= 1
+    _check_counts(quota, k)
     seeds = np.random.SeedSequence(rng_seed).spawn(len(cells))
     return [check(space, eps, quota, *rank, seed)
             for (space, eps), seed in zip(cells, seeds)]
@@ -353,6 +355,13 @@ def _sampler(statement: str) -> _Sampler:
         return SAMPLERS[statement]
     except KeyError:
         raise ValueError(f"unknown sampler statement {statement!r}") from None
+
+
+def _check_counts(trials: int, k: int) -> None:
+    """Reject a kept-trial count or a contraction rank below 1."""
+    if trials < 1 or k < 1:
+        raise ValueError(f"trials and contraction rank k must be >= 1, "
+                         f"got trials={trials}, k={k}")
 
 
 def _near_unit_pairs(space: SpaceSpec, rng: np.random.Generator, n: int,

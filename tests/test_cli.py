@@ -168,6 +168,18 @@ def test_extract_baseline_constant(capsys):
     assert "pair_min=1 " in stdout
 
 
+def test_extract_baseline_writes_its_result_file(tmp_path, capsys):
+    out = tmp_path / "baseline.json"
+    code, stdout, err = run(capsys, "extract", "--mode", "baseline", "--p",
+                            "2", "--d", "8", "--seq-kind", "constant", "--n",
+                            "5", "--tau", "0.01", "--out", str(out))
+    assert code == 0, err
+    assert stdout.endswith(f"wrote result to {out}\n")
+    assert json.loads(out.read_text()) == {
+        "selected": [0, 1, 2, 3, 4], "window": [1.0, 1.01],
+        "pair_min": 1.0, "guaranteed": 0.99}
+
+
 def test_extract_insufficient_cluster_exit_3(tmp_path, capsys):
     # spread functional values: windows hold one point each
     seq_file = tmp_path / "seq.csv"
@@ -180,6 +192,16 @@ def test_extract_insufficient_cluster_exit_3(tmp_path, capsys):
                        "--seq-file", str(seq_file))
     assert code == 3
     assert "minimum N for guaranteed success" in err
+
+
+def test_extract_ragged_csv_is_dimension_error_exit_2(tmp_path, capsys):
+    seq_file = tmp_path / "ragged.csv"
+    seq_file.write_text("1,0\n0,1,0\n")
+    code, stdout, err = run(capsys, "extract", "--p", "2", "--d", "2",
+                            "--seq-kind", "csv", "--seq-file", str(seq_file))
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: ragged or non-numeric rows\n"
 
 
 def test_extract_csv_requires_file(capsys):
@@ -286,6 +308,29 @@ def test_verify_non_integer_dimension_exit_2_before_any_cell(
     assert stdout == ""
     assert err.startswith("error: dimension d must be a positive integer")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ("--statement", "lemma23", "--k", "0"),
+    ("--statement", "lemma23", "--trials", "-3"),
+    ("--statement", "all", "--p", "1.5,2,3", "--d", "2,8", "--trials",
+     "50000", "--eps", "1", "--k", "0"),
+    ("--statement", "all", "--p", "1.5,2,3", "--d", "2,8", "--trials",
+     "50000", "--eps", "1,3"),
+], ids=["k0", "negative-trials", "all-k0", "all-eps3"])
+def test_verify_bad_counts_and_eps_exit_2_before_any_cell(
+        capsys, monkeypatch, flags):
+    import uconvex.verify
+
+    calls = []
+    for name in uconvex.verify.SAMPLERS:
+        monkeypatch.setattr(uconvex.verify, f"check_{name}",
+                            lambda *args: calls.append(args))
+    code, stdout, err = run(capsys, "verify", *flags)
+    assert code == 2
+    assert calls == []
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_modulus_empirical_dimension_one_exit_2(capsys):

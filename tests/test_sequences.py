@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from uconvex import sequences
 from uconvex.errors import (CapacityError, CertificateError,
-                            InsufficientClusterError, PreconditionError)
+                            DimensionMismatchError, InsufficientClusterError,
+                            PreconditionError)
 from uconvex.modulus import lp_delta
 from uconvex.sequences import (baseline_extract, certify, pair_enumeration,
                                ramsey_extract, riesz_seed, separation,
                                shifted_basis_seed, theorem1_extract,
                                theorem3_construct, unit_basis_seed,
                                vectors_to_csv)
-from uconvex.spaces import SpaceSpec, batch_norm, normalize, pair_norms
+from uconvex.search import EvalBudget, maximize_min_distance
+from uconvex.spaces import (SpaceSpec, batch_norm, normalize, pair_norms,
+                            unit_batch)
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -181,12 +184,14 @@ def test_theorem1_rejects_non_unit_x():
         theorem1_extract(space, seq, seq[0] * 1.1, eps=SQRT2)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_sequences_are_rejected(bad):
     space = SpaceSpec(p=2, d=4)
     seq = np.eye(4)
     seq[2] = bad
     e0 = np.eye(4)[0]
+    with pytest.raises(PreconditionError, match="non-finite"):
+        sequences._finite_rows(space, seq.tolist())
     with pytest.raises(PreconditionError, match="non-finite"):
         theorem1_extract(space, seq, e0, eps=1.0)
     with pytest.raises(PreconditionError, match="non-finite"):
@@ -494,3 +499,105 @@ def test_vectors_csv_roundtrip(tmp_path):
     rows = [[float(t) for t in line.split(",")]
             for line in path.read_text().splitlines()]
     assert np.array_equal(np.asarray(rows), np.asarray(vecs))
+
+
+# ----------------------------- vector families as (n, d) arrays -----------------------------
+
+def _same_rows(a, rows):
+    """``a`` is an (n, d) float64 array holding exactly the given rows."""
+    want = np.asarray(rows, dtype=float).reshape(len(rows), -1)
+    return (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.shape == want.shape
+            and np.array_equal(a.view(np.int64), want.view(np.int64)))
+
+
+def _old_shifted_rows(space, n):
+    """The shifted-basis seed as the per-row loop used to build it."""
+    scale = 2.0 ** (1.0 / space.p)
+    out = []
+    for k in range(1, n + 1):
+        v = np.zeros(space.d)
+        v[0] = 1.0 / scale
+        v[k] = 1.0 / scale
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 7.0])
+def test_fixed_seeds_are_float_arrays_of_the_old_rows(p):
+    space = SpaceSpec(p=p, d=9)
+    for n in (1, 6, 9):
+        assert _same_rows(unit_basis_seed(space, n), list(np.eye(n, 9)))
+    for n in (1, 5, 8):
+        assert _same_rows(shifted_basis_seed(space, n),
+                          _old_shifted_rows(space, n))
+
+
+def test_riesz_seed_is_a_float_array_of_the_old_rows():
+    space, n, eta, budget, seed = SpaceSpec(p=3, d=5), 5, 0.01, 3000, 7
+    vectors, cert = riesz_seed(space, n, eta, budget, seed)
+    # the list-of-rows loop the seed used to run, on the same draws
+    rng = np.random.default_rng(seed)
+    rows = [unit_batch(space, rng, 1)[0]]
+    for _ in range(n - 1):
+        cand, min_dist = maximize_min_distance(
+            space, np.asarray(rows), rng, EvalBudget(max(1, budget // (n - 1))))
+        if min_dist < 1.0 - eta:
+            break
+        rows.append(cand)
+    assert _same_rows(vectors, rows)
+    assert cert.indices == tuple(range(len(rows)))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_theorem3_outputs_are_float_arrays_of_the_old_rows(p):
+    space = SpaceSpec(p=p, d=12)
+    split = 1.0 + 0.5 * lp_delta(p, 2.0 / 3.0)
+    basis = unit_basis_seed(space, 12)
+    high = theorem3_construct(space, basis, max_len=5)
+    extracted, _ = ramsey_extract(pair_norms(space, basis), split)
+    assert high.branch == "high"
+    assert _same_rows(high.output, [basis[i] for i in extracted][:5])
+
+    seed = shifted_basis_seed(space, 11)
+    low = theorem3_construct(space, seed, max_len=12)
+    extracted, _ = ramsey_extract(pair_norms(space, seed), split)
+    xi = [seed[i] for i in extracted]
+    rows = [(xi[s.pair[0]] - xi[s.pair[1]]) / s.y_norm
+            for s in low.steps if s.accepted]
+    assert low.branch == "low" and len(rows) >= 2
+    assert _same_rows(low.output, rows)
+    assert low.to_json_dict()["output"] == [[float(c) for c in v]
+                                           for v in rows]
+
+
+@pytest.mark.parametrize("seq", [
+    np.ones((3, 5)),                        # wrong width
+    [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0]],  # ragged
+    [np.ones(4), np.ones(3)],               # ragged rows of arrays
+    np.ones(4),                             # one flat vector
+    np.ones((2, 4, 1)),                     # rows that are not vectors
+], ids=["width", "ragged", "ragged-arrays", "flat", "3d"])
+def test_finite_rows_rejects_shapes_with_dimension_mismatch(seq):
+    space = SpaceSpec(p=2, d=4)
+    with pytest.raises(DimensionMismatchError):
+        sequences._finite_rows(space, seq)
+    with pytest.raises(DimensionMismatchError):
+        separation(space, seq)
+
+
+def test_finite_rows_takes_integer_rows_and_keeps_the_empty_error():
+    space = SpaceSpec(p=2, d=3)
+    rows = sequences._finite_rows(space, [[1, 0, 0], [0, 2, 0]])
+    assert _same_rows(rows, [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    empty = sequences._finite_rows(space, [])
+    assert empty.shape == (0, 3) and empty.dtype == np.float64
+    with pytest.raises(PreconditionError,
+                       match="separation needs at least 2 vectors"):
+        separation(space, [])
+    # no window holds 2 of 0 values, as of 1 value (was a numpy ValueError)
+    with pytest.raises(InsufficientClusterError):
+        baseline_extract(space, [], np.eye(3)[0], tau=0.1)
+    with pytest.raises(PreconditionError,
+                       match="separation needs at least 2 vectors"):
+        theorem3_construct(space, [], max_len=2)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from uconvex.errors import (DimensionMismatchError, PreconditionError,
                             ZeroVectorError)
 from uconvex.sequences import shifted_basis_seed
-from uconvex.spaces import (SpaceSpec, _pow_abs, batch_norm, duality_map,
-                            norm, norming_functional, normalize, pair_norms,
-                            unit_batch)
+from uconvex.spaces import (SpaceSpec, _pow_abs, _power_sums, _row_norms,
+                            batch_norm, duality_map, norm, norming_functional,
+                            normalize, pair_norms, unit_batch)
 
 ATOL = 1e-12
 
@@ -426,3 +426,67 @@ def test_p2_pair_norms_equal_abs_first_bit_for_bit(case):
     assert _same_bits(shifted, want_shifted)
     if case == "huge":
         assert np.isinf(plain).any() and np.isinf(shifted).any()
+
+
+# ----------------------------- one p-th-power kernel -----------------------------
+# The three reductions that computed sum |a_i|^p before there was one kernel.
+
+def _old_vector_sum(space, v):
+    return np.add.reduce(_pow_abs(np.abs(v), space.p))
+
+
+def _old_row_sums(space, rows):
+    return np.add.reduce(_pow_abs(np.abs(rows), space.p), axis=-1)
+
+
+def _old_array_sums(space, a):
+    if space.p == 2.0:
+        powers = np.square(a, dtype=float)
+    else:
+        powers = _pow_abs(np.abs(a, dtype=float), space.p)
+    return np.sum(powers, axis=-1)
+
+
+def _kernel_inputs():
+    rng = np.random.default_rng(33)
+    signed = rng.standard_normal((40, 9))
+    signed[rng.random(signed.shape) < 0.3] = 0.0
+    signed[rng.random(signed.shape) < 0.2] = -0.0
+    signed[4] = -0.0
+    huge = signed * 1e300  # overflows to inf at every p tested
+    huge[0, 0] = -1.7e308
+    huge[1] = signed[1]
+    sparse = np.zeros((40, 9))
+    sparse[np.arange(40), np.arange(40) % 9] = rng.standard_normal(40)
+    return {"signed": signed, "huge": huge, "sparse": sparse,
+            "ints": rng.integers(-5, 6, (30, 9))}
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 7.0])
+@pytest.mark.parametrize("case", sorted(_kernel_inputs()))
+def test_power_sums_equal_each_old_reduction_bit_for_bit(p, case):
+    a = _kernel_inputs()[case]
+    f = a.astype(float)
+    space = SpaceSpec(p=p, d=9)
+    with np.errstate(over="ignore"):
+        got = _power_sums(space, a)
+        assert _same_bits(got, _old_array_sums(space, a))
+        assert _same_bits(got, _old_row_sums(space, f))
+        for i, v in enumerate(f):
+            assert got[i] == _old_vector_sum(space, v)
+        # the roots the norms take of it
+        assert _same_bits(batch_norm(space, a), got ** (1.0 / p))
+        assert _row_norms(space, f).tolist() == [
+            float(_old_vector_sum(space, v) ** (1.0 / p)) for v in f]
+    assert _same_bits(np.asarray(a), _kernel_inputs()[case])
+    if case == "huge":
+        assert np.isinf(got).any() and np.isfinite(got).any()
+
+
+def test_power_sums_writes_powers_to_out():
+    space = SpaceSpec(p=3.0, d=4)
+    a = np.array([[1.0, -2.0, 0.0, -0.0], [0.5, 0.0, 3.0, -1.0]])
+    buf = a.copy()
+    got = _power_sums(space, buf, out=buf)
+    assert _same_bits(buf, np.abs(a) ** 3.0)
+    assert _same_bits(got, np.sum(np.abs(a) ** 3.0, axis=-1))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from uconvex import modulus
+from uconvex import modulus, verify
 from uconvex.errors import CertificateError
 from uconvex.modulus import (ModulusCurve, ModulusPoint, build_curve,
                              delta_from_constraint, lp_delta)
@@ -223,3 +223,41 @@ def test_report_json_dict_is_json_serializable():
     assert json.loads(payload)["p"] is None
     rep2 = check_lemma23(SpaceSpec(p=2, d=2), 1.0, trials=50, rng_seed=0)
     assert json.loads(json.dumps(rep2.to_json_dict()))["p"] == 2.0
+
+
+# ----------------------------- counts and flags checked up front -----------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda sp: check_lemma23(sp, 1.0, 0, 0),
+    lambda sp: check_thm2_condition3(sp, 1.0, -1, 0),
+    lambda sp: check_remark45(sp, 1.0, -5, 2, 0),
+    lambda sp: check_remark45(sp, 1.0, 10, 0, 0),
+], ids=["lemma23-0", "thm2-negative", "remark45-negative", "remark45-k0"])
+def test_sampler_cell_rejects_no_trials_before_drawing(monkeypatch, call):
+    draws = []
+    monkeypatch.setattr(verify, "unit_batch",
+                        lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match=">= 1"):
+        call(SpaceSpec(p=2, d=4))
+    assert draws == []
+
+
+@pytest.mark.parametrize("statement, kwargs", [
+    ("lemma23", {"kept_total": 0}),
+    ("lemma23", {"kept_total": -100}),
+    ("lemma23", {"eps_values": [1.0, 3.0]}),
+    ("thm2_condition3", {"eps_values": [0.0]}),
+    ("lemma23", {"k": 0}),
+    ("remark45", {"k": 0}),
+])
+def test_run_grid_rejects_bad_arguments_before_any_cell(monkeypatch,
+                                                        statement, kwargs):
+    calls = []
+    for name in verify.SAMPLERS:
+        monkeypatch.setattr(verify, f"check_{name}",
+                            lambda *args: calls.append(args))
+    grid = {"eps_values": GRID_EPS, "kept_total": 1800, **kwargs}
+    with pytest.raises(ValueError):
+        run_grid(statement, GRID_P, GRID_D, grid.pop("eps_values"),
+                 rng_seed=0, **grid)
+    assert calls == []
