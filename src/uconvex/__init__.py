@@ -18,20 +18,20 @@ __version__ = "0.1.0"
 # Submodule of each public name.
 _EXPORTS = {
     **dict.fromkeys(
-        ("BisectionError", "CapacityError", "CertificateError",
-         "DimensionMismatchError", "InsufficientClusterError",
-         "PreconditionError", "SamplerExhaustedError", "UconvexError",
-         "ZeroVectorError"), "errors"),
+        ("CapacityError", "CertificateError", "DimensionMismatchError",
+         "InsufficientClusterError", "PreconditionError",
+         "SamplerExhaustedError", "UconvexError", "ZeroVectorError"),
+        "errors"),
     **dict.fromkeys(
-        ("ModulusCurve", "ModulusPoint", "TheoremBounds", "build_curve",
-         "clarkson_delta", "delta_from_constraint", "empirical_delta",
-         "hanner_delta", "lp_delta", "theorem_bounds"), "modulus"),
+        ("ModulusCurve", "ModulusPoint", "build_curve", "clarkson_delta",
+         "delta_from_constraint", "empirical_delta", "hanner_delta",
+         "lp_delta"), "modulus"),
     **dict.fromkeys(
         ("BaselineResult", "ConstructionTrace", "ExtractionResult",
          "SeparationCertificate", "TraceStep", "baseline_extract", "certify",
-         "pair_enumeration", "ramsey_extract", "riesz_seed", "separation",
-         "shifted_basis_seed", "theorem1_extract", "theorem3_construct",
-         "unit_basis_seed"), "sequences"),
+         "ramsey_extract", "riesz_seed", "separation", "shifted_basis_seed",
+         "theorem1_extract", "theorem3_construct", "unit_basis_seed"),
+        "sequences"),
     **dict.fromkeys(
         ("SpaceSpec", "as_vector", "norm", "norming_functional",
          "normalize"), "spaces"),

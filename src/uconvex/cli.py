@@ -7,9 +7,10 @@ seed produce byte-identical output files; nothing time- or host-dependent
 is ever written.
 
 Exit codes: 0 success, 1 verification/certificate failure, 2 configuration
-error (including a sampler cell whose hypotheses it cannot satisfy), 3
-data-dependent non-failure (insufficient cluster, exhausted
-construction).
+error (including a sampler cell whose hypotheses it cannot satisfy, and a
+file that cannot be read or written), 3 data-dependent non-failure
+(insufficient cluster, exhausted construction).  Every JSON file and JSON
+stdout goes through one writer, :func:`_json_text`.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return ns.func(ns)
-    except (ValueError, SamplerExhaustedError) as exc:
+    except (ValueError, OSError, SamplerExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InsufficientClusterError as exc:
@@ -88,6 +89,10 @@ def parse_values(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _resolve_seed(ns) -> int:
     if ns.seed is not None:
         return ns.seed
@@ -110,14 +115,14 @@ def _cmd_modulus(ns) -> int:
         if ns.format == "csv":
             curve.to_csv(ns.out)
         else:
-            curve.to_json(ns.out)
+            Path(ns.out).write_text(_json_text(curve.to_json_dict()))
         print(f"wrote {len(curve.points)} points to {ns.out}")
     else:
         if ns.format == "csv":
             for pt in curve.points:
                 print(f"{pt.eps:.17g},{pt.delta:.17g},{pt.method}")
         else:
-            print(json.dumps(curve.to_json_dict(), indent=2, sort_keys=True))
+            sys.stdout.write(_json_text(curve.to_json_dict()))
     return EXIT_OK
 
 
@@ -156,7 +161,7 @@ def _cmd_construct(ns) -> int:
     print(f"separation constant: {cert.min_pairwise:.17g}")
     print(f"target 1 + delta(2/3)/2: {cert.threshold:.17g}")
     if ns.out:
-        trace.to_json(ns.out)
+        Path(ns.out).write_text(_json_text(trace.to_json_dict()))
         print(f"wrote trace to {ns.out}")
     if ns.vectors_out:
         sequences.vectors_to_csv(ns.vectors_out, trace.output)
@@ -192,8 +197,7 @@ def _cmd_extract(ns) -> int:
     print(f"selected {len(result.selected)} indices, "
           f"pair_min={result.pair_min:.17g} >= {result.guaranteed:.17g}")
     if ns.out:
-        Path(ns.out).write_text(
-            json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        Path(ns.out).write_text(_json_text(result.to_json_dict()))
         print(f"wrote result to {ns.out}")
     return EXIT_OK
 
@@ -224,7 +228,8 @@ def _cmd_verify(ns) -> int:
     for rep in reports:
         print(verify.summary_line(rep))
     if ns.out:
-        verify.reports_to_json(ns.out, reports)
+        Path(ns.out).write_text(
+            _json_text([rep.to_json_dict() for rep in reports]))
         print(f"wrote reports to {ns.out}")
     if any(rep.violations for rep in reports):
         return EXIT_FAILURE

@@ -21,14 +21,6 @@ class PreconditionError(UconvexError, ValueError):
     """An operation's stated precondition does not hold for the input."""
 
 
-class BisectionError(UconvexError, RuntimeError):
-    """Root bracketing or residual control failed; carries diagnostics."""
-
-    def __init__(self, message, **diagnostics):
-        super().__init__(message)
-        self.diagnostics = diagnostics
-
-
 class InsufficientClusterError(UconvexError, RuntimeError):
     """No window of functional values contains at least two indices.
 

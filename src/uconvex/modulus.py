@@ -7,8 +7,7 @@ Three routes to ``delta(eps) = inf { 1 - ||x+y||/2 : x, y unit, ||x-y|| >= eps }
 * ``empirical_delta`` -- randomized adversarial minimization in a concrete
   finite-dimensional space, returning a witness pair.
 
-Plus the delta-from-constraint solver used by the verification module and
-the headline separation bounds.
+Plus the delta-from-constraint solver used by the verification module.
 """
 
 from __future__ import annotations
@@ -21,18 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (BisectionError, CertificateError, PreconditionError,
-                     ZeroVectorError)
+from .errors import CertificateError, PreconditionError, ZeroVectorError
 from .search import EvalBudget, refine, sample_feasible_pairs
 from .spaces import (SpaceSpec, _row_norms, batch_norm, norm, row_blocks,
                      unit_batch)
 
 METHODS = ("clarkson", "hanner", "empirical")
 
-# Bisection targets: absolute tolerance on delta, residual bound on the
-# implicit equation at the returned root.
+# Bisection target: absolute tolerance on the implicit equation's delta.
 HANNER_TOL = 1e-13
-HANNER_RESIDUAL = 1e-10
 
 # Feasibility slack for empirical witnesses.
 WITNESS_TOL = 1e-9
@@ -95,10 +91,6 @@ class ModulusCurve:
                 writer.writerow([f"{pt.eps:.17g}", f"{pt.delta:.17g}",
                                  pt.method, wx, wy])
 
-    def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2,
-                                         sort_keys=True) + "\n")
-
     def to_json_dict(self) -> dict:
         rows = []
         for pt in self.points:
@@ -122,17 +114,9 @@ class ModulusCurve:
     @classmethod
     def from_json(cls, path) -> "ModulusCurve":
         data = json.loads(Path(path).read_text())
-        points = tuple(_point_from_fields(row) for row in data["points"])
-        return cls(space=data["space"], points=points)
-
-
-@dataclass(frozen=True)
-class TheoremBounds:
-    """Separation bounds implied by a space's modulus at a given eps."""
-
-    thm1_bound: float         # 1 + delta(2/3 * eps)
-    elton_odell_bound: float  # 1 + delta(2/3) / 2
-    remark45_delta: float     # delta(4/5 * eps) / 2
+        points = tuple(_point_from_fields(row)
+                       for row in _field(data, "points", tuple))
+        return cls(space=_field(data, "space", str), points=points)
 
 
 def clarkson_delta(p: float, eps: float) -> float:
@@ -150,8 +134,9 @@ def hanner_delta(p: float, eps: float) -> float:
     Solves ``|1 - d + eps/2|^p + |1 - d - eps/2|^p = 2`` for d in [0, 1]
     by bisection.  The left side decreases strictly in d on [0, 1), from
     >= 2 (convexity) to ``2(eps/2)^p <= 2``, so [0, 1] always brackets the
-    root; it is located to an absolute tolerance of 1e-13 and its residual
-    is verified <= 1e-10.
+    root; it is located to an absolute tolerance of 1e-13.  The residual
+    is then bounded by construction: the left side's slope is at most
+    ``2p 2^(p-1) <= 8`` on [0, 1], so it stays below about 1e-12.
     """
     if not 1.0 < p <= 2.0:
         raise ValueError(f"hanner_delta needs 1 < p <= 2, got {p!r};"
@@ -162,30 +147,31 @@ def hanner_delta(p: float, eps: float) -> float:
         return (abs(1.0 - d + eps / 2.0) ** p
                 + abs(1.0 - d - eps / 2.0) ** p - 2.0)
 
-    lo, hi = 0.0, 1.0
-    # exact endpoint roots: f(1) = 0 at eps = 2, and f(0) rounds to 0 when
-    # the quadratic term underflows for eps near 0
-    if residual(hi) >= 0.0:
+    # exact endpoint roots: f(0) rounds to 0 when the quadratic term
+    # underflows for eps near 0, and f(1) = 0 at eps = 2
+    if residual(0.0) <= 0.0:
+        return 0.0
+    return _bisect(residual, 0.0, 1.0, HANNER_TOL)
+
+
+def _bisect(f, lo: float, hi: float, tol: float) -> float:
+    """Root of a decreasing ``f`` with ``f(lo) > 0``, bisected in [lo, hi].
+
+    Returns ``hi`` when ``f(hi) >= 0``, a midpoint where ``f`` is exactly 0,
+    and otherwise the midpoint of the first bracket narrower than ``tol``.
+    """
+    if f(hi) >= 0.0:
         return hi
-    if residual(lo) <= 0.0:
-        return lo
-    while hi - lo > HANNER_TOL:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        f_mid = residual(mid)
+        f_mid = f(mid)
         if f_mid == 0.0:
-            lo = hi = mid
-            break
+            return mid
         if f_mid > 0.0:
             lo = mid
         else:
             hi = mid
-    root = 0.5 * (lo + hi)
-    res = residual(root)
-    if abs(res) > HANNER_RESIDUAL:
-        raise BisectionError(
-            "residual at returned root exceeds tolerance",
-            p=p, eps=eps, root=root, residual=res)
-    return root
+    return 0.5 * (lo + hi)
 
 
 def lp_delta(p: float, eps: float) -> float:
@@ -403,29 +389,9 @@ def delta_from_constraint(curve_eval, eps: float, factor: float) -> float:
     def g(d: float) -> float:
         return factor * curve_eval(eps - d) - d
 
-    lo = 0.0
-    hi = eps * (1.0 - 1e-12)
-    if g(lo) <= 0.0:
+    if g(0.0) <= 0.0:
         raise PreconditionError("curve vanishes at eps; no positive delta exists")
-    if g(hi) >= 0.0:
-        return hi
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def theorem_bounds(p: float, eps: float) -> TheoremBounds:
-    """Separation bounds for l^p at ``eps``, composed from ``lp_delta``."""
-    _check_eps(eps)
-    return TheoremBounds(
-        thm1_bound=1.0 + lp_delta(p, 2.0 * eps / 3.0),
-        elton_odell_bound=1.0 + 0.5 * lp_delta(p, 2.0 / 3.0),
-        remark45_delta=0.5 * lp_delta(p, 4.0 * eps / 5.0),
-    )
+    return _bisect(g, 0.0, eps * (1.0 - 1e-12), 1e-10)
 
 
 def build_curve(p: float, eps_values, method: str, *, d: int | None = None,
@@ -441,6 +407,8 @@ def build_curve(p: float, eps_values, method: str, *, d: int | None = None,
     if method == "empirical" and d is None:
         raise ValueError("empirical curves need the dimension d (--d)")
     eps_values = [float(e) for e in eps_values]
+    if not eps_values:
+        raise ValueError("empty eps grid")
     for e in eps_values:
         _check_eps(e)
     if method == "clarkson":
@@ -511,14 +479,27 @@ def _vec_str(v: np.ndarray) -> str:
 
 
 def _vec_from_str(s: str) -> np.ndarray:
-    return np.array([float(tok) for tok in s.split(";")], dtype=float)
+    return np.array([float(tok) for tok in str(s).split(";")], dtype=float)
 
 
-def _point_from_fields(row: dict) -> ModulusPoint:
+def _field(record, name: str, kind):
+    """``kind(record[name])`` of a curve file record.
+
+    A missing or malformed field raises ``PreconditionError`` naming it.
+    """
+    try:
+        return kind(record[name])
+    except (KeyError, TypeError, ValueError):
+        raise PreconditionError(
+            f"curve file has no valid {name!r} field") from None
+
+
+def _point_from_fields(row) -> ModulusPoint:
+    eps, delta = _field(row, "eps", float), _field(row, "delta", float)
+    method = _field(row, "method", str)
     wx = row.get("witness_x") or None
     wy = row.get("witness_y") or None
     witness = None
     if wx and wy:
         witness = (_vec_from_str(wx), _vec_from_str(wy))
-    return ModulusPoint(eps=float(row["eps"]), delta=float(row["delta"]),
-                        method=row["method"], witness=witness)
+    return ModulusPoint(eps=eps, delta=delta, method=method, witness=witness)

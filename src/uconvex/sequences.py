@@ -13,10 +13,8 @@ into a finite certified computation:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +97,7 @@ class ExtractionResult:
 class TraceStep:
     """One evaluated candidate pair in the greedy construction."""
 
-    candidate_index: int          # position in the pair enumeration
+    candidate_index: int          # position in the order of _open_pairs
     pair: tuple[int, int]
     y_norm: float
     min_dist_to_prior: float | None
@@ -134,10 +132,6 @@ class ConstructionTrace:
             "output": self.output.tolist(),
             "final_certificate": self.final_certificate.to_json_dict(),
         }
-
-    def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2,
-                                         sort_keys=True) + "\n")
 
 
 def separation(space: SpaceSpec, seq) -> float:
@@ -220,8 +214,8 @@ def baseline_extract(space: SpaceSpec, seq, x, tau: float) -> BaselineResult:
     ``||x - (v_i - v_j)|| >= 1 - tau`` because the pair value dominates its
     pairing with the unit functional.
     """
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must lie in (0, inf), got {tau}")
     x = _require_unit(space, x)
     _, selected, window, pair_min = _certified_cluster(
         space, _finite_rows(space, seq), x, tau, 1.0 - tau)
@@ -310,25 +304,6 @@ def ramsey_extract(values, split: float) -> tuple[list[int], str]:
     return sorted(selected), branch
 
 
-def pair_enumeration(n: int) -> tuple[int, int]:
-    """Diagonal-sweep bijection onto ordered off-diagonal pairs.
-
-    Order: (0,1),(1,0),(0,2),(2,0),(1,2),(2,1),(0,3),...  Position ``n``
-    lands in block ``s`` (all pairs whose larger index is ``s``), which
-    starts at position ``s*(s-1)``.
-    """
-    if n < 0:
-        raise ValueError(f"enumeration position must be >= 0, got {n}")
-    s = (1 + isqrt(1 + 4 * n)) // 2
-    while s * (s - 1) > n:
-        s -= 1
-    while s * (s + 1) <= n:
-        s += 1
-    r = n - s * (s - 1)
-    t = r // 2
-    return (t, s) if r % 2 == 0 else (s, t)
-
-
 def theorem3_construct(space: SpaceSpec, seed, max_len: int,
                        seed_description: str = "") -> ConstructionTrace:
     """Ramsey dichotomy plus greedy normalized differences.
@@ -338,11 +313,12 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
     builds for the Ramsey extraction.  If the extracted monochromatic class
     sits in the high branch the seed subsequence itself is the output.  In
     the low branch, candidate differences ``y = xi_a - xi_b`` are
-    enumerated by :func:`pair_enumeration`, skipping pairs touching indices
-    already consumed by an accepted candidate; a candidate is accepted when
-    it keeps distance ``1 + delta1`` to all prior outputs, and its
-    normalization then stays ``1 + delta1/2``-separated, which the final
-    :func:`certify` of the whole output asserts.
+    enumerated in the diagonal-sweep order of :func:`_open_pairs`, skipping
+    pairs touching indices already consumed by an accepted candidate; a
+    candidate is accepted when it keeps distance ``1 + delta1`` to all
+    prior outputs, and its normalization then stays
+    ``1 + delta1/2``-separated, which the final :func:`certify` of the
+    whole output asserts.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -411,11 +387,13 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
 def _open_pairs(k: int, consumed: set[int]):
     """Pairs of ``k`` indices avoiding ``consumed``, as ``(position, pair)``.
 
-    Positions and order are those of :func:`pair_enumeration`.
-    ``consumed`` is read again after each yield, so the caller may grow it
-    in between.  Block ``s`` holds ``(t, s)`` at position ``s(s-1) + 2t``
-    and ``(s, t)`` right after it; a consumed ``s`` skips the rest of its
-    block at once instead of enumerating it.
+    The order is the diagonal sweep over ordered pairs of distinct
+    indices, (0,1),(1,0),(0,2),(2,0),(1,2),(2,1),(0,3),...: block ``s``
+    holds the pairs whose larger index is ``s``, starts at position
+    ``s(s-1)``, and holds ``(t, s)`` at position ``s(s-1) + 2t`` and
+    ``(s, t)`` right after it.  ``consumed`` is read again after each
+    yield, so the caller may grow it in between; a consumed ``s`` skips
+    the rest of its block at once instead of enumerating it.
     """
     for s in range(1, k):
         base = s * (s - 1)

@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError, ZeroVectorError
 
-# Default absolute tolerance for algebraic identities (norming, normalizing).
-ATOL = 1e-12
-
 # Exponents that numpy's ``**`` maps to sqrt, a copy or square; they cost
 # the same on zeros as on anything else.
 _FAST_EXPONENTS = (0.5, 1.0, 2.0)
@@ -118,7 +115,7 @@ def norming_functional(space: SpaceSpec, x: Vec) -> Vec:
 
     Closed form in l^p: ``f_i = sign(x_i) |x_i|^(p-1) / ||x||^(p-1)`` with
     the convention sign(0) = 0.  The result has dual q-norm exactly 1 and
-    pairs with ``x`` to ``||x||``, both within :data:`ATOL`.
+    pairs with ``x`` to ``||x||``, both within 1e-12.
     """
     x = as_vector(space, x)
     n = norm(space, x)

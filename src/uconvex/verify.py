@@ -20,10 +20,8 @@ earlier draw would shift the ones after it.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -343,11 +341,6 @@ def run_grid(statement: str, ps, ds, eps_values, kept_total: int, rng_seed,
     seeds = np.random.SeedSequence(rng_seed).spawn(len(cells))
     return [check(space, eps, quota, *rank, seed)
             for (space, eps), seed in zip(cells, seeds)]
-
-
-def reports_to_json(path, reports) -> None:
-    payload = [rep.to_json_dict() for rep in reports]
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _sampler(statement: str) -> _Sampler:

@@ -373,3 +373,82 @@ def test_verify_missing_curve_file(capsys):
 def test_usage_error_exit_2(capsys):
     assert main(["modulus"]) == 2          # missing required flags
     assert main(["not-a-command"]) == 2
+
+
+# ----------------------------- file and flag errors -----------------------------
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+# each case: argv built from the scratch directory, and a part of the one
+# error line
+FILE_ERRORS = {
+    "missing-curve-file": (lambda d: [
+        "verify", "--statement", "modulus-props",
+        "--curve-file", str(d / "missing.csv")], "No such file"),
+    "missing-seq-file": (lambda d: [
+        "extract", "--p", "2", "--d", "2", "--seq-kind", "csv",
+        "--seq-file", str(d / "missing.csv")], "No such file"),
+    "csv-without-eps": (lambda d: [
+        "verify", "--statement", "modulus-props",
+        "--curve-file", _write(d / "ab.csv", "a,b\n1,2\n")], "'eps'"),
+    "json-without-points": (lambda d: [
+        "verify", "--statement", "modulus-props",
+        "--curve-file", _write(d / "x.json", '{"x": 1}\n')], "'points'"),
+    "json-list": (lambda d: [
+        "verify", "--statement", "modulus-props",
+        "--curve-file", _write(d / "l.json", "[1, 2]\n")], "'points'"),
+    "modulus-out-dir-missing": (lambda d: [
+        "modulus", "--p", "2", "--method", "clarkson", "--eps", "1",
+        "--out", str(d / "missing" / "c.csv")], "No such file"),
+    "construct-out-dir-missing": (lambda d: [
+        "construct", "--p", "2", "--d", "8",
+        "--out", str(d / "missing" / "x.json")], "No such file"),
+}
+
+
+@pytest.mark.parametrize("case", FILE_ERRORS)
+def test_file_errors_exit_2_with_one_error_line(tmp_path, capsys, case):
+    argv, fragment = FILE_ERRORS[case]
+    code, _, err = run(capsys, *argv(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+@pytest.mark.parametrize("tau", ["inf", "nan"])
+def test_extract_baseline_non_finite_tau_exit_2(tmp_path, capsys, tau):
+    out = tmp_path / "baseline.json"
+    code, stdout, err = run(capsys, "extract", "--mode", "baseline", "--p",
+                            "2", "--d", "8", "--seq-kind", "constant", "--n",
+                            "5", "--tau", tau, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: tau must lie in (0, inf), got {float(tau)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_modulus_empty_eps_grid_exit_2(tmp_path, capsys, fmt):
+    out = tmp_path / f"curve.{fmt}"
+    for extra in ([], ["--out", str(out)]):
+        code, stdout, err = run(capsys, "modulus", "--p", "2", "--method",
+                                "clarkson", "--eps", ",", "--format", fmt,
+                                *extra)
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: empty eps grid\n"
+    assert not out.exists()
+
+
+def test_modulus_json_stdout_is_the_json_file(tmp_path, capsys):
+    out = tmp_path / "curve.json"
+    args = ("modulus", "--p", "1.5", "--method", "hanner", "--eps",
+            "0.5,1", "--format", "json")
+    code, stdout, _ = run(capsys, *args)
+    assert code == 0
+    assert run(capsys, *args, "--out", str(out))[0] == 0
+    assert stdout == out.read_text()
+    assert stdout.endswith("}\n") and not stdout.endswith("\n\n")

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from uconvex.cli import _json_text
 from uconvex.errors import CertificateError, PreconditionError
-from uconvex.modulus import (ModulusCurve, ModulusPoint, build_curve,
+from uconvex.modulus import (ModulusCurve, ModulusPoint, _bisect, build_curve,
                              clarkson_delta, delta_from_constraint,
                              empirical_delta, hanner_delta, lp_delta,
-                             theorem_bounds, validate_witness)
+                             validate_witness)
 from uconvex.spaces import SpaceSpec, norm
 
 # frozen oracle values; formulas evaluated at 40-digit precision, roots
@@ -21,8 +22,6 @@ CLARKSON_3_1 = 0.04353440861380542   # 1 - (7/8)^(1/3)
 HANNER_15_1 = 0.06712261032901637
 FIXEDPOINT_L2_EPS1_FULL = 0.10557280900008413   # 1 - 2/sqrt(5), exact
 FIXEDPOINT_L2_EPS1_HALF = 0.058823529411764705  # 1/17, exact
-ELTON_ODELL_L2 = 1.0285954792089682  # 1 + (1 - 2 sqrt(2)/3)/2
-THM1_L2_SQRT2 = 1.1180828963118032   # 1 + (1 - sqrt(7)/3)
 
 
 def hanner_oracle(p, eps):
@@ -165,14 +164,100 @@ def test_delta_from_constraint_rejects_non_monotone():
         delta_from_constraint(l2_curve, 1.0, 0.25)
 
 
-def test_theorem_bounds_frozen():
-    b = theorem_bounds(2.0, math.sqrt(2))
-    assert b.thm1_bound == pytest.approx(THM1_L2_SQRT2, abs=1e-12)
-    assert b.elton_odell_bound == pytest.approx(ELTON_ODELL_L2, abs=1e-12)
-    assert b.remark45_delta == pytest.approx(
-        0.5 * l2_curve(0.8 * math.sqrt(2)), abs=1e-12)
-    tiny = theorem_bounds(2.0, 1e-9)
-    assert tiny.thm1_bound == pytest.approx(1.0, abs=1e-9)
+# ----------------------------- one bisection -----------------------------
+
+def old_hanner_delta(p, eps):
+    """``hanner_delta``'s own bisection loop, before ``modulus._bisect``.
+
+    It also keeps the old residual check, which the grid below shows can
+    never fail.
+    """
+    def residual(d):
+        return (abs(1.0 - d + eps / 2.0) ** p
+                + abs(1.0 - d - eps / 2.0) ** p - 2.0)
+
+    lo, hi = 0.0, 1.0
+    if residual(hi) >= 0.0:
+        return hi
+    if residual(lo) <= 0.0:
+        return lo
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        f_mid = residual(mid)
+        if f_mid == 0.0:
+            lo = hi = mid
+            break
+        if f_mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    root = 0.5 * (lo + hi)
+    assert abs(residual(root)) <= 1e-10
+    return root
+
+
+def old_constraint_loop(curve_eval, eps, factor):
+    """``delta_from_constraint``'s own bisection loop, before ``_bisect``."""
+    def g(d):
+        return factor * curve_eval(eps - d) - d
+
+    lo = 0.0
+    hi = eps * (1.0 - 1e-12)
+    if g(lo) <= 0.0:
+        raise PreconditionError("curve vanishes at eps")
+    if g(hi) >= 0.0:
+        return hi
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# every delta the verify grid (eps in {0.5, 1, 1.9}) and theorem 3 use,
+# plus eps from 1e-9 to 2
+BISECTION_EPS = sorted({*np.geomspace(1e-9, 2.0, 24).tolist(), 2.0 / 3.0,
+                        *(2.0 * e / 3.0 for e in (0.5, 1.0, 1.9)),
+                        *(4.0 * e / 5.0 for e in (0.5, 1.0, 1.9))})
+
+
+@pytest.mark.parametrize("p", [1.0001, 1.001, 1.01, 1.999,
+                               *np.linspace(1.05, 2.0, 20).round(4)])
+def test_hanner_delta_equals_its_old_loop_bit_for_bit(p):
+    for eps in BISECTION_EPS:
+        assert hanner_delta(p, eps) == old_hanner_delta(p, eps), eps
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.0])
+def test_delta_from_constraint_equals_its_old_loop_bit_for_bit(p):
+    def curve(e):
+        return lp_delta(p, e)
+
+    for eps in (1e-3, 0.1, 0.5, 1.0, 1.5, 1.9, 2.0):
+        for factor in (0.5, 1.0):
+            try:
+                want = old_constraint_loop(curve, eps, factor)
+            except PreconditionError:
+                with pytest.raises(PreconditionError):
+                    delta_from_constraint(curve, eps, factor)
+                continue
+            assert delta_from_constraint(curve, eps, factor) == want
+
+
+def test_bisect_contract():
+    # f(hi) >= 0 returns hi
+    assert _bisect(lambda d: 1.0 - d, 0.0, 1.0, 1e-10) == 1.0
+    # an exact zero at a midpoint is returned at once
+    assert _bisect(lambda d: 0.5 - d, 0.0, 1.0, 1e-10) == 0.5
+    # delta_from_constraint's old loop bisected below such a zero instead
+    mid = 0.5 * (1.0 - 1e-12)
+    assert delta_from_constraint(lambda e: mid, 1.0, 1.0) == mid
+    assert old_constraint_loop(lambda e: mid, 1.0, 1.0) < mid
+    # otherwise the midpoint of the first bracket narrower than tol
+    root = _bisect(lambda d: 0.3 - d, 0.0, 1.0, 1e-10)
+    assert abs(root - 0.3) <= 0.5e-10
 
 
 # ----------------------------- empirical estimator -----------------------------
@@ -305,7 +390,36 @@ def test_curve_csv_roundtrip(tmp_path):
 def test_curve_json_roundtrip(tmp_path):
     curve = build_curve(3.0, [0.5, 1.0], "clarkson")
     path = tmp_path / "curve.json"
-    curve.to_json(path)
+    path.write_text(_json_text(curve.to_json_dict()))
     back = ModulusCurve.from_json(path)
     assert back.space == curve.space
     assert [p.delta for p in back.points] == [p.delta for p in curve.points]
+
+
+def test_curve_files_name_a_missing_field(tmp_path):
+    csv_path = tmp_path / "ab.csv"
+    csv_path.write_text("a,b\n1,2\n")
+    with pytest.raises(PreconditionError, match="'eps'"):
+        ModulusCurve.from_csv(csv_path)
+    # a witness that is not a string reads as a malformed number
+    json_path = tmp_path / "w.json"
+    json_path.write_text('{"space": "s", "points": [{"eps": 1, "delta": 0.1,'
+                         ' "method": "empirical", "witness_x": [1],'
+                         ' "witness_y": [1]}]}')
+    with pytest.raises(ValueError, match="could not convert"):
+        ModulusCurve.from_json(json_path)
+    for text, field in (('{"x": 1}', "'points'"), ("[1, 2]", "'points'"),
+                        ('{"points": 5}', "'points'"),
+                        ('{"points": []}', "'space'"),
+                        ('{"points": [{"eps": null}]}', "'eps'"),
+                        ('{"space": "s", "points": [[1]]}', "'eps'")):
+        json_path = tmp_path / "c.json"
+        json_path.write_text(text)
+        with pytest.raises(PreconditionError, match=field):
+            ModulusCurve.from_json(json_path)
+
+
+def test_build_curve_rejects_an_empty_eps_grid():
+    for method in ("clarkson", "hanner", "empirical"):
+        with pytest.raises(ValueError, match="empty eps grid"):
+            build_curve(2.0, [], method, d=2)

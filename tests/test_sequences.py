@@ -10,11 +10,10 @@ from uconvex.errors import (CapacityError, CertificateError,
                             DimensionMismatchError, InsufficientClusterError,
                             PreconditionError)
 from uconvex.modulus import lp_delta
-from uconvex.sequences import (baseline_extract, certify, pair_enumeration,
-                               ramsey_extract, riesz_seed, separation,
-                               shifted_basis_seed, theorem1_extract,
-                               theorem3_construct, unit_basis_seed,
-                               vectors_to_csv)
+from uconvex.sequences import (baseline_extract, certify, ramsey_extract,
+                               riesz_seed, separation, shifted_basis_seed,
+                               theorem1_extract, theorem3_construct,
+                               unit_basis_seed, vectors_to_csv)
 from uconvex.search import EvalBudget, maximize_min_distance
 from uconvex.spaces import (SpaceSpec, batch_norm, normalize, pair_norms,
                             unit_batch)
@@ -356,6 +355,26 @@ def test_ramsey_random_two_valued(seed):
 
 # ----------------------------- pair enumeration -----------------------------
 
+def pair_enumeration(n: int) -> tuple[int, int]:
+    """Diagonal-sweep bijection onto ordered off-diagonal pairs.
+
+    The oracle of ``sequences._open_pairs``.  Order: (0,1),(1,0),(0,2),
+    (2,0),(1,2),(2,1),(0,3),...  Position ``n`` lands in block ``s`` (all
+    pairs whose larger index is ``s``), which starts at position
+    ``s*(s-1)``.
+    """
+    if n < 0:
+        raise ValueError(f"enumeration position must be >= 0, got {n}")
+    s = (1 + math.isqrt(1 + 4 * n)) // 2
+    while s * (s - 1) > n:
+        s -= 1
+    while s * (s + 1) <= n:
+        s += 1
+    r = n - s * (s - 1)
+    t = r // 2
+    return (t, s) if r % 2 == 0 else (s, t)
+
+
 def test_pair_enumeration_prefix():
     expect = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (0, 3)]
     assert [pair_enumeration(i) for i in range(7)] == expect
@@ -601,3 +620,11 @@ def test_finite_rows_takes_integer_rows_and_keeps_the_empty_error():
     with pytest.raises(PreconditionError,
                        match="separation needs at least 2 vectors"):
         theorem3_construct(space, [], max_len=2)
+
+
+@pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -1.0])
+def test_baseline_rejects_tau_outside_zero_to_inf(tau):
+    space = SpaceSpec(p=2, d=3)
+    seq = unit_basis_seed(space, 1)[[0] * 4]
+    with pytest.raises(ValueError, match=r"tau must lie in \(0, inf\)"):
+        baseline_extract(space, seq, seq[0], tau)
