@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CertificateError, PreconditionError, ZeroVectorError
+from .errors import CertificateError, PreconditionError
 from .search import EvalBudget, refine, sample_feasible_pairs
 from .spaces import (SpaceSpec, _row_norms, batch_norm, norm, row_blocks,
                      unit_batch)
@@ -65,6 +65,7 @@ class ModulusPoint:
 class ModulusCurve:
     """Ordered (eps, delta) samples for one space, eps strictly increasing.
 
+    A curve has at least one point, so a curve file never passes vacuously.
     Monotonicity of delta is an invariant of the engines, not of the
     container: curves read back from disk may violate it and are checked by
     ``verify.check_modulus_properties``.  Curves produced by
@@ -75,6 +76,8 @@ class ModulusCurve:
     points: tuple[ModulusPoint, ...]
 
     def __post_init__(self):
+        if not self.points:
+            raise ValueError("curve has no points")
         eps = [pt.eps for pt in self.points]
         if any(b <= a for a, b in zip(eps, eps[1:])):
             raise ValueError("curve eps values must be strictly increasing")
@@ -283,7 +286,8 @@ class _PairMoves:
     A point is ``z = (x, y)``; move ``k`` changes coordinate ``k // 2`` of
     ``z``, so it moves one half.  Each call builds the moved halves of its
     slice of moves as rows, ``z[i] + sign*step`` exactly as the scalar
-    loop does, and normalizes them.  The other half is ``normalize`` of the
+    loop does, and normalizes them; a moved unit half is never zero, since
+    ``step <= search.INIT_STEP < 1``.  The other half is ``normalize`` of the
     current half, computed once per accepted point.  Feasibility
     ``||x-y|| >= eps`` and value ``1 - ||x+y||/2`` are computed for all rows
     at once with :func:`spaces._row_norms`, which equals the scalar
@@ -300,10 +304,7 @@ class _PairMoves:
     def units(self, z: np.ndarray) -> np.ndarray:
         """Both halves of ``z`` normalized, as the rows of a (2, d) array."""
         halves = z.reshape(2, self.space.d)
-        norms = _row_norms(self.space, halves)
-        if not norms.all():
-            raise ZeroVectorError("cannot normalize the zero vector")
-        return halves / norms[:, None]
+        return halves / _row_norms(self.space, halves)[:, None]
 
     def project(self, z: np.ndarray) -> np.ndarray:
         return self.units(z).reshape(-1)
@@ -320,12 +321,9 @@ class _PairMoves:
         half = k // 2 // d
         rows = z.reshape(2, d)[half]
         rows[np.arange(count), k // 2 % d] += np.where(k % 2, -1.0, 1.0) * step
-        norms = _row_norms(space, rows)
-        zero = np.flatnonzero(norms == 0.0)
-        n = int(zero[0]) if zero.size else count
-        moved = rows[:n] / norms[:n, None]
-        other = self.point_units[1 - half[:n]]
-        first = (half[:n] == 0)[:, None]
+        moved = rows / _row_norms(space, rows)[:, None]
+        other = self.point_units[1 - half]
+        first = (half == 0)[:, None]
         x = np.where(first, moved, other)
         y = np.where(first, other, moved)
         vals = 1.0 - 0.5 * _row_norms(space, x + y)
@@ -334,9 +332,6 @@ class _PairMoves:
         if hits.size:
             i = int(hits[0])
             return i + 1, np.concatenate([x[i], y[i]]), float(vals[i])
-        if n < count:
-            # the scalar loop reaches the zero row and fails to normalize it
-            raise ZeroVectorError("cannot normalize the zero vector")
         return count, None, best
 
 

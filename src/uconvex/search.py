@@ -39,28 +39,22 @@ class EvalBudget:
         self.cap = int(cap)
         self.used = 0
 
-    def take(self, n: int = 1) -> bool:
-        """Consume ``n`` evaluations; False once the cap is exhausted."""
-        if self.used >= self.cap:
-            return False
-        self.used += n
-        return True
-
     @property
     def exhausted(self) -> bool:
         return self.used >= self.cap
 
 
 def refine(x0: np.ndarray, objective, project, feasible, budget: EvalBudget,
-           *, evaluate=None, step0: float = INIT_STEP):
+           *, evaluate=None):
     """Pattern-search minimization over a projected parameter vector.
 
     Starts from ``project(x0)``.  Perturbs one coordinate at a time by
     +-step, re-projects via ``project``, discards moves that fail
     ``feasible`` or do not strictly decrease ``objective``; the step
     shrinks by :data:`SHRINK` once a sweep makes no progress (or after
-    :data:`MAX_SWEEPS` sweeps), for :data:`REFINE_ROUNDS` step levels.
-    Each move consumes one evaluation of ``budget``.
+    :data:`MAX_SWEEPS` sweeps), for :data:`REFINE_ROUNDS` step levels,
+    starting at :data:`INIT_STEP`.  Each move consumes one evaluation of
+    ``budget``; once it is spent, the next sweep returns the best point.
 
     ``evaluate(x, best, step, start, count)`` tries the moves at positions
     ``start .. start+count-1`` of the sweep in order, where position ``k``
@@ -91,7 +85,7 @@ def refine(x0: np.ndarray, objective, project, feasible, budget: EvalBudget,
             return count, None, best
 
     moves = 2 * x.size
-    step = step0
+    step = INIT_STEP
     for _ in range(REFINE_ROUNDS):
         for _ in range(MAX_SWEEPS):
             improved = False
@@ -109,8 +103,6 @@ def refine(x0: np.ndarray, objective, project, feasible, budget: EvalBudget,
             if not improved:
                 break
         step *= SHRINK
-        if budget.exhausted:
-            break
     return x, best
 
 
@@ -205,7 +197,7 @@ def maximize_min_distance(space: SpaceSpec, anchors: np.ndarray,
 
     n_probe = max(MULTISTARTS * 8, 32)
     probes = unit_batch(space, rng, n_probe)
-    budget.take(n_probe)
+    budget.used += n_probe
     scores = np.array([neg_min_dist(c) for c in probes])
     order = np.argsort(scores)[:MULTISTARTS]
 

@@ -179,19 +179,18 @@ def shifted_basis_seed(space: SpaceSpec, n: int) -> np.ndarray:
     return seed / 2.0 ** (1.0 / space.p)
 
 
-def riesz_seed(space: SpaceSpec, n: int, eta: float, budget: int,
+def riesz_seed(space: SpaceSpec, n: int, budget: int,
                rng_seed) -> tuple[np.ndarray, SeparationCertificate]:
-    """Greedy (1 - eta)-separated unit vectors, as (m, d) rows, m <= n.
+    """Greedy 1-separated unit vectors, as (m, d) rows, m <= n.
 
     Each new vector maximizes the minimum distance to all previous ones
     (random multistart plus the shared pattern refinement); construction
-    stops early once the optimizer cannot reach ``1 - eta``.  Short output
-    is signaled by the certificate length, never an error.
+    stops early once the optimizer cannot reach 1, the separation that
+    :func:`theorem3_construct` requires of its seed.  Short output is
+    signaled by the certificate length, never an error.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     rng = np.random.default_rng(rng_seed)
@@ -200,10 +199,10 @@ def riesz_seed(space: SpaceSpec, n: int, eta: float, budget: int,
     for _ in range(n - 1):
         cand, min_dist = maximize_min_distance(space, vectors, rng,
                                                EvalBudget(share))
-        if min_dist < 1.0 - eta:
+        if min_dist < 1.0:
             break
         vectors = np.vstack([vectors, cand])
-    return vectors, certify(space, vectors, threshold=1.0 - eta)
+    return vectors, certify(space, vectors, threshold=1.0)
 
 
 def baseline_extract(space: SpaceSpec, seq, x, tau: float) -> BaselineResult:

@@ -62,11 +62,6 @@ class VerificationReport:
             return f"l^{self.p:g}_{self.d}"
         return "curve"
 
-    def reverify(self) -> bool:
-        """True when every stored violation still violates its statement."""
-        return all(reverify_violation(self.statement, rec)
-                   for rec in self.violations)
-
     def to_json_dict(self) -> dict:
         return {
             "statement": self.statement,
@@ -317,15 +312,15 @@ def reverify_violation(statement: str, rec: dict) -> bool:
     return bool(mask[0] and not holds[0])
 
 
-def run_grid(statement: str, ps, ds, eps_values, kept_total: int, rng_seed,
+def run_grid(statement: str, ps, ds, eps_values, trials: int, rng_seed,
              *, k: int = 4) -> list[VerificationReport]:
     """Run one sampler statement over a (p, d, eps) grid.
 
-    The kept-trial total is spread evenly over the cells (rounded up);
+    Every cell gets the kept-trial quota ``trials``, as ``check_*`` does;
     per-cell seeds are split deterministically from ``rng_seed``, so the
     report list is reproducible byte for byte.  All cell spaces, every eps,
-    the per-cell quota and ``k`` are checked before the first cell runs, so
-    a bad flag fails up front.  Each cell runs through the module's
+    the quota and ``k`` are checked before the first cell runs, so a bad
+    flag fails up front.  Each cell runs through the module's
     ``check_<statement>`` name, looked up at call time.
     """
     rank = (k,) if _sampler(statement).ranked else ()
@@ -336,10 +331,9 @@ def run_grid(statement: str, ps, ds, eps_values, kept_total: int, rng_seed,
         raise ValueError("empty verification grid")
     for eps in eps_values:
         _check_eps(eps)
-    quota = math.ceil(kept_total / len(cells))  # >= 1 iff kept_total >= 1
-    _check_counts(quota, k)
+    _check_counts(trials, k)
     seeds = np.random.SeedSequence(rng_seed).spawn(len(cells))
-    return [check(space, eps, quota, *rank, seed)
+    return [check(space, eps, trials, *rank, seed)
             for (space, eps), seed in zip(cells, seeds)]
 
 

@@ -176,11 +176,12 @@ def test_criterion_7_ramsey_extractor():
 def test_criterion_8_adversarial_verification():
     start = time.perf_counter()
     ps, ds, eps_values = (1.5, 2.0, 3.0), (2, 8), (0.5, 1.0, 1.9)
+    quota = math.ceil(100_000 / (len(ps) * len(ds) * len(eps_values)))
     summary = {}
     ok = True
     for statement in ("lemma23", "thm2_condition3", "remark45"):
         reports = run_grid(statement, ps, ds, eps_values,
-                           kept_total=100_000, rng_seed=424242)
+                           trials=quota, rng_seed=424242)
         kept = sum(r.kept for r in reports)
         violations = sum(len(r.violations) for r in reports)
         per_cell_ok = all(r.kept > 0 for r in reports)

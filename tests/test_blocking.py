@@ -362,7 +362,8 @@ def test_remark45_violation_records_equal_one_shot(k, monkeypatch):
     assert len(new.violations) > _rows_per_block(k * REMARK45_D)
     _assert_same_report(new, old)
     assert all(len(rec["rows"]) == k for rec in new.violations)
-    assert new.reverify()
+    assert all(verify.reverify_violation(new.statement, rec)
+               for rec in new.violations)
 
 
 @pytest.mark.parametrize("p,d,eps", [(1.5, 24, 0.5), (3.0, 64, 1.9),
@@ -387,7 +388,8 @@ def test_lemma23_violation_records_equal_one_shot(monkeypatch):
     new = verify.check_lemma23(space, 0.5, 300, 2)
     assert len(new.violations) > _rows_per_block(REMARK45_D)
     _assert_same_report(new, _old_check_lemma23(space, 0.5, 300, 2))
-    assert new.reverify()
+    assert all(verify.reverify_violation(new.statement, rec)
+               for rec in new.violations)
 
 
 def test_thm2_condition3_violation_records_equal_one_shot(monkeypatch):
@@ -396,7 +398,8 @@ def test_thm2_condition3_violation_records_equal_one_shot(monkeypatch):
     new = verify.check_thm2_condition3(space, 0.5, 300, 2)
     assert len(new.violations) > _rows_per_block(REMARK45_D)
     _assert_same_report(new, _old_check_thm2_condition3(space, 0.5, 300, 2))
-    assert new.reverify()
+    assert all(verify.reverify_violation(new.statement, rec)
+               for rec in new.violations)
 
 
 # ------------------------------- working set -------------------------------

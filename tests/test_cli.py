@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from uconvex import sequences
 from uconvex.cli import main, parse_values
+from uconvex.spaces import SpaceSpec
 
 SQRT2 = 2.0 ** 0.5
 
@@ -131,6 +133,30 @@ def test_construct_riesz_deterministic(tmp_path, capsys):
     assert ca == cb
     assert a.read_bytes() == b.read_bytes()
     assert va.read_bytes() == vb.read_bytes()
+
+
+# each (p, d, n, seed) exited 2 while the riesz seed targeted 1 - 0.01
+@pytest.mark.parametrize("p, d, n, seed", [
+    (1.5, 4, 40, 1), (1.5, 4, 40, 2), (1.5, 4, 40, 5), (3, 4, 40, 2),
+    (3, 4, 40, 3), (2, 3, 20, 3), (2, 3, 20, 6),
+])
+def test_construct_riesz_seed_is_one_separated(monkeypatch, capsys, p, d, n,
+                                               seed):
+    seeds = []
+    riesz_seed = sequences.riesz_seed
+
+    def recorded(*args):
+        seeds.append(riesz_seed(*args))
+        return seeds[-1]
+
+    monkeypatch.setattr(sequences, "riesz_seed", recorded)
+    code, _, err = run(capsys, "construct", "--p", str(p), "--d", str(d),
+                       "--n", str(n), "--seed-kind", "riesz",
+                       "--seed", str(seed))
+    assert code == 0 and err == ""
+    [(vectors, cert)] = seeds
+    assert len(vectors) >= 2 and cert.passed and cert.threshold == 1.0
+    assert sequences.separation(SpaceSpec(p=p, d=d), vectors) >= 1.0
 
 
 def test_construct_invalid_seed_spec(capsys):
@@ -406,14 +432,36 @@ FILE_ERRORS = {
     "construct-out-dir-missing": (lambda d: [
         "construct", "--p", "2", "--d", "8",
         "--out", str(d / "missing" / "x.json")], "No such file"),
+    "construct-vectors-out-dir-missing": (lambda d: [
+        "construct", "--p", "2", "--d", "8", "--out", str(d / "x.json"),
+        "--vectors-out", str(d / "missing" / "v.csv")], "No such file"),
+    "extract-out-dir-missing": (lambda d: [
+        "extract", "--p", "2", "--d", "4",
+        "--out", str(d / "missing" / "x.json")], "No such file"),
+    "verify-out-dir-missing": (lambda d: [
+        "verify", "--statement", "lemma23", "--p", "2", "--d", "2", "--eps",
+        "1", "--trials", "10", "--out", str(d / "missing" / "x.json")],
+        "No such file"),
+    "csv-header-only": (lambda d: [
+        "verify", "--statement", "modulus-props", "--curve-file",
+        _write(d / "h.csv", "eps,delta,method,witness_x,witness_y\n")],
+        "curve has no points"),
+    "csv-empty": (lambda d: [
+        "verify", "--statement", "modulus-props",
+        "--curve-file", _write(d / "e.csv", "")], "curve has no points"),
+    "json-no-points": (lambda d: [
+        "verify", "--statement", "modulus-props", "--curve-file",
+        _write(d / "n.json", '{"space": "s", "points": []}\n')],
+        "curve has no points"),
 }
 
 
 @pytest.mark.parametrize("case", FILE_ERRORS)
 def test_file_errors_exit_2_with_one_error_line(tmp_path, capsys, case):
     argv, fragment = FILE_ERRORS[case]
-    code, _, err = run(capsys, *argv(tmp_path))
+    code, stdout, err = run(capsys, *argv(tmp_path))
     assert code == 2
+    assert stdout == ""  # so a missing output directory stops the run early
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
 

@@ -88,25 +88,24 @@ def test_certify_vacuous_for_singleton():
 
 def test_riesz_seed_l2_8():
     space = SpaceSpec(p=2, d=8)
-    vectors, cert = riesz_seed(space, 8, eta=0.01, budget=20_000, rng_seed=5)
+    vectors, cert = riesz_seed(space, 8, budget=20_000, rng_seed=5)
     assert len(vectors) == 8
-    assert cert.passed
-    assert cert.min_pairwise >= 0.99
+    assert cert.passed and cert.threshold == 1.0
+    assert cert.min_pairwise >= 1.0
 
 
 def test_riesz_seed_dimension_one():
     space = SpaceSpec(p=2, d=1)
-    vectors, cert = riesz_seed(space, 2, eta=0.01, budget=200, rng_seed=1)
+    vectors, cert = riesz_seed(space, 2, budget=200, rng_seed=1)
     assert sorted(float(v[0]) for v in vectors) == [-1.0, 1.0]
     assert cert.min_pairwise == pytest.approx(2.0, abs=1e-12)
     # a third unit vector cannot exist; output is short, not an error
-    vectors, cert = riesz_seed(space, 3, eta=0.01, budget=200, rng_seed=1)
+    vectors, cert = riesz_seed(space, 3, budget=200, rng_seed=1)
     assert len(vectors) == 2
 
 
 def test_riesz_seed_single_vector():
-    vectors, cert = riesz_seed(SpaceSpec(p=2, d=3), 1, eta=0.5, budget=10,
-                               rng_seed=0)
+    vectors, cert = riesz_seed(SpaceSpec(p=2, d=3), 1, budget=10, rng_seed=0)
     assert len(vectors) == 1 and cert.passed
 
 
@@ -553,15 +552,15 @@ def test_fixed_seeds_are_float_arrays_of_the_old_rows(p):
 
 
 def test_riesz_seed_is_a_float_array_of_the_old_rows():
-    space, n, eta, budget, seed = SpaceSpec(p=3, d=5), 5, 0.01, 3000, 7
-    vectors, cert = riesz_seed(space, n, eta, budget, seed)
+    space, n, budget, seed = SpaceSpec(p=3, d=5), 5, 3000, 7
+    vectors, cert = riesz_seed(space, n, budget, seed)
     # the list-of-rows loop the seed used to run, on the same draws
     rng = np.random.default_rng(seed)
     rows = [unit_batch(space, rng, 1)[0]]
     for _ in range(n - 1):
         cand, min_dist = maximize_min_distance(
             space, np.asarray(rows), rng, EvalBudget(max(1, budget // (n - 1))))
-        if min_dist < 1.0 - eta:
+        if min_dist < 1.0:
             break
         rows.append(cand)
     assert _same_rows(vectors, rows)

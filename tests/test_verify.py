@@ -70,15 +70,15 @@ def test_reports_are_deterministic():
 
 def test_run_grid_covers_cells_and_quota():
     reports = run_grid("lemma23", GRID_P, GRID_D, GRID_EPS,
-                       kept_total=1800, rng_seed=5)
+                       trials=100, rng_seed=5)
     assert len(reports) == 18
     assert all(rep.kept >= 100 for rep in reports)
     assert all(rep.kept > 0 for rep in reports)
     assert sum(rep.kept for rep in reports) >= 1800
     with pytest.raises(ValueError):
-        run_grid("lemma23", [], [], [], kept_total=10, rng_seed=0)
+        run_grid("lemma23", [], [], [], trials=10, rng_seed=0)
     with pytest.raises(ValueError):
-        run_grid("nope", GRID_P, GRID_D, GRID_EPS, kept_total=10, rng_seed=0)
+        run_grid("nope", GRID_P, GRID_D, GRID_EPS, trials=10, rng_seed=0)
 
 
 def test_summary_line_format():
@@ -174,7 +174,7 @@ def test_modulus_properties_pass_closed_form():
     assert rep.violations == ()
     assert rep.statement == "modulus_properties"
     assert rep.trials == 199  # 100 bound checks + 99 monotone checks
-    assert rep.reverify()
+    assert all(reverify_violation(rep.statement, r) for r in rep.violations)
 
 
 def test_modulus_properties_boundary_point():
@@ -189,7 +189,7 @@ def test_modulus_properties_corrupted_curve():
     rep = check_modulus_properties(ModulusCurve(space="l^2", points=pts))
     kinds = sorted(v["kind"] for v in rep.violations)
     assert kinds == ["bound", "monotonicity"]
-    assert rep.reverify()
+    assert all(reverify_violation(rep.statement, r) for r in rep.violations)
     line = summary_line(rep)
     assert line.startswith("modulus_properties,")
     assert line.endswith(",2")
@@ -205,7 +205,7 @@ def test_build_curve_rejects_what_the_checker_reports(monkeypatch):
     rep = check_modulus_properties(ModulusCurve(space="l^2", points=pts))
     assert [v["kind"] for v in rep.violations] == ["bound", "monotonicity"]
     assert rep.trials == rep.kept == 5
-    assert rep.reverify()
+    assert all(reverify_violation(rep.statement, r) for r in rep.violations)
 
 
 def test_modulus_properties_empirical_slack():
@@ -243,8 +243,8 @@ def test_sampler_cell_rejects_no_trials_before_drawing(monkeypatch, call):
 
 
 @pytest.mark.parametrize("statement, kwargs", [
-    ("lemma23", {"kept_total": 0}),
-    ("lemma23", {"kept_total": -100}),
+    ("lemma23", {"trials": 0}),
+    ("lemma23", {"trials": -100}),
     ("lemma23", {"eps_values": [1.0, 3.0]}),
     ("thm2_condition3", {"eps_values": [0.0]}),
     ("lemma23", {"k": 0}),
@@ -256,7 +256,7 @@ def test_run_grid_rejects_bad_arguments_before_any_cell(monkeypatch,
     for name in verify.SAMPLERS:
         monkeypatch.setattr(verify, f"check_{name}",
                             lambda *args: calls.append(args))
-    grid = {"eps_values": GRID_EPS, "kept_total": 1800, **kwargs}
+    grid = {"eps_values": GRID_EPS, "trials": 100, **kwargs}
     with pytest.raises(ValueError):
         run_grid(statement, GRID_P, GRID_D, grid.pop("eps_values"),
                  rng_seed=0, **grid)
