@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 verification/certificate failure, 2 configuration
 error (including a sampler cell whose hypotheses it cannot satisfy, and a
 file that cannot be read or written), 3 data-dependent non-failure
 (insufficient cluster, exhausted construction).  Every JSON file and JSON
-stdout goes through one writer, :func:`_json_text`.
+stdout goes through one writer, :func:`_json_text`, and ``modulus``
+prints to stdout exactly the text it would write to ``--out``.
 """
 
 from __future__ import annotations
@@ -104,36 +105,19 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _resolve_seed(ns) -> int:
-    if ns.seed is not None:
-        return ns.seed
-    env = os.environ.get("UCONVEX_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"UCONVEX_SEED must be an integer, got {env!r}")
-    return 0
-
-
 # ----------------------------- modulus -----------------------------
 
 def _cmd_modulus(ns) -> int:
     curve = modulus.build_curve(
         ns.p, parse_values(ns.eps), ns.method, d=ns.d,
-        budget=ns.budget, rng_seed=_resolve_seed(ns))
+        budget=ns.budget, rng_seed=ns.seed)
+    text = (curve.csv_text() if ns.format == "csv"
+            else _json_text(curve.to_json_dict()))
     if ns.out:
-        if ns.format == "csv":
-            curve.to_csv(ns.out)
-        else:
-            Path(ns.out).write_text(_json_text(curve.to_json_dict()))
+        Path(ns.out).write_text(text)
         print(f"wrote {len(curve.points)} points to {ns.out}")
     else:
-        if ns.format == "csv":
-            for pt in curve.points:
-                print(f"{pt.eps:.17g},{pt.delta:.17g},{pt.method}")
-        else:
-            sys.stdout.write(_json_text(curve.to_json_dict()))
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -147,18 +131,18 @@ def _fixed_seed(kind: str, space: SpaceSpec, n: int | None):
                                         space.d - 1 if n is None else n)
 
 
-def _make_seed(ns, space: SpaceSpec, rng_seed: int):
+def _make_seed(ns, space: SpaceSpec):
     if ns.seed_kind != "riesz":
         vectors = _fixed_seed(ns.seed_kind, space, ns.n)
         return vectors, f"{ns.seed_kind} n={len(vectors)} in {space}"
     n = ns.n if ns.n is not None else space.d
-    vectors, _ = sequences.riesz_seed(space, n, ns.budget, rng_seed)
+    vectors = sequences.riesz_seed(space, n, ns.budget, ns.seed)
     return vectors, f"riesz n={len(vectors)} in {space}"
 
 
 def _cmd_construct(ns) -> int:
     space = SpaceSpec(p=ns.p, d=ns.d)
-    seed_vectors, description = _make_seed(ns, space, _resolve_seed(ns))
+    seed_vectors, description = _make_seed(ns, space)
     max_len = ns.max_len if ns.max_len is not None else len(seed_vectors)
     trace = sequences.theorem3_construct(space, seed_vectors, max_len,
                                          seed_description=description)
@@ -199,8 +183,7 @@ def _cmd_extract(ns) -> int:
     if ns.mode == "baseline":
         result = sequences.baseline_extract(space, seq, x, ns.tau)
     else:
-        result = sequences.theorem1_extract(space, seq, x, ns.eps,
-                                            kappa=ns.kappa)
+        result = sequences.theorem1_extract(space, seq, x, ns.eps)
     print(f"selected {len(result.selected)} indices, "
           f"pair_min={result.pair_min:.17g} >= {result.guaranteed:.17g}")
     if ns.out:
@@ -230,7 +213,7 @@ def _cmd_verify(ns) -> int:
         for statement in statements:
             reports.extend(verify.run_grid(
                 statement, ps, ds, eps_values, ns.trials,
-                _resolve_seed(ns), k=ns.k))
+                ns.seed, k=ns.k))
     for rep in reports:
         print(verify.summary_line(rep))
     if ns.out:
@@ -245,8 +228,7 @@ def _cmd_verify(ns) -> int:
 # ----------------------------- parser -----------------------------
 
 def _add_seed(sub):
-    sub.add_argument("--seed", type=int, default=None,
-                     help="rng seed (fallback: UCONVEX_SEED, then 0)")
+    sub.add_argument("--seed", type=int, default=0, help="rng seed")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -297,8 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seq-file", default=None, help="CSV, one vector per row")
     e.add_argument("--eps", type=float, default=None,
                    help="claimed separation (default: measured)")
-    e.add_argument("--kappa", type=float, default=0.5,
-                   help="window width as a fraction of delta")
     e.add_argument("--tau", type=float, default=0.01,
                    help="baseline window width")
     e.add_argument("--out", default=None)

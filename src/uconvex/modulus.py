@@ -13,6 +13,7 @@ Plus the delta-from-constraint solver used by the verification module.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -82,17 +83,19 @@ class ModulusCurve:
         if any(b <= a for a, b in zip(eps, eps[1:])):
             raise ValueError("curve eps values must be strictly increasing")
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["eps", "delta", "method", "witness_x", "witness_y"])
-            for pt in self.points:
-                wx = wy = ""
-                if pt.witness is not None:
-                    wx = _vec_str(pt.witness[0])
-                    wy = _vec_str(pt.witness[1])
-                writer.writerow([f"{pt.eps:.17g}", f"{pt.delta:.17g}",
-                                 pt.method, wx, wy])
+    def csv_text(self) -> str:
+        """The curve as CSV text with a header row, as :meth:`from_csv` reads."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["eps", "delta", "method", "witness_x", "witness_y"])
+        for pt in self.points:
+            wx = wy = ""
+            if pt.witness is not None:
+                wx = _vec_str(pt.witness[0])
+                wy = _vec_str(pt.witness[1])
+            writer.writerow([f"{pt.eps:.17g}", f"{pt.delta:.17g}",
+                             pt.method, wx, wy])
+        return buf.getvalue()
 
     def to_json_dict(self) -> dict:
         rows = []
@@ -406,13 +409,9 @@ def build_curve(p: float, eps_values, method: str, *, d: int | None = None,
         raise ValueError("empty eps grid")
     for e in eps_values:
         _check_eps(e)
-    if method == "clarkson":
-        points = [ModulusPoint(e, clarkson_delta(p, e), "clarkson")
-                  for e in eps_values]
-        space = f"l^{p:g}"
-    elif method == "hanner":
-        points = [ModulusPoint(e, hanner_delta(p, e), "hanner")
-                  for e in eps_values]
+    if method in ("clarkson", "hanner"):
+        delta = clarkson_delta if method == "clarkson" else hanner_delta
+        points = [ModulusPoint(e, delta(p, e), method) for e in eps_values]
         space = f"l^{p:g}"
     elif method == "empirical":
         spec = SpaceSpec(p=p, d=d)

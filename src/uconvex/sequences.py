@@ -180,14 +180,14 @@ def shifted_basis_seed(space: SpaceSpec, n: int) -> np.ndarray:
 
 
 def riesz_seed(space: SpaceSpec, n: int, budget: int,
-               rng_seed) -> tuple[np.ndarray, SeparationCertificate]:
+               rng_seed) -> np.ndarray:
     """Greedy 1-separated unit vectors, as (m, d) rows, m <= n.
 
     Each new vector maximizes the minimum distance to all previous ones
     (random multistart plus the shared pattern refinement); construction
     stops early once the optimizer cannot reach 1, the separation that
-    :func:`theorem3_construct` requires of its seed.  Short output is
-    signaled by the certificate length, never an error.
+    :func:`theorem3_construct` requires of its seed and checks as its
+    precondition.  Short output is signaled by fewer rows, never an error.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -202,7 +202,7 @@ def riesz_seed(space: SpaceSpec, n: int, budget: int,
         if min_dist < 1.0:
             break
         vectors = np.vstack([vectors, cand])
-    return vectors, certify(space, vectors, threshold=1.0)
+    return vectors
 
 
 def baseline_extract(space: SpaceSpec, seq, x, tau: float) -> BaselineResult:
@@ -222,29 +222,28 @@ def baseline_extract(space: SpaceSpec, seq, x, tau: float) -> BaselineResult:
                           pair_min=pair_min, guaranteed=1.0 - tau)
 
 
-def theorem1_extract(space: SpaceSpec, seq, x, eps: float | None,
-                     kappa: float = 0.5) -> ExtractionResult:
+def theorem1_extract(space: SpaceSpec, seq, x,
+                     eps: float | None) -> ExtractionResult:
     """Certified extraction: all pair values at least ``1 + delta(2*eps/3)``.
 
     The input sequence must be eps-separated (verified); ``eps=None`` takes
-    the measured separation as eps.  Indices whose functional values lie in
-    a window of width ``kappa * delta_eps`` are selected; for any two of
-    them the vector ``xi = x - (v_i - v_j)`` pairs with the norming
-    functional to at least ``1 - kappa * delta_eps`` by construction of the
-    window, and eps-separation then forces ``||xi|| >= 1 + delta_eps`` --
-    that bound is asserted pair by pair, not assumed.  Both the separation
-    and the pair values are computed by the pairwise kernel
-    :func:`spaces.pair_norms`.
+    the measured separation as eps, capped at 2 since a sequence separated
+    by more is also 2-separated and delta lives on (0, 2].  Indices whose
+    functional values lie in a window of width ``delta_eps / 2`` are
+    selected (Theorem 1); for any two of them the vector
+    ``xi = x - (v_i - v_j)`` pairs with the norming functional to at least
+    ``1 - delta_eps / 2`` by construction of the window, and eps-separation
+    then forces ``||xi|| >= 1 + delta_eps`` -- that bound is asserted pair
+    by pair, not assumed.  Both the separation and the pair values are
+    computed by the pairwise kernel :func:`spaces.pair_norms`.
     """
     if eps is not None:
         _check_eps(eps)
-    if not 0.0 < kappa < 1.0:
-        raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
     x = _require_unit(space, x)
     vecs = _finite_rows(space, seq)
     sep = separation(space, vecs)
     if eps is None:
-        eps = sep
+        eps = min(sep, 2.0)
         _check_eps(eps)
     if sep < eps - SLACK:
         raise PreconditionError(
@@ -253,7 +252,7 @@ def theorem1_extract(space: SpaceSpec, seq, x, eps: float | None,
     delta_eps = lp_delta(space.p, 2.0 * eps / 3.0)
     guaranteed = 1.0 + delta_eps
     f, selected, window, pair_min = _certified_cluster(
-        space, vecs, x, kappa * delta_eps, guaranteed)
+        space, vecs, x, 0.5 * delta_eps, guaranteed)
     return ExtractionResult(functional=f, window=window, selected=selected,
                             pair_min=pair_min, guaranteed=guaranteed,
                             delta_eps=delta_eps)

@@ -85,15 +85,9 @@ def as_vector(space: SpaceSpec, coords) -> Vec:
 def norm(space: SpaceSpec, v: Vec) -> float:
     """p-norm ``(sum |v_i|^p)^(1/p)``; zero iff ``v`` is the zero vector.
 
-    The p-th-power sum comes from :func:`_power_sums`; the root is libm's
-    scalar ``pow``.
+    The norm of ``v`` as the one row of :func:`_row_norms`.
     """
-    return _vector_norm(space, as_vector(space, v))
-
-
-def _vector_norm(space: SpaceSpec, v: Vec) -> float:
-    """:func:`norm` of a vector that :func:`as_vector` has already checked."""
-    return float(_power_sums(space, v) ** (1.0 / space.p))
+    return float(_row_norms(space, as_vector(space, v)[None])[0])
 
 
 def normalize(space: SpaceSpec, v: Vec) -> Vec:
@@ -102,7 +96,7 @@ def normalize(space: SpaceSpec, v: Vec) -> Vec:
     ``v`` is coerced and checked once, then normed as :func:`norm` does.
     """
     v = as_vector(space, v)
-    n = _vector_norm(space, v)
+    n = _row_norms(space, v[None])[0]
     if n == 0.0:
         raise ZeroVectorError("cannot normalize the zero vector")
     return v / n
@@ -213,11 +207,12 @@ def pair_norms(space: SpaceSpec, arr: np.ndarray, x=None) -> np.ndarray:
 
 
 def _row_norms(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
-    """p-norms of the rows of a 2-D array, equal to :func:`norm` bit for bit.
+    """p-norms of the rows of a 2-D array: the norm under :func:`norm`.
 
     The root of each row's :func:`_power_sums` is taken by the scalar libm
-    ``pow``, as in :func:`norm`, because numpy's array ``pow`` differs from
-    it in the last bit on some inputs.
+    ``pow``, because numpy's array ``pow`` differs from it in the last bit
+    on some inputs; so a batch of rows norms each row exactly as
+    :func:`norm` norms it alone.
     """
     inv = 1.0 / space.p
     return np.array([math.pow(s, inv)

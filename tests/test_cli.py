@@ -8,6 +8,7 @@ import pytest
 
 from uconvex import sequences
 from uconvex.cli import main, parse_values
+from uconvex.modulus import lp_delta
 from uconvex.spaces import SpaceSpec
 
 SQRT2 = 2.0 ** 0.5
@@ -50,7 +51,8 @@ def test_modulus_hanner_single_row(capsys):
     code, stdout, _ = run(capsys, "modulus", "--p", "1.5", "--method",
                           "hanner", "--eps", "2:2:1")
     assert code == 0
-    assert stdout.strip() == "2,1,hanner"
+    assert stdout.splitlines() == ["eps,delta,method,witness_x,witness_y",
+                                   "2,1,hanner,,"]
 
 
 def test_modulus_invalid_configs(capsys):
@@ -78,16 +80,18 @@ def test_modulus_empirical_deterministic_files(tmp_path, capsys):
     assert aj.read_bytes() == bj.read_bytes()
 
 
-def test_modulus_env_seed_fallback(tmp_path, capsys, monkeypatch):
+def test_modulus_seed_ignores_the_environment(tmp_path, capsys, monkeypatch):
+    # the seed comes from --seed alone: the same flags give the same bytes
     args = ("modulus", "--p", "2", "--d", "2", "--method", "empirical",
             "--eps", "1", "--budget", "2000")
-    monkeypatch.setenv("UCONVEX_SEED", "99")
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(capsys, *args, "--out", str(a))[0] == 0
-    assert run(capsys, *args, "--out", str(b))[0] == 0
-    assert a.read_bytes() == b.read_bytes()
-    monkeypatch.setenv("UCONVEX_SEED", "bogus")
-    assert run(capsys, *args)[0] == 2
+    monkeypatch.delenv("UCONVEX_SEED", raising=False)
+    unset = tmp_path / "unset.csv"
+    assert run(capsys, *args, "--out", str(unset))[0] == 0
+    for value in ("99", "bogus"):
+        monkeypatch.setenv("UCONVEX_SEED", value)
+        out = tmp_path / f"{value}.csv"
+        assert run(capsys, *args, "--out", str(out))[0] == 0
+        assert out.read_bytes() == unset.read_bytes()
 
 
 # ----------------------------- construct command -----------------------------
@@ -154,9 +158,11 @@ def test_construct_riesz_seed_is_one_separated(monkeypatch, capsys, p, d, n,
                        "--n", str(n), "--seed-kind", "riesz",
                        "--seed", str(seed))
     assert code == 0 and err == ""
-    [(vectors, cert)] = seeds
+    [vectors] = seeds
+    space = SpaceSpec(p=p, d=d)
+    cert = sequences.certify(space, vectors, 1.0)
     assert len(vectors) >= 2 and cert.passed and cert.threshold == 1.0
-    assert sequences.separation(SpaceSpec(p=p, d=d), vectors) >= 1.0
+    assert sequences.separation(space, vectors) >= 1.0
 
 
 def test_construct_invalid_seed_spec(capsys):
@@ -228,6 +234,26 @@ def test_extract_ragged_csv_is_dimension_error_exit_2(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert err == "error: ragged or non-numeric rows\n"
+
+
+def test_extract_measured_separation_above_2_is_capped(tmp_path, capsys):
+    # a 3-separated sequence is 2-separated, and delta is defined on (0, 2]
+    seq_file = tmp_path / "seq.csv"
+    seq_file.write_text("0,0\n3,0\n0,3\n")
+    out = tmp_path / "result.json"
+    code, _, err = run(capsys, "extract", "--p", "2", "--d", "2",
+                       "--seq-kind", "csv", "--seq-file", str(seq_file),
+                       "--out", str(out))
+    assert code == 0, err
+    assert json.loads(out.read_text())["delta_eps"] == lp_delta(2, 4 / 3)
+
+
+def test_extract_kappa_flag_is_gone(capsys):
+    code, stdout, err = run(capsys, "extract", "--p", "2", "--d", "4",
+                            "--kappa", "0.3")
+    assert code == 2
+    assert stdout == ""
+    assert "--kappa" in err
 
 
 def test_extract_csv_requires_file(capsys):
@@ -489,6 +515,23 @@ def test_modulus_empty_eps_grid_exit_2(tmp_path, capsys, fmt):
         assert stdout == ""
         assert err == "error: empty eps grid\n"
     assert not out.exists()
+
+
+def test_modulus_csv_stdout_is_the_csv_file(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    args = ("modulus", "--p", "2", "--method", "clarkson", "--eps",
+            "0.5,1", "--format", "csv")
+    code, stdout, _ = run(capsys, *args)
+    assert code == 0
+    assert run(capsys, *args, "--out", str(out))[0] == 0
+    assert stdout == out.read_text()
+    # so the reader loads what the command printed
+    piped = tmp_path / "stdout.csv"
+    piped.write_text(stdout)
+    code, report, _ = run(capsys, "verify", "--statement", "modulus-props",
+                          "--curve-file", str(piped))
+    assert code == 0
+    assert report.splitlines()[0].endswith(",0")
 
 
 def test_modulus_json_stdout_is_the_json_file(tmp_path, capsys):

@@ -88,7 +88,8 @@ def test_certify_vacuous_for_singleton():
 
 def test_riesz_seed_l2_8():
     space = SpaceSpec(p=2, d=8)
-    vectors, cert = riesz_seed(space, 8, budget=20_000, rng_seed=5)
+    vectors = riesz_seed(space, 8, budget=20_000, rng_seed=5)
+    cert = certify(space, vectors, 1.0)
     assert len(vectors) == 8
     assert cert.passed and cert.threshold == 1.0
     assert cert.min_pairwise >= 1.0
@@ -96,16 +97,19 @@ def test_riesz_seed_l2_8():
 
 def test_riesz_seed_dimension_one():
     space = SpaceSpec(p=2, d=1)
-    vectors, cert = riesz_seed(space, 2, budget=200, rng_seed=1)
+    vectors = riesz_seed(space, 2, budget=200, rng_seed=1)
+    cert = certify(space, vectors, 1.0)
     assert sorted(float(v[0]) for v in vectors) == [-1.0, 1.0]
     assert cert.min_pairwise == pytest.approx(2.0, abs=1e-12)
     # a third unit vector cannot exist; output is short, not an error
-    vectors, cert = riesz_seed(space, 3, budget=200, rng_seed=1)
+    vectors = riesz_seed(space, 3, budget=200, rng_seed=1)
     assert len(vectors) == 2
 
 
 def test_riesz_seed_single_vector():
-    vectors, cert = riesz_seed(SpaceSpec(p=2, d=3), 1, budget=10, rng_seed=0)
+    space = SpaceSpec(p=2, d=3)
+    vectors = riesz_seed(space, 1, budget=10, rng_seed=0)
+    cert = certify(space, vectors, 1.0)
     assert len(vectors) == 1 and cert.passed
 
 
@@ -230,7 +234,7 @@ def test_theorem1_window_check_rejects_wide_cluster(monkeypatch):
     space = SpaceSpec(p=2, d=8)
     seq = unit_basis_seed(space, 8)
     # a "cluster" of every index spans the functional values 0 and 1,
-    # far wider than the window width kappa * delta; the pair (0, j) gives
+    # far wider than the window width delta / 2; the pair (0, j) gives
     # x - (e_0 - e_j) = e_j of norm 1, which the pair-value certificate
     # rejects
     monkeypatch.setattr(sequences, "_largest_cluster",
@@ -240,7 +244,7 @@ def test_theorem1_window_check_rejects_wide_cluster(monkeypatch):
 
 
 def test_theorem1_insufficient_cluster_diagnostics():
-    # spread functional values: no window of width kappa*delta holds 2
+    # spread functional values: no window of width delta/2 holds 2
     space = SpaceSpec(p=2, d=3)
     seq = [np.array([t, math.sqrt(1 - t * t), 0.0])
            for t in (0.0, 0.5, 0.95)]
@@ -553,7 +557,8 @@ def test_fixed_seeds_are_float_arrays_of_the_old_rows(p):
 
 def test_riesz_seed_is_a_float_array_of_the_old_rows():
     space, n, budget, seed = SpaceSpec(p=3, d=5), 5, 3000, 7
-    vectors, cert = riesz_seed(space, n, budget, seed)
+    vectors = riesz_seed(space, n, budget, seed)
+    cert = certify(space, vectors, 1.0)
     # the list-of-rows loop the seed used to run, on the same draws
     rng = np.random.default_rng(seed)
     rows = [unit_batch(space, rng, 1)[0]]

@@ -1,7 +1,6 @@
-"""Start-up path: ``import uconvex`` is lazy, the CLI pins OpenBLAS to one
-thread before numpy loads, and the public names resolve on first use."""
+"""Start-up path: ``import uconvex`` loads no submodule and no numpy, and
+the CLI pins OpenBLAS to one thread before numpy loads."""
 
-import importlib
 import os
 import subprocess
 import sys
@@ -52,24 +51,6 @@ def test_cli_import_keeps_a_preset_thread_count():
                  "print(os.environ['OPENBLAS_NUM_THREADS'])",
                  OPENBLAS_NUM_THREADS="2")
     assert out == ["2"]
-
-
-def test_public_names_resolve_to_their_submodule_objects():
-    names = [n for n in uconvex.__all__ if n != "__version__"]
-    assert len(names) == len(set(names)) > 0
-    for name in names:
-        obj = getattr(uconvex, name)
-        module = obj.__module__
-        assert module.startswith("uconvex."), name
-        assert getattr(importlib.import_module(module), name) is obj, name
-
-
-def test_star_import_and_dir_list_every_public_name():
-    ns = {}
-    exec("from uconvex import *", ns)
-    assert set(uconvex.__all__) <= ns.keys()
-    assert ns["__version__"] == uconvex.__version__
-    assert dir(uconvex) == sorted(uconvex.__all__)
 
 
 def test_unknown_names_raise_and_submodules_still_import():
