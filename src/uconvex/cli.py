@@ -36,7 +36,7 @@ import numpy as np
 
 from . import modulus, sequences, verify
 from .errors import (CertificateError, InsufficientClusterError,
-                     SamplerExhaustedError, UconvexError)
+                     SamplerExhaustedError)
 from .spaces import SpaceSpec
 
 EXIT_OK = 0
@@ -72,9 +72,6 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"certificate failure (release-blocking): {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except UconvexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
 
 
 def _check_out_dirs(ns) -> None:
@@ -95,14 +92,21 @@ def parse_values(text: str) -> list[float]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError(f"grid count must be >= 1, got {count}")
-        if count == 1:
-            return [start]
         return [float(v) for v in np.linspace(start, stop, count)]
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, default=_jsonable) + "\n"
+
+
+def _jsonable(obj):
+    """An array as a list, a result by its ``to_json_dict`` or its fields."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if hasattr(obj, "to_json_dict"):
+        return obj.to_json_dict()
+    return vars(obj)
 
 
 # ----------------------------- modulus -----------------------------
@@ -111,8 +115,7 @@ def _cmd_modulus(ns) -> int:
     curve = modulus.build_curve(
         ns.p, parse_values(ns.eps), ns.method, d=ns.d,
         budget=ns.budget, rng_seed=ns.seed)
-    text = (curve.csv_text() if ns.format == "csv"
-            else _json_text(curve.to_json_dict()))
+    text = curve.csv_text() if ns.format == "csv" else _json_text(curve)
     if ns.out:
         Path(ns.out).write_text(text)
         print(f"wrote {len(curve.points)} points to {ns.out}")
@@ -123,36 +126,39 @@ def _cmd_modulus(ns) -> int:
 
 # ----------------------------- construct -----------------------------
 
-def _fixed_seed(kind: str, space: SpaceSpec, n: int | None):
-    """The basis or shifted-basis vectors; n defaults to as many as fit."""
+def _vectors(kind: str, ns, space: SpaceSpec):
+    """The vectors of a kind; ``--n`` defaults to d, or d - 1 if shifted."""
+    if kind == "csv":
+        if not ns.seq_file:
+            raise ValueError("--seq-kind csv needs --seq-file")
+        # the library makes the (n, d) array and reports ragged rows
+        lines = Path(ns.seq_file).read_text().splitlines()
+        return [[float(t) for t in line.split(",")] for line in lines
+                if line.strip()]
+    n = ns.n if ns.n is not None else space.d - (kind == "shifted-basis")
     if kind == "basis":
-        return sequences.unit_basis_seed(space, space.d if n is None else n)
-    return sequences.shifted_basis_seed(space,
-                                        space.d - 1 if n is None else n)
-
-
-def _make_seed(ns, space: SpaceSpec):
-    if ns.seed_kind != "riesz":
-        vectors = _fixed_seed(ns.seed_kind, space, ns.n)
-        return vectors, f"{ns.seed_kind} n={len(vectors)} in {space}"
-    n = ns.n if ns.n is not None else space.d
-    vectors = sequences.riesz_seed(space, n, ns.budget, ns.seed)
-    return vectors, f"riesz n={len(vectors)} in {space}"
+        return sequences.unit_basis_seed(space, n)
+    if kind == "shifted-basis":
+        return sequences.shifted_basis_seed(space, n)
+    if kind == "riesz":
+        return sequences.riesz_seed(space, n, ns.budget, ns.seed)
+    return sequences.unit_basis_seed(space, 1)[[0] * n]  # n copies of e_0
 
 
 def _cmd_construct(ns) -> int:
     space = SpaceSpec(p=ns.p, d=ns.d)
-    seed_vectors, description = _make_seed(ns, space)
+    seed_vectors = _vectors(ns.seed_kind, ns, space)
     max_len = ns.max_len if ns.max_len is not None else len(seed_vectors)
-    trace = sequences.theorem3_construct(space, seed_vectors, max_len,
-                                         seed_description=description)
+    trace = sequences.theorem3_construct(
+        space, seed_vectors, max_len,
+        seed_description=f"{ns.seed_kind} n={len(seed_vectors)} in {space}")
     cert = trace.final_certificate
     print(f"branch={trace.branch} status={trace.status} "
           f"output={len(trace.output)}")
     print(f"separation constant: {cert.min_pairwise:.17g}")
     print(f"target 1 + delta(2/3)/2: {cert.threshold:.17g}")
     if ns.out:
-        Path(ns.out).write_text(_json_text(trace.to_json_dict()))
+        Path(ns.out).write_text(_json_text(trace))
         print(f"wrote trace to {ns.out}")
     if ns.vectors_out:
         sequences.vectors_to_csv(ns.vectors_out, trace.output)
@@ -162,23 +168,9 @@ def _cmd_construct(ns) -> int:
 
 # ----------------------------- extract -----------------------------
 
-def _make_sequence(ns, space: SpaceSpec):
-    if ns.seq_kind == "csv":
-        if not ns.seq_file:
-            raise ValueError("--seq-kind csv needs --seq-file")
-        # the library makes the (n, d) array and reports ragged rows
-        lines = Path(ns.seq_file).read_text().splitlines()
-        return [[float(t) for t in line.split(",")] for line in lines
-                if line.strip()]
-    if ns.seq_kind != "constant":
-        return _fixed_seed(ns.seq_kind, space, ns.n)
-    n = ns.n if ns.n is not None else space.d
-    return sequences.unit_basis_seed(space, 1)[[0] * n]  # n copies of e_0
-
-
 def _cmd_extract(ns) -> int:
     space = SpaceSpec(p=ns.p, d=ns.d)
-    seq = _make_sequence(ns, space)
+    seq = _vectors(ns.seq_kind, ns, space)
     x = sequences.unit_basis_seed(space, 1)[0]
     if ns.mode == "baseline":
         result = sequences.baseline_extract(space, seq, x, ns.tau)
@@ -187,7 +179,7 @@ def _cmd_extract(ns) -> int:
     print(f"selected {len(result.selected)} indices, "
           f"pair_min={result.pair_min:.17g} >= {result.guaranteed:.17g}")
     if ns.out:
-        Path(ns.out).write_text(_json_text(result.to_json_dict()))
+        Path(ns.out).write_text(_json_text(result))
         print(f"wrote result to {ns.out}")
     return EXIT_OK
 
@@ -217,8 +209,7 @@ def _cmd_verify(ns) -> int:
     for rep in reports:
         print(verify.summary_line(rep))
     if ns.out:
-        Path(ns.out).write_text(
-            _json_text([rep.to_json_dict() for rep in reports]))
+        Path(ns.out).write_text(_json_text(reports))
         print(f"wrote reports to {ns.out}")
     if any(rep.violations for rep in reports):
         return EXIT_FAILURE

@@ -62,14 +62,6 @@ class BaselineResult:
     pair_min: float
     guaranteed: float  # 1 - tau
 
-    def to_json_dict(self) -> dict:
-        return {
-            "selected": list(self.selected),
-            "window": list(self.window),
-            "pair_min": self.pair_min,
-            "guaranteed": self.guaranteed,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class ExtractionResult:
@@ -81,16 +73,6 @@ class ExtractionResult:
     pair_min: float
     guaranteed: float  # 1 + delta(2*eps/3)
     delta_eps: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "functional": self.functional.tolist(),
-            "window": list(self.window),
-            "selected": list(self.selected),
-            "pair_min": self.pair_min,
-            "guaranteed": self.guaranteed,
-            "delta_eps": self.delta_eps,
-        }
 
 
 @dataclass(frozen=True)
@@ -115,23 +97,6 @@ class ConstructionTrace:
     output: np.ndarray            # (n, d), one output vector per row
     final_certificate: SeparationCertificate
     status: str                   # "completed" | "exhausted"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seed_description": self.seed_description,
-            "delta1": self.delta1,
-            "branch": self.branch,
-            "status": self.status,
-            "steps": [{
-                "candidate_index": s.candidate_index,
-                "pair": list(s.pair),
-                "y_norm": s.y_norm,
-                "min_dist_to_prior": s.min_dist_to_prior,
-                "accepted": s.accepted,
-            } for s in self.steps],
-            "output": self.output.tolist(),
-            "final_certificate": self.final_certificate.to_json_dict(),
-        }
 
 
 def separation(space: SpaceSpec, seq) -> float:
@@ -228,7 +193,8 @@ def theorem1_extract(space: SpaceSpec, seq, x,
 
     The input sequence must be eps-separated (verified); ``eps=None`` takes
     the measured separation as eps, capped at 2 since a sequence separated
-    by more is also 2-separated and delta lives on (0, 2].  Indices whose
+    by more is also 2-separated and delta lives on (0, 2]; a measured 0,
+    two equal vectors, raises ``PreconditionError``.  Indices whose
     functional values lie in a window of width ``delta_eps / 2`` are
     selected (Theorem 1); for any two of them the vector
     ``xi = x - (v_i - v_j)`` pairs with the norming functional to at least
@@ -243,8 +209,10 @@ def theorem1_extract(space: SpaceSpec, seq, x,
     vecs = _finite_rows(space, seq)
     sep = separation(space, vecs)
     if eps is None:
+        if sep == 0.0:
+            raise PreconditionError(
+                "sequence has two equal vectors (separation 0)")
         eps = min(sep, 2.0)
-        _check_eps(eps)
     if sep < eps - SLACK:
         raise PreconditionError(
             f"sequence separation {sep:.17g} is below eps={eps:.17g}")
@@ -315,8 +283,8 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
     pairs touching indices already consumed by an accepted candidate; a
     candidate is accepted when it keeps distance ``1 + delta1`` to all
     prior outputs, and its normalization then stays
-    ``1 + delta1/2``-separated, which the final :func:`certify` of the
-    whole output asserts.
+    ``1 + delta1/2``-separated.  In either branch one final
+    :func:`certify` of the whole output asserts that separation.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -335,49 +303,43 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
     extracted, branch = ramsey_extract(dist, split)
     xi = seed[extracted]
 
-    if branch == "high":
-        # passes: it recomputes the entries the split judged above it
-        output = xi[:max_len]
-        return ConstructionTrace(
-            seed_description=seed_description, delta1=delta1, branch="high",
-            steps=(), output=output,
-            final_certificate=certify(space, output, threshold=split),
-            status="completed")
-
-    consumed: set[int] = set()
-    # each accepted candidate consumes two indices of xi
-    outputs = np.empty((min(max_len, len(xi) // 2), space.d))
-    m = 0
     steps: list[TraceStep] = []
-    status = "exhausted"
-    for pos, (a, b) in _open_pairs(len(xi), consumed):
-        y = xi[a] - xi[b]
-        y_norm = norm(space, y)
-        if m:
-            dists = batch_norm(space, outputs[:m] - y)
-            min_dist = float(dists.min())
-            accepted = bool(min_dist >= 1.0 + delta1)
-        else:
-            min_dist = None
-            accepted = True
-        steps.append(TraceStep(candidate_index=pos, pair=(a, b),
-                               y_norm=y_norm, min_dist_to_prior=min_dist,
-                               accepted=accepted))
-        if not accepted:
-            continue
-        consumed.update((a, b))
-        outputs[m] = y / y_norm
-        m += 1
-        if m >= max_len:
-            status = "completed"
-            break
+    if branch == "high":
+        # certify passes: it recomputes the entries the split judged above it
+        output, status = xi[:max_len], "completed"
+    else:
+        consumed: set[int] = set()
+        # each accepted candidate consumes two indices of xi
+        outputs = np.empty((min(max_len, len(xi) // 2), space.d))
+        m = 0
+        for pos, (a, b) in _open_pairs(len(xi), consumed):
+            y = xi[a] - xi[b]
+            y_norm = norm(space, y)
+            if m:
+                dists = batch_norm(space, outputs[:m] - y)
+                min_dist = float(dists.min())
+                accepted = bool(min_dist >= 1.0 + delta1)
+            else:
+                min_dist = None
+                accepted = True
+            steps.append(TraceStep(candidate_index=pos, pair=(a, b),
+                                   y_norm=y_norm, min_dist_to_prior=min_dist,
+                                   accepted=accepted))
+            if not accepted:
+                continue
+            consumed.update((a, b))
+            outputs[m] = y / y_norm
+            m += 1
+            if m >= max_len:
+                break
+        output = outputs[:m]
+        status = "completed" if m >= max_len else "exhausted"
 
-    output = outputs[:m]
     cert = certify(space, output, threshold=split)
     if not cert.passed:
         raise CertificateError("final certificate failed after construction")
     return ConstructionTrace(
-        seed_description=seed_description, delta1=delta1, branch="low",
+        seed_description=seed_description, delta1=delta1, branch=branch,
         steps=tuple(steps), output=output, final_certificate=cert,
         status=status)
 

@@ -63,18 +63,7 @@ class VerificationReport:
         return "curve"
 
     def to_json_dict(self) -> dict:
-        return {
-            "statement": self.statement,
-            "space": self.space,
-            "p": self.p,
-            "d": self.d,
-            "eps": self.eps,
-            "delta_used": self.delta_used,
-            "trials": self.trials,
-            "kept": self.kept,
-            "violations": [dict(rec) for rec in self.violations],
-            "rng_seed": self.rng_seed,
-        }
+        return {**vars(self), "space": self.space}
 
 
 def summary_line(report: VerificationReport) -> str:

@@ -165,6 +165,29 @@ def test_construct_riesz_seed_is_one_separated(monkeypatch, capsys, p, d, n,
     assert sequences.separation(space, vectors) >= 1.0
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("basis", ()), ("shifted-basis", ()),
+    ("riesz", ("--n", "6", "--budget", "2000")),
+])
+def test_construct_seed_description_names_kind_length_and_space(
+        tmp_path, capsys, monkeypatch, kind, extra):
+    seeds = []
+    construct = sequences.theorem3_construct
+
+    def recorded(space, seed, *args, **kw):
+        seeds.append(seed)
+        return construct(space, seed, *args, **kw)
+
+    monkeypatch.setattr(sequences, "theorem3_construct", recorded)
+    out = tmp_path / "trace.json"
+    code, _, err = run(capsys, "construct", "--p", "3", "--d", "6",
+                       "--seed-kind", kind, *extra, "--out", str(out))
+    assert code in (0, 3), err
+    [seed] = seeds
+    assert json.loads(out.read_text())["seed_description"] == \
+        f"{kind} n={len(seed)} in l^3_6"
+
+
 def test_construct_invalid_seed_spec(capsys):
     code, _, err = run(capsys, "construct", "--p", "2", "--d", "4",
                        "--seed-kind", "shifted-basis", "--n", "9")
@@ -210,6 +233,15 @@ def test_extract_baseline_writes_its_result_file(tmp_path, capsys):
     assert json.loads(out.read_text()) == {
         "selected": [0, 1, 2, 3, 4], "window": [1.0, 1.01],
         "pair_min": 1.0, "guaranteed": 0.99}
+
+
+def test_extract_without_eps_names_two_equal_vectors(tmp_path, capsys):
+    seq_file = tmp_path / "dup.csv"
+    seq_file.write_text("1,0\n1,0\n")
+    code, _, err = run(capsys, "extract", "--p", "2", "--d", "2",
+                       "--seq-kind", "csv", "--seq-file", str(seq_file))
+    assert code == 2
+    assert err == "error: sequence has two equal vectors (separation 0)\n"
 
 
 def test_extract_insufficient_cluster_exit_3(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uconvex import sequences
+from uconvex.cli import _json_text
 from uconvex.errors import (CapacityError, CertificateError,
                             DimensionMismatchError, InsufficientClusterError,
                             PreconditionError)
@@ -220,13 +222,13 @@ def test_theorem1_eps_none_uses_measured_separation():
     eps = separation(space, seq)
     measured = theorem1_extract(space, seq, x, eps=None)
     given = theorem1_extract(space, seq, x, eps=eps)
-    assert measured.to_json_dict() == given.to_json_dict()
+    assert _json_text(measured) == _json_text(given)
 
 
 def test_theorem1_eps_none_rejects_zero_separation():
     space = SpaceSpec(p=2, d=3)
     e0 = unit_basis_seed(space, 1)[0]
-    with pytest.raises(ValueError, match="eps must lie in"):
+    with pytest.raises(PreconditionError, match="two equal vectors"):
         theorem1_extract(space, [e0, e0.copy()], e0, eps=None)
 
 
@@ -495,6 +497,16 @@ def test_theorem3_final_certificate_rejects_close_low_branch_outputs(
         theorem3_construct(space, shifted_basis_seed(space, 4), max_len=2)
 
 
+def test_theorem3_final_certificate_is_checked_in_the_high_branch(
+        monkeypatch):
+    space = SpaceSpec(p=2, d=16)
+    failing = sequences.SeparationCertificate(
+        indices=(), min_pairwise=0.0, threshold=1.0, passed=False)
+    monkeypatch.setattr(sequences, "certify", lambda *args, **kw: failing)
+    with pytest.raises(CertificateError, match="final certificate failed"):
+        theorem3_construct(space, unit_basis_seed(space, 16), max_len=16)
+
+
 def test_theorem3_rejects_underseparated_seed():
     space = SpaceSpec(p=2, d=4)
     seed = [normalize(space, np.ones(4) + 0.01 * v)
@@ -590,8 +602,8 @@ def test_theorem3_outputs_are_float_arrays_of_the_old_rows(p):
             for s in low.steps if s.accepted]
     assert low.branch == "low" and len(rows) >= 2
     assert _same_rows(low.output, rows)
-    assert low.to_json_dict()["output"] == [[float(c) for c in v]
-                                           for v in rows]
+    assert json.loads(_json_text(low))["output"] == [[float(c) for c in v]
+                                                    for v in rows]
 
 
 @pytest.mark.parametrize("seq", [
