@@ -23,16 +23,13 @@ import numpy as np
 
 from .errors import CertificateError, PreconditionError
 from .search import EvalBudget, refine, sample_feasible_pairs
-from .spaces import (SpaceSpec, _row_norms, batch_norm, norm, row_blocks,
-                     unit_batch)
+from .spaces import (SpaceSpec, _row_norms, batch_norm, norm, norm_error,
+                     row_blocks, unit_batch, unit_error)
 
 METHODS = ("clarkson", "hanner", "empirical")
 
 # Bisection target: absolute tolerance on the implicit equation's delta.
 HANNER_TOL = 1e-13
-
-# Feasibility slack for empirical witnesses.
-WITNESS_TOL = 1e-9
 
 # Allowed non-monotonicity between adjacent curve points when either point
 # came from the empirical estimator.
@@ -89,33 +86,23 @@ class ModulusCurve:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["eps", "delta", "method", "witness_x", "witness_y"])
         for pt in self.points:
-            wx = wy = ""
-            if pt.witness is not None:
-                wx = _vec_str(pt.witness[0])
-                wy = _vec_str(pt.witness[1])
+            wx, wy = map(_vec_str, pt.witness) if pt.witness else ("", "")
             writer.writerow([f"{pt.eps:.17g}", f"{pt.delta:.17g}",
                              pt.method, wx, wy])
         return buf.getvalue()
 
     def to_json_dict(self) -> dict:
-        rows = []
-        for pt in self.points:
-            rows.append({
-                "eps": pt.eps,
-                "delta": pt.delta,
-                "method": pt.method,
-                "witness_x": _vec_str(pt.witness[0]) if pt.witness else None,
-                "witness_y": _vec_str(pt.witness[1]) if pt.witness else None,
-            })
+        rows = [{"eps": pt.eps, "delta": pt.delta, "method": pt.method,
+                 "witness_x": _vec_str(pt.witness[0]) if pt.witness else None,
+                 "witness_y": _vec_str(pt.witness[1]) if pt.witness else None}
+                for pt in self.points]
         return {"space": self.space, "points": rows}
 
     @classmethod
     def from_csv(cls, path) -> "ModulusCurve":
-        points = []
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                points.append(_point_from_fields(row))
-        return cls(space=str(Path(path).stem), points=tuple(points))
+            points = tuple(map(_point_from_fields, csv.DictReader(fh)))
+        return cls(space=str(Path(path).stem), points=points)
 
     @classmethod
     def from_json(cls, path) -> "ModulusCurve":
@@ -200,15 +187,11 @@ def empirical_delta(space: SpaceSpec, eps: float, budget: int,
     candidates (the antipodal pair and the axis-aligned pair that attains
     the Clarkson value), random feasible pairs drawn by rejection with a
     boundary-interpolation fallback, and pattern refinement of the best
-    starts.  The refinement is the first-improvement pattern search of
-    :func:`search.refine`, but each call of its evaluator scores a whole
-    slice of the sweep's moves as array rows (see :class:`_PairMoves`).
-    Every row norm takes its root through the scalar libm ``pow``, as
-    :func:`spaces.norm` does, so the rows reproduce the scalar search's
-    values bit for bit and the witness does not depend on the batching.
-    The result can only overestimate the true infimum, and never exceeds
-    eps/2: the Clarkson candidate scores ``1 - a <= eps/2``.  Deterministic
-    given the seed.
+    starts by :func:`search.refine` with the batched evaluator
+    :class:`_PairMoves`, which reproduces the scalar search bit for bit, so
+    the witness does not depend on the batching.  The result can only
+    overestimate the true infimum, and never exceeds eps/2: the Clarkson
+    candidate scores ``1 - a <= eps/2``.  Deterministic given the seed.
 
     In dimension 1 every feasible pair is antipodal, so the modulus is 1
     for every eps; that breaks the ``delta <= eps/2`` bound for eps < 2,
@@ -244,10 +227,8 @@ def empirical_delta(space: SpaceSpec, eps: float, budget: int,
     candidates.append((pair_value(x0, -x0), x0, -x0.copy()))
     a = max(0.0, 1.0 - (eps / 2.0) ** space.p) ** (1.0 / space.p)
     bx = np.zeros(d)
-    by = np.zeros(d)
-    bx[0] = a
-    bx[1] = eps / 2.0
-    by[0] = a
+    bx[:2] = a, eps / 2.0
+    by = bx.copy()
     by[1] = -eps / 2.0
     candidates.append((pair_value(bx, by), bx, by))
 
@@ -288,13 +269,11 @@ class _PairMoves:
 
     A point is ``z = (x, y)``; move ``k`` changes coordinate ``k // 2`` of
     ``z``, so it moves one half.  Each call builds the moved halves of its
-    slice of moves as rows, ``z[i] + sign*step`` exactly as the scalar
-    loop does, and normalizes them; a moved unit half is never zero, since
-    ``step <= search.INIT_STEP < 1``.  The other half is ``normalize`` of the
-    current half, computed once per accepted point.  Feasibility
-    ``||x-y|| >= eps`` and value ``1 - ||x+y||/2`` are computed for all rows
-    at once with :func:`spaces._row_norms`, which equals the scalar
-    :func:`spaces.norm` bit for bit.  The first feasible row below the
+    slice of moves as rows, ``z[i] + sign*step`` as the scalar loop does,
+    and normalizes them (never zero: ``step <= search.INIT_STEP < 1``);
+    the other half is ``normalize`` of the current half.  Feasibility and
+    value of all rows come from :func:`spaces._row_norms`, equal to
+    :func:`spaces.norm` bit for bit, so the first feasible row below the
     current best is the move the scalar loop would accept.
     """
 
@@ -353,39 +332,44 @@ def _pair_search(space: SpaceSpec, eps: float, z0: np.ndarray,
 
 
 def validate_witness(space: SpaceSpec, point: ModulusPoint) -> None:
-    """Check a witness pair is feasible and achieves the stored delta."""
+    """Check a witness pair is feasible and achieves the stored delta.
+
+    Each comparison allows :func:`spaces.norm_error`.  The halves come
+    from ``normalize`` (the Clarkson pair is as close to unit); the
+    estimator kept them on its own computed ``||x-y|| >= eps``, maybe
+    before :func:`search.refine`'s start projection moved each by its
+    distance from unit and a rounding, and computed ``delta`` from them.
+    """
     if point.witness is None:
         return
-    x, y = point.witness
+    (x, y), d = point.witness, space.d
     for v in (x, y):
-        if abs(norm(space, v) - 1.0) > WITNESS_TOL:
+        n = norm(space, v)
+        if abs(n - 1.0) > unit_error(d, n):
             raise CertificateError(f"witness vector is not unit: {v!r}")
-    if norm(space, x - y) < point.eps - WITNESS_TOL:
+    sep = norm(space, x - y)
+    moved = 2.0 * unit_error(d, 1.0) + norm_error(d, 0.0, 2.0)
+    if sep < point.eps - (norm_error(d, point.eps, point.eps)
+                          + norm_error(d, sep, sep) + moved):
         raise CertificateError("witness pair violates the separation constraint")
-    achieved = 1.0 - 0.5 * norm(space, x + y)
-    if abs(achieved - point.delta) > WITNESS_TOL:
+    total = norm(space, x + y)
+    achieved = 1.0 - 0.5 * total
+    if abs(achieved - point.delta) > norm_error(d, total, total + 2.0):
         raise CertificateError(
             f"witness achieves {achieved:.17g}, point records {point.delta:.17g}")
 
 
-def delta_from_constraint(curve_eval, eps: float, factor: float) -> float:
-    """Largest d in (0, eps) with ``d <= factor * delta(eps - d)``.
+def delta_from_constraint(p: float, eps: float) -> float:
+    """Largest d in (0, eps) with ``d <= delta(eps - d) / 2`` in l^p.
 
-    ``g(d) = factor * delta(eps - d) - d`` is strictly decreasing (a
+    ``g(d) = lp_delta(p, eps - d) / 2 - d`` is strictly decreasing (a
     nonincreasing term minus an increasing one), so the crossing is unique;
-    bisection locates it to 1e-10.  ``curve_eval`` must be nondecreasing on
-    (0, eps]; a coarse monotonicity scan rejects inputs that are not.
+    bisection locates it to 1e-10.
     """
-    if factor not in (0.5, 1.0):
-        raise ValueError(f"factor must be 1/2 or 1, got {factor!r}")
     _check_eps(eps)
-    probes = [eps * (i + 1) / 33.0 for i in range(33)]
-    values = [curve_eval(t) for t in probes]
-    if any(b < a - 1e-12 for a, b in zip(values, values[1:])):
-        raise PreconditionError("curve_eval is not nondecreasing on (0, eps]")
 
     def g(d: float) -> float:
-        return factor * curve_eval(eps - d) - d
+        return 0.5 * lp_delta(p, eps - d) - d
 
     if g(0.0) <= 0.0:
         raise PreconditionError("curve vanishes at eps; no positive delta exists")
@@ -398,9 +382,10 @@ def build_curve(p: float, eps_values, method: str, *, d: int | None = None,
 
     For the closed-form engines the curve is exactly monotone with
     ``delta <= eps/2`` at every point; the empirical engine is allowed the
-    documented slacks of :func:`curve_violations`.  Any violation raises
-    ``CertificateError`` since a fresh engine output must satisfy its own
-    invariants.  Every eps is checked before the first point is computed.
+    rounding and estimator slacks of :func:`curve_violations`.  Any
+    violation raises ``CertificateError`` since a fresh engine output must
+    satisfy its own invariants.  Every eps is checked before the first
+    point is computed.
     """
     if method == "empirical" and d is None:
         raise ValueError("empirical curves need the dimension d (--d)")
@@ -438,14 +423,18 @@ def curve_violations(points) -> list[dict]:
     Each point is checked against ``delta <= eps/2`` (a ``bound`` record)
     and each adjacent pair against monotonicity (a ``monotonicity``
     record); bound records come first.  Closed-form points are held to
-    exact comparisons, empirical ones get :data:`WITNESS_TOL` on the bound
-    and :data:`EMPIRICAL_MONOTONE_SLACK` on monotonicity.  A record keeps
+    exact comparisons.  Empirical ones get :data:`EMPIRICAL_MONOTONE_SLACK`
+    on monotonicity and, on the bound, the rounding of the Clarkson
+    candidate's computed ``1 - ||(2a, 0, ...)||/2 >= delta``: half a
+    one-entry norm of size at most 2 and one subtraction (``1 - a <= eps/2``
+    with room for ``a``'s own rounding).  A record keeps
     the values and the slack it was judged with, so :func:`curve_violated`
     re-judges it from the record alone.
     """
     records = [{"kind": "bound", "eps": pt.eps, "delta": pt.delta,
                 "method": pt.method,
-                "slack": WITNESS_TOL if pt.method == "empirical" else 0.0}
+                "slack": (norm_error(1, 2.0, 2.0) / 2.0
+                          if pt.method == "empirical" else 0.0)}
                for pt in points]
     records += [{"kind": "monotonicity", "eps": b.eps, "delta": b.delta,
                  "method": b.method, "prev_eps": a.eps,
@@ -491,9 +480,6 @@ def _field(record, name: str, kind):
 def _point_from_fields(row) -> ModulusPoint:
     eps, delta = _field(row, "eps", float), _field(row, "delta", float)
     method = _field(row, "method", str)
-    wx = row.get("witness_x") or None
-    wy = row.get("witness_y") or None
-    witness = None
-    if wx and wy:
-        witness = (_vec_from_str(wx), _vec_from_str(wy))
+    wx, wy = row.get("witness_x"), row.get("witness_y")
+    witness = (_vec_from_str(wx), _vec_from_str(wy)) if wx and wy else None
     return ModulusPoint(eps=eps, delta=delta, method=method, witness=witness)

@@ -5,17 +5,10 @@ builder: batch sampling of feasible pairs and a feasibility-preserving
 pattern refinement (coordinate-wise perturbation with shrinking step,
 re-projection to the sphere, infeasible moves discarded).
 
-The refinement, :func:`refine`, is the one pattern-search loop: it owns
-the rounds, the sweeps, the step shrinking and the evaluation budget.  A
-sweep tries the moves ``(i, +1), (i, -1)`` for each coordinate ``i`` in
-order and accepts every strictly improving feasible move as it meets it
-(first improvement).  The loop hands its evaluator the rest of the sweep;
-the evaluator reports how many moves it consumed, up to and including the
-first improvement.  By default the evaluator calls scalar callbacks one
-move at a time.  The empirical modulus estimator supplies an evaluator
-that scores a whole slice of moves as array rows; it speculates past the
-first improvement and discards the rest, so the trajectory, the result
-and the budget used are those of the move-by-move loop.
+:func:`refine` is the one pattern-search loop, with a pluggable move
+evaluator: by default scalar callbacks one move at a time; the empirical
+modulus estimator scores a whole slice of moves as array rows with the
+same trajectory, result and budget.
 """
 
 from __future__ import annotations
@@ -116,11 +109,8 @@ def sample_feasible_pairs(space: SpaceSpec, eps: float,
     interpolating ``y`` toward ``-x`` until the separation constraint holds
     (a boundary pair).
 
-    The distances and the fallback stream the rows in blocks of
-    :func:`spaces.row_blocks`, so their temporaries are O(block), not
-    O(count).  Every random draw is made whole and in a fixed order: only
-    a batch's last draw may be split into blocks without changing the
-    numbers, and the fallback draws nothing.
+    The distances and the fallback run one :func:`spaces.row_blocks` block
+    at a time; each random draw is whole, as a split one would shift the rest.
 
     Returns ``(X, Y)`` arrays of shape (count, d).
     """
@@ -154,11 +144,9 @@ def _interpolate_to_boundary(space: SpaceSpec, eps: float, X: np.ndarray,
 
     Each ``y`` moves until ``||x - y|| >= eps``, by bisection on the
     interpolation parameter; t = 1 (the antipode) is always feasible since
-    ``||x - (-x)|| = 2 >= eps``.  The rows are gathered and bisected one
-    block of :func:`spaces.row_blocks` at a time, through all 40 steps, so
-    the working set is O(block) for any number of rows.  Rows are
-    independent, so the result is that of bisecting all rows at once, bit
-    for bit.
+    ``||x - (-x)|| = 2 >= eps``.  The rows are bisected through all 40 steps
+    one row block at a time; rows are independent, so the result is that
+    of bisecting all rows at once, bit for bit.
     """
     for blk in row_blocks(len(rows), space.d):
         r = rows[blk]
@@ -169,7 +157,8 @@ def _interpolate_to_boundary(space: SpaceSpec, eps: float, X: np.ndarray,
             mid = 0.5 * (lo + hi)
             cand = (1.0 - mid)[:, None] * y - mid[:, None] * x
             norms = batch_norm(space, cand)
-            # exact antipode can make the interpolant vanish; nudge past it
+            # a coincident pair y = x makes the interpolant vanish at the
+            # first midpoint; nudge past it
             degenerate = norms == 0.0
             if np.any(degenerate):
                 mid[degenerate] = np.nextafter(mid[degenerate], 2.0)

@@ -21,13 +21,10 @@ import numpy as np
 
 from .errors import (CapacityError, CertificateError, DimensionMismatchError,
                      InsufficientClusterError, PreconditionError)
-from .modulus import _check_eps, lp_delta
+from .modulus import HANNER_TOL, _check_eps, lp_delta
 from .search import EvalBudget, maximize_min_distance
-from .spaces import (SpaceSpec, as_vector, batch_norm, norm,
-                     norming_functional, pair_norms, unit_batch)
-
-# Arithmetic slack on exact theorem inequalities.
-SLACK = 1e-9
+from .spaces import (SpaceSpec, as_vector, batch_norm, norm, norm_error,
+                     norming_functional, pair_norms, unit_batch, unit_error)
 
 
 @dataclass(frozen=True)
@@ -109,11 +106,7 @@ def separation(space: SpaceSpec, seq) -> float:
 
 
 def certify(space: SpaceSpec, seq, threshold: float) -> SeparationCertificate:
-    """Recompute a separation certificate of the whole sequence from scratch.
-
-    The minimum comes from :func:`separation`, hence from the pairwise
-    kernel :func:`spaces.pair_norms`.
-    """
+    """The sequence's separation certificate, fresh from :func:`separation`."""
     min_pairwise = separation(space, seq) if len(seq) >= 2 else math.inf
     return SeparationCertificate(
         indices=tuple(range(len(seq))),
@@ -180,9 +173,8 @@ def baseline_extract(space: SpaceSpec, seq, x, tau: float) -> BaselineResult:
     """
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must lie in (0, inf), got {tau}")
-    x = _require_unit(space, x)
     _, selected, window, pair_min = _certified_cluster(
-        space, _finite_rows(space, seq), x, tau, 1.0 - tau)
+        space, _finite_rows(space, seq), x, tau, 1.0 - tau, 0.0)
     return BaselineResult(selected=selected, window=window,
                           pair_min=pair_min, guaranteed=1.0 - tau)
 
@@ -205,7 +197,6 @@ def theorem1_extract(space: SpaceSpec, seq, x,
     """
     if eps is not None:
         _check_eps(eps)
-    x = _require_unit(space, x)
     vecs = _finite_rows(space, seq)
     sep = separation(space, vecs)
     if eps is None:
@@ -213,14 +204,14 @@ def theorem1_extract(space: SpaceSpec, seq, x,
             raise PreconditionError(
                 "sequence has two equal vectors (separation 0)")
         eps = min(sep, 2.0)
-    if sep < eps - SLACK:
+    if sep < eps - norm_error(space.d, sep, sep):
         raise PreconditionError(
             f"sequence separation {sep:.17g} is below eps={eps:.17g}")
 
     delta_eps = lp_delta(space.p, 2.0 * eps / 3.0)
     guaranteed = 1.0 + delta_eps
     f, selected, window, pair_min = _certified_cluster(
-        space, vecs, x, 0.5 * delta_eps, guaranteed)
+        space, vecs, x, 0.5 * delta_eps, guaranteed, HANNER_TOL)
     return ExtractionResult(functional=f, window=window, selected=selected,
                             pair_min=pair_min, guaranteed=guaranteed,
                             delta_eps=delta_eps)
@@ -291,7 +282,7 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
     seed = _finite_rows(space, seed)
     dist = pair_norms(space, seed)
     sep = _min_off_diagonal(dist)
-    if sep < 1.0 - SLACK:
+    if sep < 1.0 - norm_error(space.d, sep, sep):
         raise PreconditionError(
             f"seed separation {sep:.17g} is below 1")
     if not seed_description:
@@ -408,20 +399,14 @@ def _finite_rows(space: SpaceSpec, seq) -> np.ndarray:
     return rows
 
 
-def _require_unit(space: SpaceSpec, x) -> np.ndarray:
-    x = as_vector(space, x)
-    if not abs(norm(space, x) - 1.0) <= SLACK:
-        raise PreconditionError(f"x must be a unit vector, norm {norm(space, x)!r}")
-    return x
-
-
 def _largest_cluster(values: np.ndarray,
                      width: float) -> tuple[tuple[int, ...], tuple[float, float]]:
     """Largest index set whose values fit in a closed window of ``width``.
 
     Ties break to the leftmost window in sorted order, then to smallest
     indices (stable sort).  Raises ``InsufficientClusterError`` with
-    pigeonhole diagnostics when no window holds two points.
+    pigeonhole diagnostics when no window holds two points: ``ceil(range /
+    width)`` windows cover the range, so one value more puts two in one.
     """
     order = np.argsort(values, kind="stable")
     svals = values[order]
@@ -436,33 +421,39 @@ def _largest_cluster(values: np.ndarray,
             best_size, best_lo = j - i, i
     if best_size < 2:
         value_range = float(svals[-1] - svals[0]) if n else 0.0
-        window_count = int(math.ceil(2.0 * value_range / width)) if width > 0 else 0
+        window_count = int(math.ceil(value_range / width)) if width > 0 else 0
         raise InsufficientClusterError(
             f"no window of width {width:.17g} holds 2 of {n} values",
             best_window=(float(svals[best_lo]), float(svals[best_lo]) + width)
             if n else None,
-            best_count=best_size,
-            value_range=value_range,
-            window_count=window_count,
-            min_n=window_count + 1,
-        )
+            best_count=best_size, value_range=value_range,
+            window_count=window_count, min_n=max(2, window_count + 1))
     lo = float(svals[best_lo])
     members = order[best_lo:best_lo + best_size]
     return tuple(sorted(int(i) for i in members)), (lo, lo + width)
 
 
 def _certified_cluster(space: SpaceSpec, vecs: np.ndarray, x, width: float,
-                       guaranteed: float):
+                       guaranteed: float, accuracy: float):
     """Norming functional of ``x``, largest value window, and ``pair_min``.
 
-    ``pair_min`` is the min over selected ordered pairs i != j of
-    ``||x - (v_i - v_j)||``; below ``guaranteed - SLACK`` it raises
-    ``CertificateError``.
+    ``x`` must be unit within :func:`spaces.unit_error`.  ``pair_min``, the
+    min over selected pairs i != j of ``||x - (v_i - v_j)||``, must not be
+    below ``guaranteed`` by more than ``accuracy`` (the threshold's own)
+    and the rounding of the pair value, its two differences (``v_i - v_j =
+    x - z``, of norm at most ``||x|| + ||z||``) and the threshold, plus how
+    far the exact ``||x||`` may be from 1; else ``CertificateError``.
     """
+    x, d = as_vector(space, x), space.d
+    n = norm(space, x)
+    if not abs(n - 1.0) <= unit_error(d, n):
+        raise PreconditionError(f"x must be a unit vector, norm {n!r}")
     f = norming_functional(space, x)
     selected, window = _largest_cluster(vecs @ f, width)
     pair_min = _min_off_diagonal(pair_norms(space, vecs[list(selected)], x))
-    if pair_min < guaranteed - SLACK:
+    margin = (norm_error(d, pair_min, n + 2.0 * pair_min + guaranteed)
+              + abs(n - 1.0) + norm_error(d, n) + accuracy)
+    if pair_min < guaranteed - margin:
         raise CertificateError(
             f"pair value {pair_min:.17g} violates the bound "
             f"{guaranteed:.17g}; release-blocking defect")

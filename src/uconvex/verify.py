@@ -10,11 +10,8 @@ conclusion to a batch of one built from a record.  For the theorem-backed
 statements any violation is a release-blocking defect in either the
 sampler or the modulus engines, never an expected outcome.
 
-A batch's draws are made whole and in a fixed order; the hypotheses and
-conclusion are then evaluated one row block (:func:`spaces.row_blocks`)
-at a time, so no temporary grows with the batch.  Only a batch's last
-draw may itself be split into blocks: that gives the same numbers, any
-earlier draw would shift the ones after it.
+A batch is drawn whole (splitting any but its last draw would shift the
+numbers), then judged one :func:`spaces.row_blocks` block at a time.
 """
 
 from __future__ import annotations
@@ -179,8 +176,7 @@ SAMPLERS = {
         batch=_lemma23_batch, hypotheses=_lemma23_hypotheses,
         witness="functional"),
     "thm2_condition3": _Sampler(
-        delta=lambda space, eps: delta_from_constraint(
-            lambda e: lp_delta(space.p, e), eps, 0.5),
+        delta=lambda space, eps: delta_from_constraint(space.p, eps),
         batch=_thm2_batch, hypotheses=_thm2_hypotheses,
         witness="functional"),
     "remark45": _Sampler(
@@ -380,9 +376,6 @@ def _remaining(attempted: int, target_kept: int, statement: str,
 
 
 def _seed_int(rng_seed) -> int | None:
-    if isinstance(rng_seed, (int, np.integer)):
-        return int(rng_seed)
     if isinstance(rng_seed, np.random.SeedSequence):
-        ent = rng_seed.entropy
-        return int(ent) if isinstance(ent, (int, np.integer)) else None
-    return None
+        rng_seed = rng_seed.entropy
+    return int(rng_seed) if isinstance(rng_seed, (int, np.integer)) else None

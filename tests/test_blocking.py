@@ -126,8 +126,7 @@ def _old_check_lemma23(space, eps, trials, rng_seed):
 
 
 def _old_check_thm2_condition3(space, eps, trials, rng_seed):
-    delta = verify.delta_from_constraint(
-        lambda e: verify.lp_delta(space.p, e), eps, 0.5)
+    delta = verify.delta_from_constraint(space.p, eps)
     rng = np.random.default_rng(rng_seed)
     t_scale = min(1.0, math.sqrt(2.0 * delta))
     f_scale = 0.7 * math.sqrt(delta)

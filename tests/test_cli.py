@@ -258,6 +258,19 @@ def test_extract_insufficient_cluster_exit_3(tmp_path, capsys):
     assert "minimum N for guaranteed success" in err
 
 
+def test_extract_baseline_pigeonhole_floor(tmp_path, capsys):
+    # no window of width 0.25 holds two of 0, .3, .6, .9; five values in
+    # their range of 0.9 would put two within 0.225
+    seq_file = tmp_path / "spread.csv"
+    seq_file.write_text("".join(f"{t},{(1 - t * t) ** 0.5}\n"
+                                for t in (0.0, 0.3, 0.6, 0.9)))
+    code, _, err = run(capsys, "extract", "--mode", "baseline", "--p", "2",
+                       "--d", "2", "--seq-kind", "csv",
+                       "--seq-file", str(seq_file), "--tau", "0.25")
+    assert code == 3
+    assert "windows: 4  minimum N for guaranteed success: 5\n" in err
+
+
 def test_extract_ragged_csv_is_dimension_error_exit_2(tmp_path, capsys):
     seq_file = tmp_path / "ragged.csv"
     seq_file.write_text("1,0\n0,1,0\n")

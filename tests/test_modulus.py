@@ -20,7 +20,6 @@ CLARKSON_2_1 = 0.1339745962155614    # 1 - sqrt(3)/2
 CLARKSON_4_1 = 0.01600516436728483   # 1 - (15/16)^(1/4)
 CLARKSON_3_1 = 0.04353440861380542   # 1 - (7/8)^(1/3)
 HANNER_15_1 = 0.06712261032901637
-FIXEDPOINT_L2_EPS1_FULL = 0.10557280900008413   # 1 - 2/sqrt(5), exact
 FIXEDPOINT_L2_EPS1_HALF = 0.058823529411764705  # 1/17, exact
 
 
@@ -136,32 +135,33 @@ def test_delta_monotone_in_eps(p):
 
 def test_delta_from_constraint_fixed_point():
     for eps in (0.3, 1.0, 1.7):
-        d = delta_from_constraint(l2_curve, eps, 1.0)
-        assert d == pytest.approx(l2_curve(eps - d), abs=1e-9)
+        d = delta_from_constraint(2.0, eps)
+        assert d == pytest.approx(0.5 * l2_curve(eps - d), abs=1e-9)
         assert 0.0 < d < eps
 
 
-def test_delta_from_constraint_frozen_values():
-    assert delta_from_constraint(l2_curve, 1.0, 1.0) == pytest.approx(
-        FIXEDPOINT_L2_EPS1_FULL, abs=1e-9)
-    assert delta_from_constraint(l2_curve, 1.0, 0.5) == pytest.approx(
+def test_delta_from_constraint_frozen_value():
+    assert delta_from_constraint(2.0, 1.0) == pytest.approx(
         FIXEDPOINT_L2_EPS1_HALF, abs=1e-9)
 
 
 def test_delta_from_constraint_dominates_paper_choice():
-    # delta(2 eps / 3) satisfies the unfactored constraint, so the largest
-    # solution must dominate it
+    # d = delta(2 eps / 3) / 2 <= eps / 6 leaves eps - d >= 2 eps / 3, so it
+    # satisfies the constraint and the largest solution must dominate it
     for p in (1.5, 2.0, 3.0):
         for eps in (0.4, 1.0, 1.9):
-            d = delta_from_constraint(lambda e: lp_delta(p, e), eps, 1.0)
-            assert d >= lp_delta(p, 2.0 * eps / 3.0) - 1e-9
+            d = delta_from_constraint(p, eps)
+            assert d >= 0.5 * lp_delta(p, 2.0 * eps / 3.0) - 1e-9
 
 
-def test_delta_from_constraint_rejects_non_monotone():
-    with pytest.raises(PreconditionError):
-        delta_from_constraint(lambda e: -e, 1.0, 1.0)
+def test_delta_from_constraint_rejects_bad_input():
     with pytest.raises(ValueError):
-        delta_from_constraint(l2_curve, 1.0, 0.25)
+        delta_from_constraint(1.0, 1.0)
+    with pytest.raises(ValueError):
+        delta_from_constraint(2.0, 2.5)
+    # lp_delta(50, 1) rounds to 0, so no positive delta exists
+    with pytest.raises(PreconditionError, match="vanishes at eps"):
+        delta_from_constraint(50.0, 1.0)
 
 
 # ----------------------------- one bisection -----------------------------
@@ -235,15 +235,14 @@ def test_delta_from_constraint_equals_its_old_loop_bit_for_bit(p):
     def curve(e):
         return lp_delta(p, e)
 
-    for eps in (1e-3, 0.1, 0.5, 1.0, 1.5, 1.9, 2.0):
-        for factor in (0.5, 1.0):
-            try:
-                want = old_constraint_loop(curve, eps, factor)
-            except PreconditionError:
-                with pytest.raises(PreconditionError):
-                    delta_from_constraint(curve, eps, factor)
-                continue
-            assert delta_from_constraint(curve, eps, factor) == want
+    for eps in (1e-3, 0.1, 0.5, 1.0, 1.5, 1.9, 2.0, *BISECTION_EPS):
+        try:
+            want = old_constraint_loop(curve, eps, 0.5)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                delta_from_constraint(p, eps)
+            continue
+        assert delta_from_constraint(p, eps) == want
 
 
 def test_bisect_contract():
@@ -253,7 +252,7 @@ def test_bisect_contract():
     assert _bisect(lambda d: 0.5 - d, 0.0, 1.0, 1e-10) == 0.5
     # delta_from_constraint's old loop bisected below such a zero instead
     mid = 0.5 * (1.0 - 1e-12)
-    assert delta_from_constraint(lambda e: mid, 1.0, 1.0) == mid
+    assert _bisect(lambda d: mid - d, 0.0, 1.0 - 1e-12, 1e-10) == mid
     assert old_constraint_loop(lambda e: mid, 1.0, 1.0) < mid
     # otherwise the midpoint of the first bracket narrower than tol
     root = _bisect(lambda d: 0.3 - d, 0.0, 1.0, 1e-10)
@@ -326,6 +325,25 @@ def test_witness_validation_catches_corruption():
                        witness=(good.witness[0] * 2.0, good.witness[1]))
     with pytest.raises(CertificateError):
         validate_witness(space, bad)
+
+
+def test_witness_validation_allows_rounding_only():
+    # each corruption is 1e-10, far above the rounding the checks allow
+    space = SpaceSpec(p=1.5, d=4)
+    good = empirical_delta(space, 1.0, budget=2_000, rng_seed=0)
+    x, y = good.witness
+    sep = norm(space, x - y)
+    cases = {
+        "not unit": (1.0, good.delta, (x * (1.0 + 1e-10), y)),
+        "separation": (sep + 1e-10, good.delta, (x, y)),
+        "achieves": (1.0, good.delta + 1e-10, (x, y)),
+    }
+    for match, (eps, delta, witness) in cases.items():
+        with pytest.raises(CertificateError, match=match):
+            validate_witness(space, ModulusPoint(eps, delta, "empirical",
+                                                 witness=witness))
+    validate_witness(space, ModulusPoint(sep, good.delta, "empirical",
+                                         witness=(x, y)))
 
 
 def test_witness_validation_rejects_nan_coordinate():

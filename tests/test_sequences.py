@@ -644,3 +644,63 @@ def test_baseline_rejects_tau_outside_zero_to_inf(tau):
     seq = unit_basis_seed(space, 1)[[0] * 4]
     with pytest.raises(ValueError, match=r"tau must lie in \(0, inf\)"):
         baseline_extract(space, seq, seq[0], tau)
+
+
+# ------------------- rounding margins and pigeonhole floor -------------------
+# The margins are the rounding of spaces.norm_error, about 1e-15 here: an
+# input 1e-10 off a threshold fails, one off by an ulp passes.
+
+def test_theorem1_rejects_x_off_unit_by_1e10():
+    space = SpaceSpec(p=2, d=8)
+    seq = unit_basis_seed(space, 8)
+    with pytest.raises(PreconditionError, match="unit vector"):
+        theorem1_extract(space, seq, seq[0] * (1.0 + 1e-10), eps=SQRT2)
+    with pytest.raises(PreconditionError, match="unit vector"):
+        baseline_extract(space, seq, seq[0] * (1.0 - 1e-10), tau=0.1)
+    theorem1_extract(space, seq, seq[0] * (1.0 + 2.0 ** -52), eps=SQRT2)
+
+
+def test_theorem1_rejects_eps_1e10_above_the_measured_separation():
+    space = SpaceSpec(p=2, d=8)
+    seq = unit_basis_seed(space, 8)
+    sep = separation(space, seq)
+    with pytest.raises(PreconditionError, match="below eps"):
+        theorem1_extract(space, seq, seq[0], eps=sep + 1e-10)
+    theorem1_extract(space, seq, seq[0], eps=math.nextafter(sep, 3.0))
+
+
+def test_theorem1_certificate_rejects_pair_value_1e10_below_guarantee(
+        monkeypatch):
+    # x = e_0 selects e_1..e_7, whose pair values are all sqrt(3)
+    space = SpaceSpec(p=2, d=8)
+    seq = unit_basis_seed(space, 8)
+    monkeypatch.setattr(sequences, "lp_delta",
+                        lambda p, eps: SQRT3 - 1.0 + 1e-10)
+    with pytest.raises(CertificateError, match="violates the bound"):
+        theorem1_extract(space, seq, seq[0], eps=SQRT2)
+    monkeypatch.setattr(sequences, "lp_delta", lambda p, eps: SQRT3 - 1.0)
+    res = theorem1_extract(space, seq, seq[0], eps=SQRT2)
+    assert res.selected == tuple(range(1, 8)) and res.pair_min == SQRT3
+
+
+def test_theorem3_rejects_seed_separated_by_1_minus_1e10():
+    space = SpaceSpec(p=3, d=8)
+    seed = shifted_basis_seed(space, 7)
+    with pytest.raises(PreconditionError, match="below 1"):
+        theorem3_construct(space, seed * (1.0 - 1e-10), max_len=3)
+    assert separation(space, seed) < 1.0  # 1 - 1 ulp, within rounding
+    theorem3_construct(space, seed, max_len=3)
+
+
+def test_baseline_pigeonhole_counts_windows_of_the_range():
+    # 5 values in a range of 0.9 put two within 0.225 <= 0.25
+    space = SpaceSpec(p=2, d=2)
+    seq = [np.array([t, math.sqrt(1 - t * t)]) for t in (0.0, 0.3, 0.6, 0.9)]
+    x = unit_basis_seed(space, 1)[0]
+    with pytest.raises(InsufficientClusterError) as err:
+        baseline_extract(space, seq, x, tau=0.25)
+    assert (err.value.window_count, err.value.min_n) == (4, 5)
+    # one value spans no window, yet success needs two
+    with pytest.raises(InsufficientClusterError) as err:
+        baseline_extract(space, seq[:1], x, tau=0.25)
+    assert (err.value.window_count, err.value.min_n) == (0, 2)

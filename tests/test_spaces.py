@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from uconvex.errors import (DimensionMismatchError, PreconditionError,
                             ZeroVectorError)
 from uconvex.sequences import shifted_basis_seed
 from uconvex.spaces import (SpaceSpec, _pow_abs, _power_sums, _row_norms,
-                            batch_norm, duality_map, norm, norming_functional,
-                            normalize, pair_norms, unit_batch)
+                            batch_norm, duality_map, norm, norm_error,
+                            norming_functional, normalize, pair_norms,
+                            unit_batch)
 
 ATOL = 1e-12
 
@@ -490,3 +492,62 @@ def test_power_sums_writes_powers_to_out():
     got = _power_sums(space, buf, out=buf)
     assert _same_bits(buf, np.abs(a) ** 3.0)
     assert _same_bits(got, np.sum(np.abs(a) ** 3.0, axis=-1))
+
+
+# ------------------------------ rounding model ------------------------------
+
+def _oracle_rows(d, seed):
+    """Random, mixed-magnitude and equal-entry rows of width ``d``.
+
+    Entries stay within 1e-60..1e60, so their p-th powers are normal for
+    p <= 4.
+    """
+    rng = np.random.default_rng(seed)
+    return {"random": rng.standard_normal(d),
+            "mixed": rng.standard_normal(d) * 10.0 ** rng.uniform(-60, 60, d),
+            "equal": np.full(d, 0.1)}
+
+
+def _within(p, computed, bound, exact_sum):
+    """``(N - b)^p <= S <= (N + b)^p``, decided exactly in rationals."""
+    n, b = Fraction(computed), Fraction(bound)
+    return (n - b) ** p <= exact_sum <= (n + b) ** p
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 16, 257, 4096])
+def test_norm_error_bounds_every_norm_against_an_exact_sum(p, d):
+    space = SpaceSpec(p, d)
+    rows = _oracle_rows(d, seed=d)
+    for name, a in rows.items():
+        exact = sum(Fraction(abs(v)) ** p for v in a.tolist())
+        for computed in (norm(space, a), float(batch_norm(space, a[None])[0]),
+                         _row_norms(space, a[None])[0]):
+            assert _within(p, computed, norm_error(d, computed), exact), name
+        # a pairwise entry norms a rounded difference of stored rows
+        b = rows["random"] if name != "random" else rows["equal"]
+        computed = pair_norms(space, np.stack([b, a]))[0, 1]
+        diff = sum(abs(Fraction(u) - Fraction(v)) ** p
+                   for u, v in zip(a.tolist(), b.tolist()))
+        assert _within(p, computed, norm_error(d, computed, computed), diff)
+
+
+def test_norm_error_is_not_vacuous():
+    assert norm_error(4096, 1.0) < 1e-12
+    assert norm_error(1, 1.0) < 1e-14
+    # the root's rounded exponent 1/p costs u |ln value|
+    assert norm_error(16, 1e50) > 1e50 * 115 * 2.0 ** -53
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_norm_kernels_agree_within_norm_error(p):
+    # the scalar and array roots may differ in the last bit, never by more
+    # than both bounds
+    space = SpaceSpec(p, 16)
+    rows = np.random.default_rng(5).standard_normal((4000, 16))
+    scalar = np.array([norm(space, v) for v in rows])
+    pair = np.array([pair_norms(space, np.zeros((1, 16)), x=v)[0, 0]
+                     for v in rows])
+    bound = 2.0 * np.array([norm_error(16, n) for n in scalar])
+    assert np.all(np.abs(batch_norm(space, rows) - scalar) <= bound)
+    assert np.all(np.abs(pair - scalar) <= bound)

@@ -38,7 +38,7 @@ def test_thm2_condition3_zero_violations(p, d, eps):
                                 rng_seed=12)
     assert rep.violations == ()
     assert rep.kept >= 3000
-    expected = delta_from_constraint(lambda e: lp_delta(p, e), eps, 0.5)
+    expected = delta_from_constraint(p, eps)
     assert rep.delta_used == pytest.approx(expected, abs=1e-12)
 
 
@@ -119,7 +119,7 @@ def test_thm2_antipodal_trial_is_rejected_not_violating():
     x = unit_batch(space, np.random.default_rng(1), 1)[0]
     f = norming_functional(space, x)
     eps = 1.0
-    delta = delta_from_constraint(lambda e: lp_delta(space.p, e), eps, 0.5)
+    delta = delta_from_constraint(space.p, eps)
     assert abs(float(np.dot(x, f))) > 1 - delta
     assert abs(float(np.dot(x - (-x), f))) >= 2 * (1 - delta) > delta
     record = {
@@ -211,9 +211,19 @@ def test_build_curve_rejects_what_the_checker_reports(monkeypatch):
 def test_modulus_properties_empirical_slack():
     pts = (ModulusPoint(0.5, 0.03, "empirical"),
            ModulusPoint(1.0, 0.029, "empirical"),  # dip within 2e-3 slack
-           ModulusPoint(1.5, 0.75 + 5e-10, "empirical"))  # eps/2 + 1e-9 slack
+           ModulusPoint(1.5, 0.75 + 1e-15, "empirical"))  # within rounding
     rep = check_modulus_properties(ModulusCurve(space="l^2_2", points=pts))
     assert rep.violations == ()
+
+
+def test_modulus_properties_empirical_bound_has_only_rounding_slack():
+    # the bound's slack is the rounding of the Clarkson candidate, about
+    # 2e-15, so 5e-10 above eps/2 is a violation
+    pts = (ModulusPoint(1.5, 0.75 + 5e-10, "empirical"),)
+    rep = check_modulus_properties(ModulusCurve(space="l^2_2", points=pts))
+    assert [v["kind"] for v in rep.violations] == ["bound"]
+    assert 0.0 < rep.violations[0]["slack"] < 1e-14
+    assert reverify_violation(rep.statement, rep.violations[0])
 
 
 def test_report_json_dict_is_json_serializable():
