@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 # The CLI's only BLAS calls are two small matrix-vector products, but
@@ -97,7 +98,58 @@ def parse_values(text: str) -> list[float]:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=_jsonable) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True, default=_jsonable)`` and
+    a newline, byte for byte, for objects whose dict keys are strings.
+
+    With ``indent`` json runs its pure-Python encoder, one generator step
+    per value; this writer builds each container's text with one join,
+    and a list of finite floats (a vector) in a single call.
+    """
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(obj, nl: str) -> str:
+    """``obj`` as JSON; ``nl`` is a newline and the indent of its level."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + _json_items(obj, "," + inner) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json_value(v, inner)
+             for k, v in sorted(obj.items())]) + nl + "}"
+    return _json_value(_jsonable(obj), nl)
+
+
+def _json_items(items, sep: str) -> str:
+    """A list's items joined by ``sep``, finite floats in one ``join``."""
+    try:
+        text = sep.join(map(float.__repr__, items))
+    except TypeError:  # an item that is not a float
+        text = "n"
+    if "n" not in text:  # float.__repr__ writes nan and inf with an n
+        return text
+    return sep.join([_json_value(v, sep[1:]) for v in items])
+
+
+def _json_float(v: float) -> str:
+    """json's text for a float: its repr, or NaN, Infinity, -Infinity."""
+    if v != v:
+        return "NaN"
+    if math.isinf(v):
+        return "Infinity" if v > 0 else "-Infinity"
+    return float.__repr__(v)
 
 
 def _jsonable(obj):

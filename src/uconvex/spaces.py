@@ -184,30 +184,37 @@ def pair_norms(space: SpaceSpec, arr: np.ndarray, x=None) -> np.ndarray:
     ``arr`` holds the vectors ``a_i`` as rows.  With ``x`` None, entry
     ``(i, j)`` is ``||a_j - a_i||``: only the upper triangle is computed and
     then mirrored, so the matrix is exactly symmetric with zero diagonal.
-    Each row is computed in one reused (n, d) buffer with the ufuncs of
-    :func:`batch_norm` in the same order, so every entry equals the
-    :func:`batch_norm` of its difference vector bit for bit.  Differences
-    of sparse vectors (bases, shifted bases) are mostly exact zeros, which
-    :func:`_power_sums` keeps off ``pow``.
+    Else one ``D = a_j - a_i`` per pair j > i gives ``(i, j) = ||x + D||``
+    and ``(j, i) = ||x - D||``, since ``fl(a_i - a_j) = -fl(a_j - a_i)``,
+    ``y - (-z) = y + z`` and the square or ``abs`` drops a zero's sign; x
+    is applied only on the smallest column slice that holds its nonzeros,
+    as off it both have the powers ``|D|^p``.  Every entry is the
+    :func:`batch_norm` of its difference bit for bit: the same ufuncs on
+    the same values over a row of length d.  The diagonal has its own pass,
+    so the zero probe of :func:`_pow_abs` meets no row zero off the slice.
     """
     arr = np.asarray(arr, dtype=float)
     n = len(arr)
     out = np.zeros((n, n))
     buf = np.empty_like(arr)
+    root = 1.0 / space.p
+    if x is not None:
+        nz = np.flatnonzero(x)
+        cols = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
+        xs, tbuf = x[cols], np.empty((n, cols.stop - cols.start))
+        np.subtract(x, np.subtract(arr, arr, out=buf), out=buf)
+        np.fill_diagonal(out, _power_sums(space, buf, out=buf) ** root)
     for i in range(n):
-        if x is None:
-            rows = buf[:n - i - 1]
-            np.subtract(arr[i + 1:], arr[i], out=rows)
-        else:
-            rows = buf
-            np.subtract(arr[i], arr, out=rows)
-            np.subtract(x, rows, out=rows)
-        norms = _power_sums(space, rows, out=rows) ** (1.0 / space.p)
-        if x is None:
-            out[i, i + 1:] = norms
-            out[i + 1:, i] = norms
-        else:
-            out[i] = norms
+        rows = np.subtract(arr[i + 1:], arr[i], out=buf[:n - i - 1])
+        if x is not None:  # x - D to t, x + D over D, on the slice
+            sup, t = rows[:, cols], tbuf[:n - i - 1]
+            np.subtract(xs, sup, out=t)
+            np.add(xs, sup, out=sup)
+        out[i, i + 1:] = _power_sums(space, rows, out=rows) ** root
+        if x is not None:  # |x - D|^p into the slice, the rest is |D|^p
+            _powers(space, t, out=sup)
+        out[i + 1:, i] = (out[i, i + 1:] if x is None
+                          else np.add.reduce(rows, axis=-1) ** root)
     return out
 
 
@@ -271,11 +278,14 @@ def _power_sums(space: SpaceSpec, a, out=None):
     itself; without it the powers go to a new float array and ``a`` is
     left unmodified.
     """
+    return np.add.reduce(_powers(space, a, out=out), axis=-1)
+
+
+def _powers(space: SpaceSpec, a, out=None):
+    """The p-th powers that :func:`_power_sums` adds up, written to ``out``."""
     if space.p == 2.0:
-        powers = np.square(a, out=out, dtype=float)
-    else:
-        powers = _pow_abs(np.abs(a, out=out, dtype=float), space.p)
-    return np.add.reduce(powers, axis=-1)
+        return np.square(a, out=out, dtype=float)
+    return _pow_abs(np.abs(a, out=out, dtype=float), space.p)
 
 
 def _pow_abs(buf: np.ndarray, e: float) -> np.ndarray:

@@ -1,0 +1,153 @@
+"""The pairwise kernel with ``x`` against a copy of its per-row form.
+
+``spaces.pair_norms(space, arr, x)`` forms one difference per unordered
+pair and applies ``x`` only on the column slice that holds its nonzeros.
+Every entry must equal, bit for bit, the per-row kernel it replaced
+(copied below as ``_old_pair_norms``), which formed ``x - (a_i - a_j)``
+in full for every ordered pair; and its working set must stay within the
+result, one (n, d) buffer and one (n, w) buffer for a slice of width w.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from uconvex.spaces import SpaceSpec, _power_sums, pair_norms
+
+BYTES = 8  # float64
+
+
+def _old_pair_norms(space, arr, x=None):
+    arr = np.asarray(arr, dtype=float)
+    n = len(arr)
+    out = np.zeros((n, n))
+    buf = np.empty_like(arr)
+    for i in range(n):
+        if x is None:
+            rows = buf[:n - i - 1]
+            np.subtract(arr[i + 1:], arr[i], out=rows)
+        else:
+            rows = buf
+            np.subtract(arr[i], arr, out=rows)
+            np.subtract(x, rows, out=rows)
+        norms = _power_sums(space, rows, out=rows) ** (1.0 / space.p)
+        if x is None:
+            out[i, i + 1:] = norms
+            out[i + 1:, i] = norms
+        else:
+            out[i] = norms
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.int64),
+        np.ascontiguousarray(b).view(np.int64))
+
+
+def _unit(d, k, value=1.0):
+    x = np.zeros(d)
+    x[k] = value
+    return x
+
+
+def _negative_zeros(d):
+    x = np.full(d, -0.0)
+    x[d // 2] = 0.75
+    return x
+
+
+def _far_pair(d):
+    x = _unit(d, 0, 0.6)
+    x[d - 1] -= 0.8
+    return x
+
+
+X_KINDS = {
+    "e_0": lambda d, rng: _unit(d, 0),
+    "e_last": lambda d, rng: _unit(d, d - 1),
+    "e_interior": lambda d, rng: _unit(d, d // 2, -1.0),
+    "far_pair": lambda d, rng: _far_pair(d),
+    "dense": lambda d, rng: rng.standard_normal(d),
+    "zero": lambda d, rng: np.zeros(d),
+    "negative_zeros": lambda d, rng: _negative_zeros(d),
+}
+
+
+def _shifted(p, n, d):
+    seq = np.eye(n, d, k=1)
+    seq[:, 0] = 1.0
+    return seq / 2.0 ** (1.0 / p)
+
+
+def _repeated(rng, n, d):
+    seq = rng.standard_normal((n, d))
+    seq[n // 2:] = seq[:n - n // 2]
+    return seq
+
+
+SEQUENCES = {
+    "basis": lambda p, n, d, rng: np.eye(d)[np.arange(n) % d],
+    "shifted_basis": lambda p, n, d, rng: _shifted(p, n, d),
+    "dense": lambda p, n, d, rng: rng.standard_normal((n, d)),
+    "repeated_rows": lambda p, n, d, rng: _repeated(rng, n, d),
+}
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.0])
+@pytest.mark.parametrize("x_kind", sorted(X_KINDS))
+@pytest.mark.parametrize("seq_kind", sorted(SEQUENCES))
+def test_pair_norms_equal_per_row_kernel_bit_for_bit(p, x_kind, seq_kind):
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 16, 64):
+        space = SpaceSpec(p, d)
+        x = X_KINDS[x_kind](d, rng)
+        for n in (1, 2, 3, 40):
+            arr = SEQUENCES[seq_kind](p, n, d, rng)
+            got = pair_norms(space, arr, x)
+            assert _same_bits(got, _old_pair_norms(space, arr, x)), (d, n)
+            assert _same_bits(pair_norms(space, arr),
+                              _old_pair_norms(space, arr)), (d, n)
+
+
+def test_pair_norms_accept_list_inputs_and_no_rows():
+    space = SpaceSpec(3.0, 4)
+    arr = np.random.default_rng(3).standard_normal((5, 4))
+    x = [0.0, -0.5, 0.25, 0.0]
+    assert _same_bits(pair_norms(space, arr.tolist(), x),
+                      _old_pair_norms(space, arr, np.array(x)))
+    assert pair_norms(space, np.zeros((0, 4)), x).shape == (0, 0)
+
+
+def _peak_bytes(fn):
+    """Peak traced bytes that ``fn()`` allocates above what is live before.
+
+    numpy reports its array buffers to ``tracemalloc``.
+    """
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("x_kind", ["e_interior", "far_pair", "dense"])
+def test_pair_norms_working_set_is_result_and_two_buffers(p, x_kind):
+    """With ``x``: the n x n result, the (n, d) difference buffer and the
+    (n, w) buffer of ``x - D`` on the slice, plus O(n) row vectors and, at
+    p != 2, the boolean zero mask of :func:`spaces._pow_abs` over the
+    differences (one byte per entry)."""
+    n, d = 300, 200
+    space = SpaceSpec(p, d)
+    rng = np.random.default_rng(9)
+    arr = np.eye(d)[np.arange(n) % d]
+    x = X_KINDS[x_kind](d, rng)
+    nz = np.flatnonzero(x)
+    w = nz[-1] + 1 - nz[0]
+    peak = _peak_bytes(lambda: pair_norms(space, arr, x))
+    assert peak <= BYTES * (n * n + n * d + n * w) + n * d + 64 * 1024
