@@ -33,12 +33,11 @@ from pathlib import Path
 # OpenBLAS's default.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
-from . import modulus, sequences, verify
+# Only the standard library so far: each handler imports the engines it
+# runs, so the closed-form commands and ``--help`` load no numpy.
+from . import curves
 from .errors import (CertificateError, InsufficientClusterError,
                      SamplerExhaustedError)
-from .spaces import SpaceSpec
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -85,7 +84,10 @@ def _check_out_dirs(ns) -> None:
 
 
 def parse_values(text: str) -> list[float]:
-    """`start:stop:count` (inclusive) or comma-separated values."""
+    """`start:stop:count` (inclusive) or comma-separated values.
+
+    A grid has ``np.linspace``'s values bit for bit, edge cases included.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -93,7 +95,13 @@ def parse_values(text: str) -> list[float]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError(f"grid count must be >= 1, got {count}")
-        return [float(v) for v in np.linspace(start, stop, count)]
+        div, delta = count - 1, stop - start
+        if div == 0:
+            return [0.0 * delta + start]
+        step = delta / div
+        if step == 0.0:  # underflow: linspace scales by i/div instead
+            return [i / div * delta + start for i in range(div)] + [stop]
+        return [i * step + start for i in range(div)] + [stop]
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
@@ -154,7 +162,7 @@ def _json_float(v: float) -> str:
 
 def _jsonable(obj):
     """An array as a list, a result by its ``to_json_dict`` or its fields."""
-    if isinstance(obj, np.ndarray):
+    if hasattr(obj, "tolist"):  # a numpy array, whose module may not be loaded
         return obj.tolist()
     if hasattr(obj, "to_json_dict"):
         return obj.to_json_dict()
@@ -164,7 +172,7 @@ def _jsonable(obj):
 # ----------------------------- modulus -----------------------------
 
 def _cmd_modulus(ns) -> int:
-    curve = modulus.build_curve(
+    curve = curves.build_curve(
         ns.p, parse_values(ns.eps), ns.method, d=ns.d,
         budget=ns.budget, rng_seed=ns.seed)
     text = curve.csv_text() if ns.format == "csv" else _json_text(curve)
@@ -178,8 +186,9 @@ def _cmd_modulus(ns) -> int:
 
 # ----------------------------- construct -----------------------------
 
-def _vectors(kind: str, ns, space: SpaceSpec):
+def _vectors(kind: str, ns, space):
     """The vectors of a kind; ``--n`` defaults to d, or d - 1 if shifted."""
+    from . import sequences
     if kind == "csv":
         if not ns.seq_file:
             raise ValueError("--seq-kind csv needs --seq-file")
@@ -198,6 +207,8 @@ def _vectors(kind: str, ns, space: SpaceSpec):
 
 
 def _cmd_construct(ns) -> int:
+    from . import sequences
+    from .spaces import SpaceSpec
     space = SpaceSpec(p=ns.p, d=ns.d)
     seed_vectors = _vectors(ns.seed_kind, ns, space)
     max_len = ns.max_len if ns.max_len is not None else len(seed_vectors)
@@ -221,6 +232,8 @@ def _cmd_construct(ns) -> int:
 # ----------------------------- extract -----------------------------
 
 def _cmd_extract(ns) -> int:
+    from . import sequences
+    from .spaces import SpaceSpec
     space = SpaceSpec(p=ns.p, d=ns.d)
     seq = _vectors(ns.seq_kind, ns, space)
     x = sequences.unit_basis_seed(space, 1)[0]
@@ -243,15 +256,16 @@ def _cmd_verify(ns) -> int:
         if not ns.curve_file:
             raise ValueError("--statement modulus-props needs --curve-file")
         path = Path(ns.curve_file)
-        curve = (modulus.ModulusCurve.from_json(path)
+        curve = (curves.ModulusCurve.from_json(path)
                  if path.suffix == ".json" else
-                 modulus.ModulusCurve.from_csv(path))
-        reports = [verify.check_modulus_properties(curve)]
+                 curves.ModulusCurve.from_csv(path))
+        reports = [curves.check_modulus_properties(curve)]
     else:
+        from . import verify
         ps = parse_values(ns.p)
         ds = parse_values(ns.d)
         eps_values = parse_values(ns.eps)
-        statements = (list(verify.SAMPLERS) if ns.statement == "all"
+        statements = (curves.STATEMENTS if ns.statement == "all"
                       else [ns.statement.replace("-", "_")])
         reports = []
         for statement in statements:
@@ -259,7 +273,7 @@ def _cmd_verify(ns) -> int:
                 statement, ps, ds, eps_values, ns.trials,
                 ns.seed, k=ns.k))
     for rep in reports:
-        print(verify.summary_line(rep))
+        print(curves.summary_line(rep))
     if ns.out:
         Path(ns.out).write_text(_json_text(reports))
         print(f"wrote reports to {ns.out}")
@@ -286,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--p", type=float, required=True)
     m.add_argument("--d", type=int, default=None,
                    help="dimension (empirical method only)")
-    m.add_argument("--method", choices=modulus.METHODS, required=True)
+    m.add_argument("--method", choices=curves.METHODS, required=True)
     m.add_argument("--eps", required=True,
                    help="grid start:stop:count or comma-separated values")
     m.add_argument("--budget", type=int, default=100000)
@@ -330,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="adversarial verification of the "
                                       "eps-delta statements")
     v.add_argument("--statement",
-                   choices=(*(s.replace("_", "-") for s in verify.SAMPLERS),
+                   choices=(*(s.replace("_", "-") for s in curves.STATEMENTS),
                             "modulus-props", "all"),
                    default="all")
     v.add_argument("--p", default=DEFAULT_GRID_P,

@@ -21,10 +21,11 @@ import numpy as np
 
 from .errors import (CapacityError, CertificateError, DimensionMismatchError,
                      InsufficientClusterError, PreconditionError)
-from .modulus import HANNER_TOL, _check_eps, lp_delta
+from .curves import HANNER_TOL, _check_eps, lp_delta
+from .rounding import norm_error, unit_error
 from .search import EvalBudget, maximize_min_distance
-from .spaces import (SpaceSpec, as_vector, batch_norm, norm, norm_error,
-                     norming_functional, pair_norms, unit_batch, unit_error)
+from .spaces import (SpaceSpec, as_vector, batch_norm, norm,
+                     norming_functional, pair_norms, unit_batch)
 
 
 @dataclass(frozen=True)
@@ -437,7 +438,7 @@ def _certified_cluster(space: SpaceSpec, vecs: np.ndarray, x, width: float,
                        guaranteed: float, accuracy: float):
     """Norming functional of ``x``, largest value window, and ``pair_min``.
 
-    ``x`` must be unit within :func:`spaces.unit_error`.  ``pair_min``, the
+    ``x`` must be unit within :func:`rounding.unit_error`.  ``pair_min``, the
     min over selected pairs i != j of ``||x - (v_i - v_j)||``, must not be
     below ``guaranteed`` by more than ``accuracy`` (the threshold's own)
     and the rounding of the pair value, its two differences (``v_i - v_j =

@@ -18,58 +18,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .curves import (STATEMENTS, VerificationReport, _check_eps,
+                     curve_violated, delta_from_constraint, lp_delta)
 from .errors import SamplerExhaustedError
-from .modulus import (ModulusCurve, _check_eps, curve_violated,
-                      curve_violations, delta_from_constraint, lp_delta)
 from .spaces import (SpaceSpec, as_vector, batch_norm, duality_map,
                      row_blocks, unit_batch)
 
 BATCH = 2048
 MAX_ATTEMPT_FACTOR = 1000  # give up if kept rate stays near zero
-
-
-@dataclass(frozen=True, eq=False)
-class VerificationReport:
-    """Outcome of one statement on one (space, eps) cell.
-
-    ``trials`` counts attempts, ``kept`` the trials whose hypotheses held.
-    Violation records carry every vector and computed quantity needed to
-    re-check them, see :func:`reverify_violation`.  A curve report has no
-    cell: its ``p``, ``eps`` and ``delta_used`` are None and ``d`` is 0.
-    """
-
-    statement: str
-    p: float | None
-    d: int
-    eps: float | None
-    delta_used: float | None
-    trials: int
-    kept: int
-    violations: tuple[dict, ...]
-    rng_seed: int | None
-
-    @property
-    def space(self) -> str:
-        if self.d:
-            return f"l^{self.p:g}_{self.d}"
-        return "curve"
-
-    def to_json_dict(self) -> dict:
-        return {**vars(self), "space": self.space}
-
-
-def summary_line(report: VerificationReport) -> str:
-    """`statement,p,d,eps,delta,trials,kept,violations` for stdout."""
-    p = "" if report.p is None else f"{report.p:g}"
-    eps = "" if report.eps is None else f"{report.eps:g}"
-    delta = "" if report.delta_used is None else f"{report.delta_used:.17g}"
-    return (f"{report.statement},{p},{report.d or ''},{eps},{delta},"
-            f"{report.trials},{report.kept},{len(report.violations)}")
 
 
 # ----------------------------- statement table -----------------------------
@@ -168,22 +128,23 @@ def _remark45_hypotheses(space, delta, x, xp, rows):
                             "sup_diff": float(sup_diff[i])}
 
 
-# The delta rules name lp_delta and delta_from_constraint at call time, so
-# rebinding them in this module reaches the samplers.
-SAMPLERS = {
-    "lemma23": _Sampler(
+# One entry per name of curves.STATEMENTS, in its order.  The delta rules
+# name lp_delta and delta_from_constraint at call time, so rebinding them in
+# this module reaches the samplers.
+SAMPLERS = dict(zip(STATEMENTS, (
+    _Sampler(
         delta=lambda space, eps: lp_delta(space.p, 2.0 * eps / 3.0),
         batch=_lemma23_batch, hypotheses=_lemma23_hypotheses,
         witness="functional"),
-    "thm2_condition3": _Sampler(
+    _Sampler(
         delta=lambda space, eps: delta_from_constraint(space.p, eps),
         batch=_thm2_batch, hypotheses=_thm2_hypotheses,
         witness="functional"),
-    "remark45": _Sampler(
+    _Sampler(
         delta=lambda space, eps: 0.5 * lp_delta(space.p, 4.0 * eps / 5.0),
         batch=_remark45_batch, hypotheses=_remark45_hypotheses,
         witness="rows", ranked=True),
-}
+), strict=True))
 
 
 def _conclusion(space: SpaceSpec, eps: float, x, xp):
@@ -264,24 +225,10 @@ def _sample(statement: str, space: SpaceSpec, eps: float, trials: int,
         violations=tuple(violations), rng_seed=_seed_int(rng_seed))
 
 
-def check_modulus_properties(curve: ModulusCurve) -> VerificationReport:
-    """Check delta <= eps/2 and monotonicity on a curve, reporting failures.
-
-    The checks are :func:`modulus.curve_violations`, the ones
-    :func:`modulus.build_curve` asserts.  Unlike the engines, this checker
-    never raises on bad data -- corrupted curves come back as violations.
-    """
-    checks = max(0, 2 * len(curve.points) - 1)
-    return VerificationReport(
-        statement="modulus_properties", p=None, d=0, eps=None,
-        delta_used=None, trials=checks, kept=checks,
-        violations=tuple(curve_violations(curve.points)), rng_seed=None)
-
-
 def reverify_violation(statement: str, rec: dict) -> bool:
     """Re-evaluate a violation record from its stored data alone.
 
-    A curve record goes through :func:`modulus.curve_violated`.  A sampler
+    A curve record goes through :func:`curves.curve_violated`.  A sampler
     record goes through its statement's hypotheses and the shared
     conclusion as a batch of one row, the sampler's own arithmetic.
     """

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from uconvex.cli import main as cli_main
-from uconvex.modulus import (ModulusCurve, build_curve, clarkson_delta,
-                             empirical_delta, hanner_delta, lp_delta)
+from uconvex.curves import (ModulusCurve, build_curve,
+                            check_modulus_properties, clarkson_delta,
+                            hanner_delta, lp_delta)
+from uconvex.modulus import empirical_delta
 from uconvex.sequences import (ramsey_extract, shifted_basis_seed,
                                theorem1_extract, theorem3_construct,
                                unit_basis_seed)
 from uconvex.spaces import SpaceSpec, normalize
-from uconvex.verify import check_modulus_properties, run_grid
+from uconvex.verify import run_grid
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)

@@ -1,14 +1,18 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uconvex import sequences
 from uconvex.cli import main, parse_values
-from uconvex.modulus import lp_delta
+from uconvex.curves import lp_delta
 from uconvex.spaces import SpaceSpec
 
 SQRT2 = 2.0 ** 0.5
@@ -32,6 +36,44 @@ def test_parse_values_grid_and_lists():
         parse_values("1:2")
     with pytest.raises(ValueError):
         parse_values("1:2:0")
+
+
+def _linspace_bits(start, stop, count):
+    with np.errstate(all="ignore"):  # 0 * inf and overflow, as parse_values
+        return [float(v).hex() for v in np.linspace(start, stop, count)]
+
+
+def _grid_bits(start, stop, count):
+    return [v.hex() for v in parse_values(f"{start!r}:{stop!r}:{count}")]
+
+
+@pytest.mark.parametrize("start, stop, count", [
+    (0.0, 5e-324, 4),  # the step underflows to 0: linspace scales i/div
+    (1.0, math.inf, 1),  # one value: 0 * inf + start is NaN
+    (-1.7e308, 1.7e308, 3),  # stop - start overflows: 0 * inf again
+    (math.nan, 1.0, 3), (1.0, 1.0, 5), (2.0, 9.0, 1), (-0.0, -0.0, 2),
+    (0.1, 2.0, 20), (0.1, 1.9, 4),
+])
+def test_parse_values_grid_is_linspace_on_edge_cases(start, stop, count):
+    assert _grid_bits(start, stop, count) == _linspace_bits(start, stop,
+                                                            count)
+
+
+@given(st.floats(), st.floats(), st.integers(min_value=1, max_value=40))
+@settings(max_examples=500, deadline=None)
+def test_parse_values_grid_is_linspace_bit_for_bit(start, stop, count):
+    assert _grid_bits(start, stop, count) == _linspace_bits(start, stop,
+                                                            count)
+
+
+def test_parse_values_grid_is_linspace_on_random_grids():
+    rng = np.random.default_rng(19)
+    for _ in range(2000):
+        start, stop = (rng.uniform(-3.0, 3.0, 2)
+                       * 10.0 ** rng.integers(-5, 6)).tolist()
+        count = int(rng.integers(1, 60))
+        assert _grid_bits(start, stop, count) == _linspace_bits(start, stop,
+                                                                count)
 
 
 # ----------------------------- modulus command -----------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uconvex import modulus, sequences, verify
+from uconvex import curves, sequences, verify
 from uconvex.cli import _json_text, _jsonable
 from uconvex.spaces import SpaceSpec
 
@@ -27,9 +27,9 @@ def _results():
     l2, l3 = SpaceSpec(2.0, 8), SpaceSpec(3.0, 12)
     x = sequences.unit_basis_seed(l2, 1)[0]
     basis = sequences.unit_basis_seed(l2, 8)
-    yield "curve-clarkson", modulus.build_curve(2.0, [0.5, 1.0, 2.0],
+    yield "curve-clarkson", curves.build_curve(2.0, [0.5, 1.0, 2.0],
                                                 "clarkson")
-    yield "curve-empirical", modulus.build_curve(1.5, [0.5, 1.9], "empirical",
+    yield "curve-empirical", curves.build_curve(1.5, [0.5, 1.9], "empirical",
                                                  d=3, budget=400, rng_seed=1)
     yield "trace-low", sequences.theorem3_construct(
         l3, sequences.shifted_basis_seed(l3, 11), 11, "shifted")
@@ -37,8 +37,8 @@ def _results():
     yield "theorem1", sequences.theorem1_extract(l2, basis, x, None)
     yield "baseline", sequences.baseline_extract(l2, basis, x, 0.01)
     yield "reports", verify.run_grid("lemma23", [1.5, 3.0], [2], [1.0], 50, 3)
-    curve = modulus.build_curve(3.0, [0.5, 1.0], "clarkson")
-    yield "modulus-props", [verify.check_modulus_properties(curve)]
+    curve = curves.build_curve(3.0, [0.5, 1.0], "clarkson")
+    yield "modulus-props", [curves.check_modulus_properties(curve)]
 
 
 @pytest.mark.parametrize("name, result", list(_results()))

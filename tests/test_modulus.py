@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from uconvex.cli import _json_text
+from uconvex.curves import (ModulusCurve, ModulusPoint, _bisect, build_curve,
+                            clarkson_delta, delta_from_constraint,
+                            hanner_delta, lp_delta)
 from uconvex.errors import CertificateError, PreconditionError
-from uconvex.modulus import (ModulusCurve, ModulusPoint, _bisect, build_curve,
-                             clarkson_delta, delta_from_constraint,
-                             empirical_delta, hanner_delta, lp_delta,
-                             validate_witness)
+from uconvex.modulus import empirical_delta, validate_witness
 from uconvex.spaces import SpaceSpec, norm
 
 # frozen oracle values; formulas evaluated at 40-digit precision, roots
@@ -106,10 +106,10 @@ def test_lp_delta_dispatch_and_agreement():
 
 
 def test_lp_delta_at_p2_is_clarkson_without_hanner(monkeypatch):
-    import uconvex.modulus
+    import uconvex.curves
 
     calls = []
-    monkeypatch.setattr(uconvex.modulus, "hanner_delta",
+    monkeypatch.setattr(uconvex.curves, "hanner_delta",
                         lambda *args: calls.append(args))
     for eps in np.linspace(0.02, 2.0, 100):
         assert lp_delta(2.0, eps) == clarkson_delta(2.0, eps)
@@ -167,7 +167,7 @@ def test_delta_from_constraint_rejects_bad_input():
 # ----------------------------- one bisection -----------------------------
 
 def old_hanner_delta(p, eps):
-    """``hanner_delta``'s own bisection loop, before ``modulus._bisect``.
+    """``hanner_delta``'s own bisection loop, before ``curves._bisect``.
 
     It also keeps the old residual check, which the grid below shows can
     never fail.

@@ -11,7 +11,7 @@ from uconvex.cli import _json_text
 from uconvex.errors import (CapacityError, CertificateError,
                             DimensionMismatchError, InsufficientClusterError,
                             PreconditionError)
-from uconvex.modulus import lp_delta
+from uconvex.curves import lp_delta
 from uconvex.sequences import (baseline_extract, certify, ramsey_extract,
                                riesz_seed, separation, shifted_basis_seed,
                                theorem1_extract, theorem3_construct,

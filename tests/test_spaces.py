@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from uconvex.errors import (DimensionMismatchError, PreconditionError,
                             ZeroVectorError)
 from uconvex.sequences import shifted_basis_seed
+from uconvex.rounding import norm_error
 from uconvex.spaces import (SpaceSpec, _pow_abs, _power_sums, _row_norms,
-                            batch_norm, duality_map, norm, norm_error,
-                            norming_functional, normalize, pair_norms,
-                            unit_batch)
+                            batch_norm, duality_map, norm, norming_functional,
+                            normalize, pair_norms, unit_batch)
 
 ATOL = 1e-12
 
@@ -492,6 +492,25 @@ def test_power_sums_writes_powers_to_out():
     got = _power_sums(space, buf, out=buf)
     assert _same_bits(buf, np.abs(a) ** 3.0)
     assert _same_bits(got, np.sum(np.abs(a) ** 3.0, axis=-1))
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 1.9, 2.0, 3.0, 7.0, 50.0, 400.0])
+def test_row_norms_root_is_libm_pow_bit_for_bit(p):
+    # _row_norms roots by np.float_power, pinned here to the scalar libm pow
+    rng = np.random.default_rng(int(p * 10))
+    sums = np.concatenate([
+        rng.random(20000) * 10.0 ** rng.uniform(-300.0, 300.0, 20000),
+        [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 2.0,
+         1.7976931348623157e308, math.inf]])
+    inv = 1.0 / p
+    expected = np.array([math.pow(s, inv) for s in sums.tolist()])
+    assert _same_bits(np.float_power(sums, inv), expected)
+    rows = np.zeros((len(sums), 2))
+    rows[:, 0] = sums ** (1.0 / p)  # one nonzero entry per row
+    space = SpaceSpec(p=p, d=2)
+    with np.errstate(over="ignore"):
+        assert _same_bits(_row_norms(space, rows), np.array(
+            [math.pow(s, inv) for s in _power_sums(space, rows).tolist()]))
 
 
 # ------------------------------ rounding model ------------------------------

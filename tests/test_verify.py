@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from uconvex import modulus, verify
+from uconvex import curves, verify
+from uconvex.curves import (ModulusCurve, ModulusPoint, build_curve,
+                            check_modulus_properties, delta_from_constraint,
+                            lp_delta, summary_line)
 from uconvex.errors import CertificateError
-from uconvex.modulus import (ModulusCurve, ModulusPoint, build_curve,
-                             delta_from_constraint, lp_delta)
 from uconvex.sequences import unit_basis_seed
 from uconvex.spaces import SpaceSpec, norm, norming_functional, unit_batch
-from uconvex.verify import (check_lemma23, check_modulus_properties,
-                            check_remark45, check_thm2_condition3,
-                            reverify_violation, run_grid, summary_line)
+from uconvex.verify import (check_lemma23, check_remark45,
+                            check_thm2_condition3, reverify_violation,
+                            run_grid)
 
 GRID_P = (1.5, 2.0, 3.0)
 GRID_D = (2, 8)
@@ -198,7 +199,7 @@ def test_modulus_properties_corrupted_curve():
 def test_build_curve_rejects_what_the_checker_reports(monkeypatch):
     # an engine that breaks both invariants: over eps/2 at 0.5, then a drop
     fake = {0.5: 0.3, 1.0: 0.1, 1.5: 0.2}
-    monkeypatch.setattr(modulus, "clarkson_delta", lambda p, e: fake[e])
+    monkeypatch.setattr(curves, "clarkson_delta", lambda p, e: fake[e])
     with pytest.raises(CertificateError, match="breaking bound at eps=0.5"):
         build_curve(2.0, list(fake), "clarkson")
     pts = tuple(ModulusPoint(e, d, "clarkson") for e, d in fake.items())
