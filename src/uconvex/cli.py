@@ -124,8 +124,9 @@ def _json_value(obj, nl: str) -> str:
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _json_float(obj)
+    if isinstance(obj, float):  # json writes non-finite floats by name
+        return (float.__repr__(obj) if math.isfinite(obj) else "NaN"
+                if obj != obj else "Infinity" if obj > 0 else "-Infinity")
     inner = nl + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -149,15 +150,6 @@ def _json_items(items, sep: str) -> str:
     if "n" not in text:  # float.__repr__ writes nan and inf with an n
         return text
     return sep.join([_json_value(v, sep[1:]) for v in items])
-
-
-def _json_float(v: float) -> str:
-    """json's text for a float: its repr, or NaN, Infinity, -Infinity."""
-    if v != v:
-        return "NaN"
-    if math.isinf(v):
-        return "Infinity" if v > 0 else "-Infinity"
-    return float.__repr__(v)
 
 
 def _jsonable(obj):
@@ -186,31 +178,32 @@ def _cmd_modulus(ns) -> int:
 
 # ----------------------------- construct -----------------------------
 
-def _vectors(kind: str, ns, space):
-    """The vectors of a kind; ``--n`` defaults to d, or d - 1 if shifted."""
+def _vectors(kind: str, ns):
+    """The space of ``--p`` and ``--d`` and the vectors of a kind in it;
+    ``--n`` defaults to d, or d - 1 if shifted."""
     from . import sequences
+    from .spaces import SpaceSpec
+    space = SpaceSpec(p=ns.p, d=ns.d)
     if kind == "csv":
         if not ns.seq_file:
             raise ValueError("--seq-kind csv needs --seq-file")
         # the library makes the (n, d) array and reports ragged rows
         lines = Path(ns.seq_file).read_text().splitlines()
-        return [[float(t) for t in line.split(",")] for line in lines
-                if line.strip()]
+        return space, [[float(t) for t in line.split(",")] for line in lines
+                       if line.strip()]
     n = ns.n if ns.n is not None else space.d - (kind == "shifted-basis")
     if kind == "basis":
-        return sequences.unit_basis_seed(space, n)
+        return space, sequences.unit_basis_seed(space, n)
     if kind == "shifted-basis":
-        return sequences.shifted_basis_seed(space, n)
+        return space, sequences.shifted_basis_seed(space, n)
     if kind == "riesz":
-        return sequences.riesz_seed(space, n, ns.budget, ns.seed)
-    return sequences.unit_basis_seed(space, 1)[[0] * n]  # n copies of e_0
+        return space, sequences.riesz_seed(space, n, ns.budget, ns.seed)
+    return space, sequences.unit_basis_seed(space, 1)[[0] * n]  # e_0, n times
 
 
 def _cmd_construct(ns) -> int:
     from . import sequences
-    from .spaces import SpaceSpec
-    space = SpaceSpec(p=ns.p, d=ns.d)
-    seed_vectors = _vectors(ns.seed_kind, ns, space)
+    space, seed_vectors = _vectors(ns.seed_kind, ns)
     max_len = ns.max_len if ns.max_len is not None else len(seed_vectors)
     trace = sequences.theorem3_construct(
         space, seed_vectors, max_len,
@@ -233,9 +226,7 @@ def _cmd_construct(ns) -> int:
 
 def _cmd_extract(ns) -> int:
     from . import sequences
-    from .spaces import SpaceSpec
-    space = SpaceSpec(p=ns.p, d=ns.d)
-    seq = _vectors(ns.seq_kind, ns, space)
+    space, seq = _vectors(ns.seq_kind, ns)
     x = sequences.unit_basis_seed(space, 1)[0]
     if ns.mode == "baseline":
         result = sequences.baseline_extract(space, seq, x, ns.tau)

@@ -11,7 +11,6 @@ load no numpy; :func:`build_curve` loads it for the empirical engine alone.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -79,15 +78,14 @@ class ModulusCurve:
             raise ValueError("curve eps values must be strictly increasing")
 
     def csv_text(self) -> str:
-        """The curve as CSV text with a header row, as :meth:`from_csv` reads."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["eps", "delta", "method", "witness_x", "witness_y"])
+        """The curve as CSV text with a header row, as :meth:`from_csv` reads;
+        no field holds a comma, quote or line break, so none is quoted."""
+        lines = ["eps,delta,method,witness_x,witness_y"]
         for pt in self.points:
             wx, wy = map(_vec_str, pt.witness) if pt.witness else ("", "")
-            writer.writerow([f"{pt.eps:.17g}", f"{pt.delta:.17g}",
-                             pt.method, wx, wy])
-        return buf.getvalue()
+            lines.append(f"{pt.eps:.17g},{pt.delta:.17g},{pt.method},"
+                         f"{wx},{wy}")
+        return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         rows = [{"eps": pt.eps, "delta": pt.delta, "method": pt.method,
@@ -329,15 +327,11 @@ def check_modulus_properties(curve: ModulusCurve) -> VerificationReport:
 
 def _check_eps(eps: float) -> None:
     if not 0.0 < eps <= 2.0:
-        raise ValueError(f"eps must lie in (0, 2], got {eps!r}")
+        raise PreconditionError(f"eps must lie in (0, 2], got {eps!r}")
 
 
 def _vec_str(v) -> str:
     return ";".join(f"{c:.17g}" for c in map(float, v))
-
-
-def _vec_from_str(s: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in str(s).split(";"))
 
 
 def _field(record, name: str, kind):
@@ -356,5 +350,6 @@ def _point_from_fields(row) -> ModulusPoint:
     eps, delta = _field(row, "eps", float), _field(row, "delta", float)
     method = _field(row, "method", str)
     wx, wy = row.get("witness_x"), row.get("witness_y")
-    witness = (_vec_from_str(wx), _vec_from_str(wy)) if wx and wy else None
+    witness = (tuple(tuple(float(t) for t in str(w).split(";"))
+                     for w in (wx, wy)) if wx and wy else None)
     return ModulusPoint(eps=eps, delta=delta, method=method, witness=witness)

@@ -95,8 +95,10 @@ def empirical_delta(space: SpaceSpec, eps: float, budget: int,
         for val, x, y in starts:
             if norm(space, x - y) < eps:
                 continue
-            z, v = _pair_search(space, eps, np.concatenate([x, y]),
-                                EvalBudget(share))
+            moves = _PairMoves(space, eps)
+            z, v = refine(np.concatenate([x, y]), moves.objective,
+                          moves.project, None, EvalBudget(share),
+                          evaluate=moves)
             if v < best_val:
                 best_val, best_x, best_y = v, z[:d].copy(), z[d:].copy()
 
@@ -116,7 +118,11 @@ class _PairMoves:
     the other half is ``normalize`` of the current half.  Feasibility and
     value of all rows come from :func:`spaces._row_norms`, equal to
     :func:`spaces.norm` bit for bit, so the first feasible row below the
-    current best is the move the scalar loop would accept.
+    current best is the move the scalar loop would accept.  So
+    :func:`search.refine` with ``evaluate=_PairMoves(space, eps)`` gives the
+    point, value and budget used of the move-by-move loop with the scalar
+    callbacks ``normalize`` (per half), ``||x-y|| >= eps`` and
+    ``1 - ||x+y||/2``.
     """
 
     def __init__(self, space: SpaceSpec, eps: float):
@@ -157,20 +163,6 @@ class _PairMoves:
             i = int(hits[0])
             return i + 1, np.concatenate([x[i], y[i]]), float(vals[i])
         return count, None, best
-
-
-def _pair_search(space: SpaceSpec, eps: float, z0: np.ndarray,
-                 budget: EvalBudget) -> tuple[np.ndarray, float]:
-    """Refine the pair ``z0 = (x, y)`` toward a lower ``1 - ||x+y||/2``.
-
-    :func:`search.refine` with the batched :class:`_PairMoves`; the
-    result and the budget used equal those of the move-by-move loop with
-    the scalar callbacks ``normalize`` (per half), ``||x-y|| >= eps`` and
-    ``1 - ||x+y||/2``.
-    """
-    moves = _PairMoves(space, eps)
-    return refine(z0, moves.objective, moves.project, None, budget,
-                  evaluate=moves)
 
 
 def validate_witness(space: SpaceSpec, point: ModulusPoint) -> None:

@@ -32,10 +32,6 @@ class EvalBudget:
         self.cap = int(cap)
         self.used = 0
 
-    @property
-    def exhausted(self) -> bool:
-        return self.used >= self.cap
-
 
 def refine(x0: np.ndarray, objective, project, feasible, budget: EvalBudget,
            *, evaluate=None):
@@ -201,6 +197,6 @@ def maximize_min_distance(space: SpaceSpec, anchors: np.ndarray,
         )
         if v < best_v:
             best_c, best_v = c, v
-        if budget.exhausted:
+        if budget.used >= budget.cap:
             break
     return best_c, -best_v

@@ -19,12 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (CapacityError, CertificateError, DimensionMismatchError,
+from .errors import (CapacityError, CertificateError,
                      InsufficientClusterError, PreconditionError)
 from .curves import HANNER_TOL, _check_eps, lp_delta
 from .rounding import norm_error, unit_error
-from .search import EvalBudget, maximize_min_distance
-from .spaces import (SpaceSpec, as_vector, batch_norm, norm,
+from .spaces import (SpaceSpec, as_rows, as_vector, batch_norm, norm,
                      norming_functional, pair_norms, unit_batch)
 
 
@@ -103,7 +102,7 @@ def separation(space: SpaceSpec, seq) -> float:
     One O(n^2) scan by the pairwise kernel :func:`spaces.pair_norms`.
     A non-finite coordinate raises ``PreconditionError``.
     """
-    return _min_off_diagonal(pair_norms(space, _finite_rows(space, seq)))
+    return _min_off_diagonal(pair_norms(space, as_rows(space, seq)))
 
 
 def certify(space: SpaceSpec, seq, threshold: float) -> SeparationCertificate:
@@ -152,6 +151,7 @@ def riesz_seed(space: SpaceSpec, n: int, budget: int,
         raise ValueError(f"n must be >= 1, got {n}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    from .search import EvalBudget, maximize_min_distance  # Riesz seeds only
     rng = np.random.default_rng(rng_seed)
     vectors = unit_batch(space, rng, 1)
     share = max(1, budget // max(1, n - 1))
@@ -175,7 +175,7 @@ def baseline_extract(space: SpaceSpec, seq, x, tau: float) -> BaselineResult:
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must lie in (0, inf), got {tau}")
     _, selected, window, pair_min = _certified_cluster(
-        space, _finite_rows(space, seq), x, tau, 1.0 - tau, 0.0)
+        space, as_rows(space, seq), x, tau, 1.0 - tau, 0.0)
     return BaselineResult(selected=selected, window=window,
                           pair_min=pair_min, guaranteed=1.0 - tau)
 
@@ -198,7 +198,7 @@ def theorem1_extract(space: SpaceSpec, seq, x,
     """
     if eps is not None:
         _check_eps(eps)
-    vecs = _finite_rows(space, seq)
+    vecs = as_rows(space, seq)
     sep = separation(space, vecs)
     if eps is None:
         if sep == 0.0:
@@ -280,7 +280,7 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    seed = _finite_rows(space, seed)
+    seed = as_rows(space, seed)
     dist = pair_norms(space, seed)
     sep = _min_off_diagonal(dist)
     if sep < 1.0 - norm_error(space.d, sep, sep):
@@ -376,28 +376,6 @@ def _min_off_diagonal(m: np.ndarray) -> float:
     if n < 2:
         raise PreconditionError("separation needs at least 2 vectors")
     return float(m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].min())
-
-
-def _finite_rows(space: SpaceSpec, seq) -> np.ndarray:
-    """The vectors of ``seq`` as the rows of an (n, d) float array.
-
-    An empty ``seq`` has shape (0, d); ragged rows, a wrong width or a flat
-    vector raise ``DimensionMismatchError``.  A NaN or infinite coordinate
-    raises ``PreconditionError``: distances involving it are not numbers,
-    and a NaN minimum compares false against every threshold, so a
-    certificate would silently pass.
-    """
-    try:
-        rows = (np.asarray(seq, dtype=float) if len(seq)
-                else np.empty((0, space.d)))
-    except ValueError:
-        raise DimensionMismatchError("ragged or non-numeric rows") from None
-    if rows.ndim != 2 or rows.shape[1] != space.d:
-        raise DimensionMismatchError(
-            f"expected rows of {space.d} coordinates, got shape {rows.shape}")
-    if np.count_nonzero(np.isfinite(rows)) < rows.size:
-        raise PreconditionError("sequence has a non-finite coordinate")
-    return rows
 
 
 def _largest_cluster(values: np.ndarray,

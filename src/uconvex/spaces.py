@@ -28,8 +28,6 @@ _MASK_MIN_SIZE = 128
 # (256 KiB), so the block's temporaries stay in a core's L2 cache.
 BLOCK_ELEMS = 1 << 15
 
-Vec = np.ndarray
-
 
 @dataclass(frozen=True)
 class SpaceSpec:
@@ -52,37 +50,43 @@ class SpaceSpec:
         object.__setattr__(self, "d", int(self.d))
 
     @property
-    def q(self) -> float:
-        """Dual exponent, 1/p + 1/q = 1."""
-        return self.p / (self.p - 1.0)
-
-    @property
     def dual(self) -> "SpaceSpec":
-        """The dual space l^q_d, where functionals take their norms."""
-        return SpaceSpec(self.q, self.d)
+        """Dual space l^q_d (1/p + 1/q = 1), where functionals take norms."""
+        return SpaceSpec(self.p / (self.p - 1.0), self.d)
 
     def __str__(self) -> str:
         return f"l^{self.p:g}_{self.d}"
 
 
-def as_vector(space: SpaceSpec, coords) -> Vec:
-    """Coerce ``coords`` to a finite float vector of the space's dimension.
+def as_rows(space: SpaceSpec, seq) -> np.ndarray:
+    """The vectors of ``seq`` as the rows of an (n, d) float array.
 
-    A NaN or infinite coordinate raises ``PreconditionError``: every norm,
-    distance and pairing involving it is not a number, and a NaN compares
-    false against every threshold, so checks built on it would pass.
+    The one shape-and-finiteness check of the package.  An empty ``seq``
+    has shape (0, d); ragged rows, a wrong width or a flat vector raise
+    ``DimensionMismatchError``.  A NaN or infinite coordinate raises
+    ``PreconditionError``: every norm, distance and pairing involving it is
+    not a number, and a NaN compares false against every threshold, so
+    checks built on it would pass.
     """
-    v = np.asarray(coords, dtype=float)
-    if v.shape != (space.d,):
+    try:
+        rows = (np.asarray(seq, dtype=float) if len(seq)
+                else np.empty((0, space.d)))
+    except ValueError:
+        raise DimensionMismatchError("ragged or non-numeric rows") from None
+    if rows.ndim != 2 or rows.shape[1] != space.d:
         raise DimensionMismatchError(
-            f"expected {space.d} coordinates, got shape {v.shape}"
-        )
-    if np.count_nonzero(np.isfinite(v)) < space.d:
+            f"expected rows of {space.d} coordinates, got shape {rows.shape}")
+    if np.count_nonzero(np.isfinite(rows)) < rows.size:
         raise PreconditionError("vector has a non-finite coordinate")
-    return v
+    return rows
 
 
-def norm(space: SpaceSpec, v: Vec) -> float:
+def as_vector(space: SpaceSpec, coords) -> np.ndarray:
+    """``coords`` as a float vector of length d: :func:`as_rows` of one row."""
+    return as_rows(space, np.asarray(coords, dtype=float)[None])[0]
+
+
+def norm(space: SpaceSpec, v: np.ndarray) -> float:
     """p-norm ``(sum |v_i|^p)^(1/p)``; zero iff ``v`` is the zero vector.
 
     The norm of ``v`` as the one row of :func:`_row_norms`.
@@ -90,7 +94,7 @@ def norm(space: SpaceSpec, v: Vec) -> float:
     return float(_row_norms(space, as_vector(space, v)[None])[0])
 
 
-def normalize(space: SpaceSpec, v: Vec) -> Vec:
+def normalize(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
     """Return ``v / ||v||``, a unit vector parallel to ``v``.
 
     ``v`` is coerced and checked once, then normed as :func:`norm` does.
@@ -102,7 +106,7 @@ def normalize(space: SpaceSpec, v: Vec) -> Vec:
     return v / n
 
 
-def norming_functional(space: SpaceSpec, x: Vec) -> Vec:
+def norming_functional(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
     """Duality map: the unit dual functional with ``<x, f> = ||x||``.
 
     A functional is a plain array ``f`` acting by ``<v, f> = sum_i f_i v_i``.
@@ -185,8 +189,9 @@ def pair_norms(space: SpaceSpec, arr: np.ndarray, x=None) -> np.ndarray:
     is applied only on the smallest column slice that holds its nonzeros,
     as off it both have the powers ``|D|^p``.  Every entry is the
     :func:`batch_norm` of its difference bit for bit: the same ufuncs on
-    the same values over a row of length d.  The diagonal has its own pass,
-    so the zero probe of :func:`_pow_abs` meets no row zero off the slice.
+    the same values over a row of length d.  The diagonal is ``||x||``,
+    from x as one row: its root acts on a length-1 array, so it takes the
+    array ``pow`` that every other entry takes, not libm's scalar one.
     """
     arr = np.asarray(arr, dtype=float)
     n = len(arr)
@@ -194,11 +199,11 @@ def pair_norms(space: SpaceSpec, arr: np.ndarray, x=None) -> np.ndarray:
     buf = np.empty_like(arr)
     root = 1.0 / space.p
     if x is not None:
+        x = np.asarray(x, dtype=float)
         nz = np.flatnonzero(x)
         cols = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
         xs, tbuf = x[cols], np.empty((n, cols.stop - cols.start))
-        np.subtract(x, np.subtract(arr, arr, out=buf), out=buf)
-        np.fill_diagonal(out, _power_sums(space, buf, out=buf) ** root)
+        np.fill_diagonal(out, _power_sums(space, x[None]) ** root)
     for i in range(n):
         rows = np.subtract(arr[i + 1:], arr[i], out=buf[:n - i - 1])
         if x is not None:  # x - D to t, x + D over D, on the slice

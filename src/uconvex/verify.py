@@ -24,8 +24,8 @@ import numpy as np
 
 from .curves import (STATEMENTS, VerificationReport, _check_eps,
                      curve_violated, delta_from_constraint, lp_delta)
-from .errors import SamplerExhaustedError
-from .spaces import (SpaceSpec, as_vector, batch_norm, duality_map,
+from .errors import PreconditionError, SamplerExhaustedError
+from .spaces import (SpaceSpec, as_rows, as_vector, batch_norm, duality_map,
                      row_blocks, unit_batch)
 
 BATCH = 2048
@@ -230,7 +230,10 @@ def reverify_violation(statement: str, rec: dict) -> bool:
 
     A curve record goes through :func:`curves.curve_violated`.  A sampler
     record goes through its statement's hypotheses and the shared
-    conclusion as a batch of one row, the sampler's own arithmetic.
+    conclusion as a batch of one row, the sampler's own arithmetic.  Its
+    vectors and witness (a functional, or k >= 1 functional rows) must be
+    finite and of the record's dimension, eps in (0, 2] and delta finite
+    and positive; else ``UconvexError``.
     """
     if statement == "modulus_properties":
         return curve_violated(rec)
@@ -238,7 +241,11 @@ def reverify_violation(statement: str, rec: dict) -> bool:
     st = _sampler(statement)
     space = SpaceSpec(p=rec["p"], d=len(rec["x"]))
     x, xp = (as_vector(space, rec[key])[None] for key in ("x", "x_prime"))
-    w = np.asarray(rec[st.witness], dtype=float)[None]
+    w = (as_rows if st.ranked else as_vector)(space, rec[st.witness])[None]
+    _check_eps(rec["eps"])
+    if not (0.0 < rec["delta"] < math.inf and w.size):
+        raise PreconditionError(f"record needs a finite delta > 0 and a "
+                                f"witness, got delta={rec['delta']!r}")
     mask, _ = st.hypotheses(space, rec["delta"], x, xp, w)
     holds, _ = _conclusion(space, rec["eps"], x, xp)
     return bool(mask[0] and not holds[0])

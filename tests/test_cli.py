@@ -236,6 +236,26 @@ def test_construct_invalid_seed_spec(capsys):
     assert code == 2 and "error" in err
 
 
+def test_construct_max_len_zero_is_config_error(capsys):
+    code, stdout, err = run(capsys, "construct", "--p", "2", "--d", "4",
+                            "--max-len", "0")
+    assert code == 2 and stdout == ""
+    assert err == "error: max_len must be >= 1, got 0\n"
+
+
+def test_construct_failed_certificate_exits_1(capsys, monkeypatch):
+    def failing(space, seq, threshold):
+        return sequences.SeparationCertificate(
+            indices=tuple(range(len(seq))), min_pairwise=0.0,
+            threshold=threshold, passed=False)
+
+    monkeypatch.setattr(sequences, "certify", failing)
+    code, stdout, err = run(capsys, "construct", "--p", "2", "--d", "4")
+    assert code == 1 and stdout == ""
+    assert err == ("certificate failure (release-blocking): final "
+                   "certificate failed after construction\n")
+
+
 # ----------------------------- extract command -----------------------------
 
 def test_extract_theorem1_basis(tmp_path, capsys):

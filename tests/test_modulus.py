@@ -318,6 +318,39 @@ def test_empirical_dimension_one_needs_eps_two():
     assert pt.delta == 1.0
 
 
+def test_empirical_skips_a_start_whose_distance_rounds_below_eps(
+        monkeypatch):
+    # the Clarkson pair (a, eps/2, 0, ...), (a, -eps/2, 0, ...) is eps apart
+    # exactly, but at p = 1.1 its computed distance rounds below eps = 0.01
+    import uconvex.modulus as modulus_mod
+
+    space, eps = SpaceSpec(p=1.1, d=16), 0.01
+    a = (1.0 - (eps / 2.0) ** space.p) ** (1.0 / space.p)
+    bx, by = np.zeros(16), np.zeros(16)
+    bx[:2], by[:2] = (a, eps / 2.0), (a, -eps / 2.0)
+    assert norm(space, bx - by) < eps
+    measured, refined = [], []
+    refine = modulus_mod.refine
+
+    def recorded_norm(space_, v):
+        measured.append(np.array(v, copy=True))
+        return norm(space_, v)
+
+    def recorded_refine(z0, *args, **kw):
+        refined.append(z0)
+        return refine(z0, *args, **kw)
+
+    monkeypatch.setattr(modulus_mod, "norm", recorded_norm)
+    monkeypatch.setattr(modulus_mod, "refine", recorded_refine)
+    point = empirical_delta(space, eps, budget=2_000, rng_seed=0)
+    # the Clarkson start was measured as a start and never refined
+    assert any(np.array_equal(v, bx - by) for v in measured)
+    assert refined
+    assert not any(np.array_equal(z, np.concatenate([bx, by]))
+                   for z in refined)
+    validate_witness(space, point)
+
+
 def test_witness_validation_catches_corruption():
     space = SpaceSpec(p=2, d=2)
     good = empirical_delta(space, 1.0, budget=1_000, rng_seed=0)

@@ -9,7 +9,7 @@ point and value bit for bit, the same budget used, the same callbacks.
 import numpy as np
 import pytest
 
-from uconvex.modulus import _pair_search
+from uconvex.modulus import _PairMoves
 from uconvex.search import (INIT_STEP, REFINE_ROUNDS, SHRINK, EvalBudget,
                             refine, sample_feasible_pairs)
 from uconvex.spaces import SpaceSpec, _row_norms, norm, normalize
@@ -41,7 +41,7 @@ def oracle_refine(x0, objective, project, feasible, budget, *,
             if not improved:
                 break
         step *= shrink
-        if budget.exhausted:
+        if budget.used >= budget.cap:
             break
     return x, best
 
@@ -78,7 +78,9 @@ def test_batched_pair_search_matches_scalar_loop(p, d):
         for cap in (1, 7, 4 * d - 1, 4 * d, 4 * d + 1, 5000):
             want_budget, got_budget = EvalBudget(cap), EvalBudget(cap)
             want_z, want_v = oracle_refine(z0, *callbacks, want_budget)
-            got_z, got_v = _pair_search(space, eps, z0, got_budget)
+            moves = _PairMoves(space, eps)
+            got_z, got_v = refine(z0, moves.objective, moves.project, None,
+                                  got_budget, evaluate=moves)
             assert got_z.tobytes() == want_z.tobytes(), (eps, cap)
             assert got_v == want_v, (eps, cap)
             assert got_budget.used == want_budget.used, (eps, cap)

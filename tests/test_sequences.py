@@ -17,8 +17,8 @@ from uconvex.sequences import (baseline_extract, certify, ramsey_extract,
                                theorem1_extract, theorem3_construct,
                                unit_basis_seed, vectors_to_csv)
 from uconvex.search import EvalBudget, maximize_min_distance
-from uconvex.spaces import (SpaceSpec, batch_norm, normalize, pair_norms,
-                            unit_batch)
+from uconvex.spaces import (SpaceSpec, as_rows, batch_norm, normalize,
+                            pair_norms, unit_batch)
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -108,6 +108,14 @@ def test_riesz_seed_dimension_one():
     assert len(vectors) == 2
 
 
+@pytest.mark.parametrize("n, budget, message", [
+    (0, 10, "n must be >= 1, got 0"), (2, 0, "budget must be >= 1, got 0"),
+])
+def test_riesz_seed_rejects_empty_requests(n, budget, message):
+    with pytest.raises(ValueError, match=message):
+        riesz_seed(SpaceSpec(p=2, d=3), n, budget=budget, rng_seed=0)
+
+
 def test_riesz_seed_single_vector():
     space = SpaceSpec(p=2, d=3)
     vectors = riesz_seed(space, 1, budget=10, rng_seed=0)
@@ -195,7 +203,7 @@ def test_non_finite_sequences_are_rejected(bad):
     seq[2] = bad
     e0 = np.eye(4)[0]
     with pytest.raises(PreconditionError, match="non-finite"):
-        sequences._finite_rows(space, seq.tolist())
+        as_rows(space, seq.tolist())
     with pytest.raises(PreconditionError, match="non-finite"):
         theorem1_extract(space, seq, e0, eps=1.0)
     with pytest.raises(PreconditionError, match="non-finite"):
@@ -616,16 +624,16 @@ def test_theorem3_outputs_are_float_arrays_of_the_old_rows(p):
 def test_finite_rows_rejects_shapes_with_dimension_mismatch(seq):
     space = SpaceSpec(p=2, d=4)
     with pytest.raises(DimensionMismatchError):
-        sequences._finite_rows(space, seq)
+        as_rows(space, seq)
     with pytest.raises(DimensionMismatchError):
         separation(space, seq)
 
 
 def test_finite_rows_takes_integer_rows_and_keeps_the_empty_error():
     space = SpaceSpec(p=2, d=3)
-    rows = sequences._finite_rows(space, [[1, 0, 0], [0, 2, 0]])
+    rows = as_rows(space, [[1, 0, 0], [0, 2, 0]])
     assert _same_rows(rows, [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-    empty = sequences._finite_rows(space, [])
+    empty = as_rows(space, [])
     assert empty.shape == (0, 3) and empty.dtype == np.float64
     with pytest.raises(PreconditionError,
                        match="separation needs at least 2 vectors"):

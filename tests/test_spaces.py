@@ -36,8 +36,8 @@ def test_space_validation():
 
 
 def test_dual_exponent():
-    assert SpaceSpec(p=2, d=1).q == 2.0
-    assert SpaceSpec(p=1.5, d=1).q == pytest.approx(3.0, abs=ATOL)
+    assert SpaceSpec(p=2, d=1).dual.p == 2.0
+    assert SpaceSpec(p=1.5, d=1).dual.p == pytest.approx(3.0, abs=ATOL)
 
 
 def test_norm_euclidean_345():
@@ -240,7 +240,8 @@ def test_apply_contraction_inequality_randomized():
         space = SpaceSpec(p=p, d=6)
         rng = np.random.default_rng(11)
         rows = np.sign(g := rng.standard_normal((4, 6))) * np.abs(g)
-        rows /= np.sum(np.abs(rows) ** space.q, axis=1)[:, None] ** (1 / space.q)
+        q = space.dual.p
+        rows /= np.sum(np.abs(rows) ** q, axis=1)[:, None] ** (1 / q)
         vs = rng.standard_normal((100_000 // 3 + 1, 6)) * 10.0
         sups = np.max(np.abs(vs @ rows.T), axis=1)
         norms = np.sum(np.abs(vs) ** p, axis=1) ** (1.0 / p)
@@ -330,7 +331,7 @@ def test_duality_map_equals_closed_form_bit_for_bit(p):
 def test_dual_norm_is_the_q_norm():
     space = SpaceSpec(p=3, d=5)
     f = np.array([0.3, -1.0, 0.0, 2.0, 0.5])
-    q = space.q
+    q = space.dual.p
     expected = np.sum(np.abs(f) ** q) ** (1.0 / q)
     assert float(batch_norm(space.dual, f)) == expected
     assert space.dual == SpaceSpec(p=q, d=5)

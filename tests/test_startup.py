@@ -119,9 +119,9 @@ ENGINE_COMMANDS = [
       "--eps", "1", "--trials", "10"], 0, "uconvex.verify",
      {"uconvex.sequences"}),
     (["extract", "--p", "2", "--d", "4"], 0, "uconvex.sequences",
-     {"uconvex.verify"}),
+     {"uconvex.verify", "uconvex.search"}),
     (["construct", "--p", "2", "--d", "4"], 3, "uconvex.sequences",
-     {"uconvex.verify"}),
+     {"uconvex.verify", "uconvex.search"}),
 ]
 
 

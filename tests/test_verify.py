@@ -8,7 +8,7 @@ from uconvex import curves, verify
 from uconvex.curves import (ModulusCurve, ModulusPoint, build_curve,
                             check_modulus_properties, delta_from_constraint,
                             lp_delta, summary_line)
-from uconvex.errors import CertificateError
+from uconvex.errors import CertificateError, UconvexError
 from uconvex.sequences import unit_basis_seed
 from uconvex.spaces import SpaceSpec, norm, norming_functional, unit_batch
 from uconvex.verify import (check_lemma23, check_remark45,
@@ -165,6 +165,26 @@ def test_remark45_reverify_shapes():
         "remark45", {**record, "rows": [[0.05, 0.0], [0.0, 0.2]]})
     with pytest.raises(ValueError):
         reverify_violation("unknown", record)
+
+
+@pytest.mark.parametrize("statement, change", [
+    ("lemma23", {"functional": [1.0]}),          # truncated: was broadcast
+    ("lemma23", {"functional": [[1.0, 0.0]]}),   # was a raw einsum error
+    ("lemma23", {"functional": [1.0, math.nan]}),
+    ("lemma23", {"delta": math.nan}),            # was a silent False
+    ("lemma23", {"eps": math.nan}),              # was a silent False
+    ("lemma23", {"delta": 0.0}),
+    ("remark45", {"rows": [1.0, 0.0]}),
+    ("remark45", {"rows": []}),
+], ids=["short", "2d", "nan-functional", "nan-delta", "nan-eps", "zero-delta",
+        "flat-rows", "no-rows"])
+def test_reverify_rejects_malformed_records(statement, change):
+    # x = e_0, x' = e_1 in l^2_2; each change makes a field unreadable
+    record = {"p": 2.0, "eps": 0.5, "delta": 0.01, "x": [1.0, 0.0],
+              "x_prime": [0.0, 1.0], "functional": [1.0, 0.0],
+              "rows": [[1.0, 0.0]]}
+    with pytest.raises(UconvexError):
+        reverify_violation(statement, {**record, **change})
 
 
 # ----------------------------- curve properties -----------------------------
