@@ -24,7 +24,7 @@ from .errors import (CapacityError, CertificateError,
 from .curves import HANNER_TOL, _check_eps, lp_delta
 from .rounding import norm_error, unit_error
 from .spaces import (SpaceSpec, as_rows, as_vector, batch_norm, norm,
-                     norming_functional, pair_norms, unit_batch)
+                     norming_functional, pair_rows, unit_batch)
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,11 @@ class ConstructionTrace:
 def separation(space: SpaceSpec, seq) -> float:
     """Exact minimum pairwise distance over the sequence.
 
-    One O(n^2) scan by the pairwise kernel :func:`spaces.pair_norms`.
-    A non-finite coordinate raises ``PreconditionError``.
+    One O(n^2) scan of the rows of the pairwise kernel
+    :func:`spaces.pair_rows`, holding one row at a time.  A non-finite
+    coordinate raises ``PreconditionError``.
     """
-    return _min_off_diagonal(pair_norms(space, as_rows(space, seq)))
+    return _min_pair(pair_rows(space, as_rows(space, seq)))
 
 
 def certify(space: SpaceSpec, seq, threshold: float) -> SeparationCertificate:
@@ -194,7 +195,8 @@ def theorem1_extract(space: SpaceSpec, seq, x,
     ``1 - delta_eps / 2`` by construction of the window, and eps-separation
     then forces ``||xi|| >= 1 + delta_eps`` -- that bound is asserted pair
     by pair, not assumed.  Both the separation and the pair values are
-    computed by the pairwise kernel :func:`spaces.pair_norms`.
+    scanned row by row from the pairwise kernel :func:`spaces.pair_rows`,
+    so no n x n array is formed.
     """
     if eps is not None:
         _check_eps(eps)
@@ -218,24 +220,24 @@ def theorem1_extract(space: SpaceSpec, seq, x,
                             delta_eps=delta_eps)
 
 
-def ramsey_extract(values, split: float) -> tuple[list[int], str]:
-    """Greedy-pivot monochromatic subset of a symmetric distance matrix.
+def ramsey_extract(rows, split: float) -> tuple[list[int], str]:
+    """Greedy-pivot monochromatic subset of a family of pair distances.
 
-    Entries at most ``split`` are colored low, the rest high (ties at the
-    split go low, matching the closed interval).  Each pivot keeps its
-    majority color class; the majority-color pivots plus the final
-    unpaired pivot form the output, whose pairwise entries all lie on one
-    side of the split.  Output size is at least ``ceil(log2 n) / 2``
-    rounded down.
+    ``rows`` is the strict upper triangle as :func:`spaces.pair_rows`
+    yields it: row i holds the values of the pairs (i, j), j > i, so it
+    has ``n - i - 1`` entries; other lengths, such as a full n x n matrix,
+    raise ``PreconditionError``.  Values at most ``split`` are colored
+    low, the rest high (ties at the split go low, matching the closed
+    interval).  Each pivot keeps its majority color class; the
+    majority-color pivots plus the final unpaired pivot form the output,
+    whose pairwise values all lie on one side of the split.  Output size
+    is at least ``ceil(log2 n) / 2`` rounded down.
     """
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
+    n = len(rows)
     if n < 2:
         raise PreconditionError("ramsey_extract needs at least 2 indices")
-    if values.shape != (n, n) or not np.array_equal(values, values.T):
-        raise PreconditionError("distance matrix must be square and symmetric")
-    if np.any(np.diag(values) != 0.0):
-        raise PreconditionError("distance matrix must have zero diagonal")
+    if any(len(row) != n - i - 1 for i, row in enumerate(rows)):
+        raise PreconditionError("row i must hold the pairs (i, j), j > i")
 
     remaining = np.arange(n)
     colored: list[tuple[int, str]] = []
@@ -245,7 +247,8 @@ def ramsey_extract(values, split: float) -> tuple[list[int], str]:
         if not rest.size:
             last = pivot
             break
-        low = values[pivot, rest] <= split
+        # remaining stays ascending, so rest lies above pivot
+        low = np.asarray(rows[pivot])[rest - pivot - 1] <= split
         n_low = int(np.count_nonzero(low))
         if n_low >= rest.size - n_low:
             colored.append((pivot, "low"))
@@ -266,23 +269,24 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
                        seed_description: str = "") -> ConstructionTrace:
     """Ramsey dichotomy plus greedy normalized differences.
 
-    The seed must be 1-separated; its separation is read off the one
-    distance matrix that the pairwise kernel :func:`spaces.pair_norms`
-    builds for the Ramsey extraction.  If the extracted monochromatic class
-    sits in the high branch the seed subsequence itself is the output.  In
-    the low branch, candidate differences ``y = xi_a - xi_b`` are
-    enumerated in the diagonal-sweep order of :func:`_open_pairs`, skipping
-    pairs touching indices already consumed by an accepted candidate; a
-    candidate is accepted when it keeps distance ``1 + delta1`` to all
-    prior outputs, and its normalization then stays
-    ``1 + delta1/2``-separated.  In either branch one final
-    :func:`certify` of the whole output asserts that separation.
+    The seed must be 1-separated; its separation is the least value of the
+    rows of the pairwise kernel :func:`spaces.pair_rows`, which are kept,
+    the n(n-1)/2 upper-triangle values, for the Ramsey extraction's pivots
+    to read.  If the extracted monochromatic class sits in the high branch
+    the seed subsequence itself is the output.  In the low branch,
+    candidate differences ``y = xi_a - xi_b`` are enumerated in the
+    diagonal-sweep order of :func:`_open_pairs`, skipping pairs touching
+    indices already consumed by an accepted candidate; a candidate is
+    accepted when it keeps distance ``1 + delta1`` to all prior outputs,
+    and its normalization then stays ``1 + delta1/2``-separated.  In
+    either branch one final :func:`certify` of the whole output asserts
+    that separation.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     seed = as_rows(space, seed)
-    dist = pair_norms(space, seed)
-    sep = _min_off_diagonal(dist)
+    rows = list(pair_rows(space, seed))
+    sep = _min_pair(rows)
     if sep < 1.0 - norm_error(space.d, sep, sep):
         raise PreconditionError(
             f"seed separation {sep:.17g} is below 1")
@@ -292,7 +296,7 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
     delta1 = lp_delta(space.p, 2.0 / 3.0)
     split = 1.0 + 0.5 * delta1
 
-    extracted, branch = ramsey_extract(dist, split)
+    extracted, branch = ramsey_extract(rows, split)
     xi = seed[extracted]
 
     steps: list[TraceStep] = []
@@ -365,17 +369,13 @@ def vectors_to_csv(path, vectors: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def _min_off_diagonal(m: np.ndarray) -> float:
-    """Minimum off-diagonal entry of a contiguous n x n matrix.
-
-    Dropping the first flat entry leaves n-1 rows of n+1 entries, each
-    ending on a diagonal entry; cutting the last column off leaves a view
-    of exactly the off-diagonal entries, with no copy and no index arrays.
-    """
-    n = len(m)
-    if n < 2:
+def _min_pair(rows) -> float:
+    """Least value in ``rows``, arrays of pair values; empty ones, such as
+    the last row of :func:`spaces.pair_rows`, hold no pair."""
+    mins = [row.min() for row in rows if row.size]
+    if not mins:
         raise PreconditionError("separation needs at least 2 vectors")
-    return float(m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].min())
+    return float(np.min(mins))
 
 
 def _largest_cluster(values: np.ndarray,
@@ -429,7 +429,8 @@ def _certified_cluster(space: SpaceSpec, vecs: np.ndarray, x, width: float,
         raise PreconditionError(f"x must be a unit vector, norm {n!r}")
     f = norming_functional(space, x)
     selected, window = _largest_cluster(vecs @ f, width)
-    pair_min = _min_off_diagonal(pair_norms(space, vecs[list(selected)], x))
+    pair_min = _min_pair(values for row in pair_rows(
+        space, vecs[list(selected)], x) for values in row)
     margin = (norm_error(d, pair_min, n + 2.0 * pair_min + guaranteed)
               + abs(n - 1.0) + norm_error(d, n) + accuracy)
     if pair_min < guaranteed - margin:

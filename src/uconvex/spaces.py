@@ -35,6 +35,7 @@ class SpaceSpec:
 
     Only ``1 < p < inf`` is accepted: outside that range the space is not
     uniformly convex and every downstream guarantee would silently break.
+    A bad p or d raises ``PreconditionError``.
     """
 
     p: float
@@ -43,9 +44,9 @@ class SpaceSpec:
     def __post_init__(self):
         p = float(self.p)
         if not math.isfinite(p) or p <= 1.0:
-            raise ValueError(f"exponent p must satisfy 1 < p < inf, got {self.p!r}")
+            raise PreconditionError(f"exponent p must satisfy 1 < p < inf, got {self.p!r}")
         if not (self.d >= 1 and float(self.d).is_integer()):
-            raise ValueError(f"dimension d must be a positive integer, got {self.d!r}")
+            raise PreconditionError(f"dimension d must be a positive integer, got {self.d!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "d", int(self.d))
 
@@ -83,7 +84,7 @@ def as_rows(space: SpaceSpec, seq) -> np.ndarray:
 
 def as_vector(space: SpaceSpec, coords) -> np.ndarray:
     """``coords`` as a float vector of length d: :func:`as_rows` of one row."""
-    return as_rows(space, np.asarray(coords, dtype=float)[None])[0]
+    return as_rows(space, [coords])[0]
 
 
 def norm(space: SpaceSpec, v: np.ndarray) -> float:
@@ -177,25 +178,23 @@ def batch_norm(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     return _power_sums(space, rows) ** (1.0 / space.p)
 
 
-def pair_norms(space: SpaceSpec, arr: np.ndarray, x=None) -> np.ndarray:
-    """The one pairwise kernel: n x n matrix of ``||x - (a_i - a_j)||``.
+def pair_rows(space: SpaceSpec, arr: np.ndarray, x=None):
+    """The one pairwise kernel: per row i, the values of the pairs j > i.
 
-    ``arr`` holds the vectors ``a_i`` as rows.  With ``x`` None, entry
-    ``(i, j)`` is ``||a_j - a_i||``: only the upper triangle is computed and
-    then mirrored, so the matrix is exactly symmetric with zero diagonal.
-    Else one ``D = a_j - a_i`` per pair j > i gives ``(i, j) = ||x + D||``
-    and ``(j, i) = ||x - D||``, since ``fl(a_i - a_j) = -fl(a_j - a_i)``,
-    ``y - (-z) = y + z`` and the square or ``abs`` drops a zero's sign; x
-    is applied only on the smallest column slice that holds its nonzeros,
-    as off it both have the powers ``|D|^p``.  Every entry is the
+    ``arr`` holds the vectors ``a_i`` as rows; row i is an array over
+    ``j = i+1, ..., n-1``, so the last row is empty.  With ``x`` None it
+    holds ``||a_j - a_i||``.  Else one ``D = a_j - a_i`` per pair gives the
+    two arrays ``||x + D||`` and ``||x - D||``, the values of ``x - (a_i -
+    a_j)`` and ``x - (a_j - a_i)``, since ``fl(a_i - a_j) = -fl(a_j -
+    a_i)``, ``y - (-z) = y + z`` and the square or ``abs`` drops a zero's
+    sign; x is applied only on the smallest column slice that holds its
+    nonzeros, as off it both have the powers ``|D|^p``.  Every value is the
     :func:`batch_norm` of its difference bit for bit: the same ufuncs on
-    the same values over a row of length d.  The diagonal is ``||x||``,
-    from x as one row: its root acts on a length-1 array, so it takes the
-    array ``pow`` that every other entry takes, not libm's scalar one.
+    the same values over a row of length d.  Each yielded array is new;
+    only the (n, d) difference buffer is reused.
     """
     arr = np.asarray(arr, dtype=float)
     n = len(arr)
-    out = np.zeros((n, n))
     buf = np.empty_like(arr)
     root = 1.0 / space.p
     if x is not None:
@@ -203,19 +202,17 @@ def pair_norms(space: SpaceSpec, arr: np.ndarray, x=None) -> np.ndarray:
         nz = np.flatnonzero(x)
         cols = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
         xs, tbuf = x[cols], np.empty((n, cols.stop - cols.start))
-        np.fill_diagonal(out, _power_sums(space, x[None]) ** root)
     for i in range(n):
         rows = np.subtract(arr[i + 1:], arr[i], out=buf[:n - i - 1])
-        if x is not None:  # x - D to t, x + D over D, on the slice
-            sup, t = rows[:, cols], tbuf[:n - i - 1]
-            np.subtract(xs, sup, out=t)
-            np.add(xs, sup, out=sup)
-        out[i, i + 1:] = _power_sums(space, rows, out=rows) ** root
-        if x is not None:  # |x - D|^p into the slice, the rest is |D|^p
-            _powers(space, t, out=sup)
-        out[i + 1:, i] = (out[i, i + 1:] if x is None
-                          else np.add.reduce(rows, axis=-1) ** root)
-    return out
+        if x is None:
+            yield _power_sums(space, rows, out=rows) ** root
+            continue
+        sup, t = rows[:, cols], tbuf[:n - i - 1]
+        np.subtract(xs, sup, out=t)  # x - D to t, x + D over D, on the slice
+        np.add(xs, sup, out=sup)
+        plus = _power_sums(space, rows, out=rows) ** root
+        _powers(space, t, out=sup)  # |x - D|^p into the slice
+        yield plus, np.add.reduce(rows, axis=-1) ** root
 
 
 def _row_norms(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:

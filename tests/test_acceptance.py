@@ -163,7 +163,8 @@ def test_criterion_7_ramsey_extractor():
         m = np.where(rng.random((n, n)) < 0.5, 0.0, 2.0)
         m = np.triu(m, 1)
         m = m + m.T
-        idx, branch = ramsey_extract(m, split=1.0)
+        idx, branch = ramsey_extract([m[i, i + 1:] for i in range(n)],
+                                     split=1.0)
         sub = m[np.ix_(idx, idx)]
         off_diag = sub[~np.eye(len(idx), dtype=bool)]
         mono = (np.all(off_diag <= 1.0) if branch == "low"

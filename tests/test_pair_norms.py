@@ -1,11 +1,14 @@
-"""The pairwise kernel with ``x`` against a copy of its per-row form.
+"""The pairwise kernel against a copy of its n x n per-row form.
 
-``spaces.pair_norms(space, arr, x)`` forms one difference per unordered
-pair and applies ``x`` only on the column slice that holds its nonzeros.
-Every entry must equal, bit for bit, the per-row kernel it replaced
-(copied below as ``_old_pair_norms``), which formed ``x - (a_i - a_j)``
-in full for every ordered pair; and its working set must stay within the
-result, one (n, d) buffer and one (n, w) buffer for a slice of width w.
+``spaces.pair_rows(space, arr, x)`` yields, row by row, the values of the
+pairs (i, j), j > i: one difference per unordered pair, with ``x``
+applied only on the column slice that holds its nonzeros.  Row i must
+equal, bit for bit, the upper-triangle row ``M[i, i+1:]`` of the matrix
+``M`` of the per-row kernel it replaced (copied below as
+``_old_pair_norms``), which formed ``x - (a_i - a_j)`` in full for every
+ordered pair, and with ``x`` also the column ``M[i+1:, i]``; and its
+working set must stay within one row, one (n, d) buffer and one (n, w)
+buffer for a slice of width w.
 """
 
 import tracemalloc
@@ -13,7 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uconvex.spaces import SpaceSpec, _power_sums, pair_norms
+from uconvex.sequences import theorem1_extract
+from uconvex.spaces import SpaceSpec, _power_sums, pair_rows, unit_batch
 
 BYTES = 8  # float64
 
@@ -44,6 +48,17 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(
         np.ascontiguousarray(a).view(np.int64),
         np.ascontiguousarray(b).view(np.int64))
+
+
+def _rows_equal_matrix(rows, m, x=None):
+    """Row i of :func:`pair_rows` is ``m[i, i+1:]`` and, with ``x``, also
+    ``m[i+1:, i]``, bit for bit."""
+    want = [(m[i, i + 1:],) if x is None else (m[i, i + 1:], m[i + 1:, i])
+            for i in range(len(m))]
+    got = [(row,) if x is None else tuple(row) for row in rows]
+    return len(got) == len(want) and all(
+        len(g) == len(w) and all(map(_same_bits, g, w))
+        for g, w in zip(got, want))
 
 
 def _unit(d, k, value=1.0):
@@ -105,19 +120,20 @@ def test_pair_norms_equal_per_row_kernel_bit_for_bit(p, x_kind, seq_kind):
         x = X_KINDS[x_kind](d, rng)
         for n in (1, 2, 3, 40):
             arr = SEQUENCES[seq_kind](p, n, d, rng)
-            got = pair_norms(space, arr, x)
-            assert _same_bits(got, _old_pair_norms(space, arr, x)), (d, n)
-            assert _same_bits(pair_norms(space, arr),
-                              _old_pair_norms(space, arr)), (d, n)
+            got = list(pair_rows(space, arr, x))
+            assert _rows_equal_matrix(got, _old_pair_norms(space, arr, x),
+                                      x), (d, n)
+            assert _rows_equal_matrix(list(pair_rows(space, arr)),
+                                      _old_pair_norms(space, arr)), (d, n)
 
 
 def test_pair_norms_accept_list_inputs_and_no_rows():
     space = SpaceSpec(3.0, 4)
     arr = np.random.default_rng(3).standard_normal((5, 4))
     x = [0.0, -0.5, 0.25, 0.0]
-    assert _same_bits(pair_norms(space, arr.tolist(), x),
-                      _old_pair_norms(space, arr, np.array(x)))
-    assert pair_norms(space, np.zeros((0, 4)), x).shape == (0, 0)
+    assert _rows_equal_matrix(list(pair_rows(space, arr.tolist(), x)),
+                              _old_pair_norms(space, arr, np.array(x)), x)
+    assert list(pair_rows(space, np.zeros((0, 4)), x)) == []
 
 
 def _peak_bytes(fn):
@@ -138,10 +154,10 @@ def _peak_bytes(fn):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("x_kind", ["e_interior", "far_pair", "dense"])
 def test_pair_norms_working_set_is_result_and_two_buffers(p, x_kind):
-    """With ``x``: the n x n result, the (n, d) difference buffer and the
-    (n, w) buffer of ``x - D`` on the slice, plus O(n) row vectors and, at
-    p != 2, the boolean zero mask of :func:`spaces._pow_abs` over the
-    differences (one byte per entry)."""
+    """With ``x``: the (n, d) difference buffer and the (n, w) buffer of
+    ``x - D`` on the slice, plus O(n) row vectors and, at p != 2, the
+    boolean zero mask of :func:`spaces._pow_abs` over the differences (one
+    byte per entry); no n x n term, as the rows are read one at a time."""
     n, d = 300, 200
     space = SpaceSpec(p, d)
     rng = np.random.default_rng(9)
@@ -149,5 +165,22 @@ def test_pair_norms_working_set_is_result_and_two_buffers(p, x_kind):
     x = X_KINDS[x_kind](d, rng)
     nz = np.flatnonzero(x)
     w = nz[-1] + 1 - nz[0]
-    peak = _peak_bytes(lambda: pair_norms(space, arr, x))
-    assert peak <= BYTES * (n * n + n * d + n * w) + n * d + 64 * 1024
+    peak = _peak_bytes(lambda: min(min(a.min(), b.min())
+                                   for a, b in pair_rows(space, arr, x)
+                                   if a.size))
+    assert peak <= BYTES * (n * d + n * w) + n * d + 64 * 1024
+
+
+def test_theorem1_extract_working_set_has_no_n_squared_term():
+    """Theorem 1's separation and certificate scans read one row at a time:
+    the peak is the (n, d) difference buffer plus O(n) per-row values (a
+    row, its minimum, the functional values and their sort), where the
+    n x n matrix alone took 32 MB."""
+    n, d = 2000, 16
+    space = SpaceSpec(3.0, d)
+    seq = unit_batch(space, np.random.default_rng(4), n)
+    out = []
+    peak = _peak_bytes(lambda: out.append(
+        theorem1_extract(space, seq, seq[0], eps=None)))
+    assert len(out[0].selected) >= 2
+    assert peak <= BYTES * n * d + 64 * n + 64 * 1024

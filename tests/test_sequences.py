@@ -18,7 +18,8 @@ from uconvex.sequences import (baseline_extract, certify, ramsey_extract,
                                unit_basis_seed, vectors_to_csv)
 from uconvex.search import EvalBudget, maximize_min_distance
 from uconvex.spaces import (SpaceSpec, as_rows, batch_norm, normalize,
-                            pair_norms, unit_batch)
+                            pair_rows, unit_batch)
+from test_pair_norms import _old_pair_norms
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -281,11 +282,16 @@ def test_theorem1_window_members_inside_window():
 
 # ----------------------------- ramsey extraction -----------------------------
 
+def _upper_rows(m):
+    """The strict upper triangle of ``m`` as :func:`pair_rows` yields it."""
+    return [m[i, i + 1:] for i in range(len(m))]
+
+
 def test_ramsey_monochromatic_high_returns_everything():
     n = 9
     m = np.full((n, n), SQRT2)
     np.fill_diagonal(m, 0.0)
-    idx, branch = ramsey_extract(m, split=1.0285954792089682)
+    idx, branch = ramsey_extract(_upper_rows(m), split=1.0285954792089682)
     assert idx == list(range(n))
     assert branch == "high"
 
@@ -294,28 +300,30 @@ def test_ramsey_monochromatic_low_returns_everything():
     n = 7
     m = np.ones((n, n))
     np.fill_diagonal(m, 0.0)
-    idx, branch = ramsey_extract(m, split=1.0285954792089682)
+    idx, branch = ramsey_extract(_upper_rows(m), split=1.0285954792089682)
     assert idx == list(range(n))
     assert branch == "low"
 
 
 def test_ramsey_split_boundary_goes_low():
     m = np.array([[0.0, 1.5], [1.5, 0.0]])
-    _, branch = ramsey_extract(m, split=1.5)
+    _, branch = ramsey_extract(_upper_rows(m), split=1.5)
     assert branch == "low"
 
 
 def test_ramsey_preconditions():
     with pytest.raises(PreconditionError):
-        ramsey_extract(np.zeros((1, 1)), split=1.0)
-    with pytest.raises(PreconditionError):
-        ramsey_extract(np.array([[0.0, 1.0], [2.0, 0.0]]), split=1.0)
-    with pytest.raises(PreconditionError):
-        ramsey_extract(np.array([[1.0, 1.0], [1.0, 0.0]]), split=2.0)
+        ramsey_extract(_upper_rows(np.zeros((1, 1))), split=1.0)
+    with pytest.raises(PreconditionError):  # a full matrix, not its rows
+        ramsey_extract(np.array([[0.0, 1.0], [1.0, 0.0]]), split=1.0)
 
 
-def _ramsey_pivots_by_comprehension(values, split):
-    """The pivot loop of ``ramsey_extract`` written with Python lists."""
+def _ramsey_pivots_by_comprehension(values, split, sizes=None):
+    """The pivot loop of ``ramsey_extract`` written with Python lists.
+
+    Reads the matrix ``values`` at ``[pivot, i]``; each pivot's low-class
+    and rest sizes are appended to ``sizes`` when it is given.
+    """
     remaining = list(range(len(values)))
     colored, last = [], None
     while remaining:
@@ -325,6 +333,8 @@ def _ramsey_pivots_by_comprehension(values, split):
             break
         low = [i for i in rest if values[pivot, i] <= split]
         high = [i for i in rest if values[pivot, i] > split]
+        if sizes is not None:
+            sizes.append((len(low), len(rest)))
         if len(low) >= len(high):
             colored.append((pivot, "low"))
             remaining = low
@@ -345,9 +355,39 @@ def test_ramsey_matches_list_comprehension_pivots(seed):
     n = int(rng.integers(2, 70))
     m = np.triu(rng.choice([0.9, 1.0, 1.1], size=(n, n)), 1)
     m = m + m.T
-    idx, branch = ramsey_extract(m, split=1.0)
+    idx, branch = ramsey_extract(_upper_rows(m), split=1.0)
     assert (idx, branch) == _ramsey_pivots_by_comprehension(m, 1.0)
     assert all(type(i) is int for i in idx)
+
+
+def _noisy_shifted_seed(space, rng_seed):
+    """A shifted basis with noise, scaled to separation just above 1."""
+    base = np.asarray(shifted_basis_seed(space, space.d - 1))
+    seed = base + 1e-3 * np.random.default_rng(rng_seed).standard_normal(
+        base.shape)
+    return seed / separation(space, seed) * (1.0 + 1e-12)
+
+
+def test_ramsey_on_pair_rows_equals_matrix_pivots():
+    """The rows of ``pair_rows`` give the pivots the n x n matrix gave, on
+    seeds of both branches and on Riesz seeds, whose pivots split."""
+    seeds = []
+    for p in (1.5, 3.0):
+        space = SpaceSpec(p=p, d=24)
+        seeds += [(space, _noisy_shifted_seed(space, 1)),
+                  (space, unit_basis_seed(space, 24))]
+    for p in (1.5, 2.0):
+        space = SpaceSpec(p=p, d=8)
+        seeds.append((space, riesz_seed(space, 40, 4000, 2)))
+    branches, sizes = set(), []
+    for space, seed in seeds:
+        split = 1.0 + 0.5 * lp_delta(space.p, 2.0 / 3.0)
+        got = ramsey_extract(list(pair_rows(space, seed)), split)
+        assert got == _ramsey_pivots_by_comprehension(
+            _old_pair_norms(space, seed), split, sizes)
+        branches.add(got[1])
+    assert branches == {"low", "high"}
+    assert any(0 < n_low < n_rest for n_low, n_rest in sizes)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -358,7 +398,7 @@ def test_ramsey_random_two_valued(seed):
     m = np.where(rng.random((n, n)) < 0.5, 0.0, 2.0)
     m = np.triu(m, 1)
     m = m + m.T
-    idx, branch = ramsey_extract(m, split=1.0)
+    idx, branch = ramsey_extract(_upper_rows(m), split=1.0)
     floor = math.ceil(math.log2(n)) // 2
     assert len(idx) >= max(floor, 1)
     sub = m[np.ix_(idx, idx)].copy()
@@ -461,13 +501,11 @@ def test_theorem3_shifted_seed_runs_greedy_low_branch():
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_theorem3_low_branch_measures_every_prior_output(p):
     space = SpaceSpec(p=p, d=24)
-    base = np.asarray(shifted_basis_seed(space, 23))
-    seed = base + 1e-3 * np.random.default_rng(1).standard_normal(base.shape)
-    seed = seed / separation(space, seed) * (1.0 + 1e-12)
+    seed = _noisy_shifted_seed(space, 1)
     trace = theorem3_construct(space, list(seed), max_len=100)
     assert trace.branch == "low" and len(trace.output) > 2
     split = 1.0 + 0.5 * trace.delta1
-    extracted, _ = ramsey_extract(pair_norms(space, seed), split)
+    extracted, _ = ramsey_extract(list(pair_rows(space, seed)), split)
     xi = seed[extracted]
     prior = []
     for step in trace.steps:
@@ -598,13 +636,13 @@ def test_theorem3_outputs_are_float_arrays_of_the_old_rows(p):
     split = 1.0 + 0.5 * lp_delta(p, 2.0 / 3.0)
     basis = unit_basis_seed(space, 12)
     high = theorem3_construct(space, basis, max_len=5)
-    extracted, _ = ramsey_extract(pair_norms(space, basis), split)
+    extracted, _ = ramsey_extract(list(pair_rows(space, basis)), split)
     assert high.branch == "high"
     assert _same_rows(high.output, [basis[i] for i in extracted][:5])
 
     seed = shifted_basis_seed(space, 11)
     low = theorem3_construct(space, seed, max_len=12)
-    extracted, _ = ramsey_extract(pair_norms(space, seed), split)
+    extracted, _ = ramsey_extract(list(pair_rows(space, seed)), split)
     xi = [seed[i] for i in extracted]
     rows = [(xi[s.pair[0]] - xi[s.pair[1]]) / s.y_norm
             for s in low.steps if s.accepted]

@@ -12,7 +12,7 @@ from uconvex.sequences import shifted_basis_seed
 from uconvex.rounding import norm_error
 from uconvex.spaces import (SpaceSpec, _pow_abs, _power_sums, _row_norms,
                             batch_norm, duality_map, norm, norming_functional,
-                            normalize, pair_norms, unit_batch)
+                            normalize, pair_rows, unit_batch)
 
 ATOL = 1e-12
 
@@ -184,6 +184,20 @@ def _rows_with_repeats(rng, n, d):
     return rows
 
 
+def _pair_rows_by_batch_norm(space, arr, x):
+    """Rows of ``||a_j - a_i||`` and, with ``x``, of ``||x - (a_i - a_j)||``
+    and ``||x - (a_j - a_i)||``, j > i, each by :func:`batch_norm` alone."""
+    def value(v):
+        return batch_norm(space, v[None])[0]
+    n = len(arr)
+    plain = [[value(arr[j] - arr[i]) for j in range(i + 1, n)]
+             for i in range(n)]
+    shifted = [([value(x - (arr[i] - arr[j])) for j in range(i + 1, n)],
+                [value(x - (arr[j] - arr[i])) for j in range(i + 1, n)])
+               for i in range(n)]
+    return plain, shifted
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("n, d", [(2, 3), (9, 5), (17, 40)])
 def test_pair_norms_equal_per_pair_batch_norm(p, n, d):
@@ -191,29 +205,12 @@ def test_pair_norms_equal_per_pair_batch_norm(p, n, d):
     rng = np.random.default_rng(int(10 * p) + n)
     arr = _rows_with_repeats(rng, n, d)
     x = rng.standard_normal(d)
-    plain = pair_norms(space, arr)
-    shifted = pair_norms(space, arr, x)
-    assert plain.shape == shifted.shape == (n, n)
-    for i in range(n):
-        assert plain[i, i] == 0.0
-        for j in range(n):
-            if i != j:
-                assert plain[i, j] == batch_norm(
-                    space, (arr[j] - arr[i])[None])[0]
-            assert shifted[i, j] == batch_norm(
-                space, (x - (arr[i] - arr[j]))[None])[0]
+    plain = [row.tolist() for row in pair_rows(space, arr)]
+    shifted = [(a.tolist(), b.tolist()) for a, b in pair_rows(space, arr, x)]
+    assert (plain, shifted) == _pair_rows_by_batch_norm(space, arr, x)
+    assert len(plain) == n and plain[-1] == []
     if n > 2:
-        assert plain[0, n - 1] == 0.0
-
-
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_pair_norms_exactly_symmetric_without_x(p):
-    space = SpaceSpec(p=p, d=7)
-    arr = _rows_with_repeats(np.random.default_rng(5), 30, 7)
-    dist = pair_norms(space, arr)
-    assert np.array_equal(dist, dist.T)
-    shifted = pair_norms(space, arr, np.ones(7))
-    assert not np.array_equal(shifted, shifted.T)
+        assert plain[0][n - 2] == 0.0
 
 
 def test_batch_norm_matches_formula_and_keeps_input():
@@ -303,17 +300,10 @@ def test_pair_norms_on_shifted_basis_equal_per_pair_batch_norm(p):
     space = SpaceSpec(p=p, d=12)
     arr = np.asarray(shifted_basis_seed(space, 11))
     x = arr[4] - arr[7]
-    plain = pair_norms(space, arr)
-    shifted = pair_norms(space, arr, x)
-    n = len(arr)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                assert plain[i, j] == batch_norm(
-                    space, (arr[j] - arr[i])[None])[0]
-            assert shifted[i, j] == batch_norm(
-                space, (x - (arr[i] - arr[j]))[None])[0]
-    assert np.allclose(plain[~np.eye(n, dtype=bool)], 1.0, rtol=0, atol=1e-15)
+    plain = [row.tolist() for row in pair_rows(space, arr)]
+    shifted = [(a.tolist(), b.tolist()) for a, b in pair_rows(space, arr, x)]
+    assert (plain, shifted) == _pair_rows_by_batch_norm(space, arr, x)
+    assert np.allclose(np.concatenate(plain), 1.0, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 4.0])
@@ -421,14 +411,18 @@ def test_p2_pair_norms_equal_abs_first_bit_for_bit(case):
     space = SpaceSpec(p=2, d=7)
     x = a[1] - 2.0 * a[0] if case == "huge" else a[0] + 0.5
     with np.errstate(over="ignore"):
-        plain = pair_norms(space, arr)
-        shifted = pair_norms(space, arr, x.tolist() if case == "list" else x)
+        plain = list(pair_rows(space, arr))
+        shifted = list(pair_rows(space, arr,
+                                 x.tolist() if case == "list" else x))
         want_plain = _p2_norms_abs_first(a[None, :, :] - a[:, None, :])
         want_shifted = _p2_norms_abs_first(x - (a[:, None, :] - a[None, :, :]))
-    assert _same_bits(plain, want_plain)
-    assert _same_bits(shifted, want_shifted)
+    for i in range(len(a)):
+        assert _same_bits(plain[i], want_plain[i, i + 1:])
+        assert _same_bits(shifted[i][0], want_shifted[i, i + 1:])
+        assert _same_bits(shifted[i][1], want_shifted[i + 1:, i])
     if case == "huge":
-        assert np.isinf(plain).any() and np.isinf(shifted).any()
+        assert any(np.isinf(row).any() for row in plain)
+        assert any(np.isinf(row).any() for pair in shifted for row in pair)
 
 
 # ----------------------------- one p-th-power kernel -----------------------------
@@ -546,7 +540,7 @@ def test_norm_error_bounds_every_norm_against_an_exact_sum(p, d):
             assert _within(p, computed, norm_error(d, computed), exact), name
         # a pairwise entry norms a rounded difference of stored rows
         b = rows["random"] if name != "random" else rows["equal"]
-        computed = pair_norms(space, np.stack([b, a]))[0, 1]
+        computed = next(pair_rows(space, np.stack([b, a])))[0]
         diff = sum(abs(Fraction(u) - Fraction(v)) ** p
                    for u, v in zip(a.tolist(), b.tolist()))
         assert _within(p, computed, norm_error(d, computed, computed), diff)
@@ -566,8 +560,9 @@ def test_norm_kernels_agree_within_norm_error(p):
     space = SpaceSpec(p, 16)
     rows = np.random.default_rng(5).standard_normal((4000, 16))
     scalar = np.array([norm(space, v) for v in rows])
-    pair = np.array([pair_norms(space, np.zeros((1, 16)), x=v)[0, 0]
-                     for v in rows])
+    # ||x + 0|| and ||x - 0||, the one pair of two zero rows
+    pair = np.array([next(pair_rows(space, np.zeros((2, 16)), x=v))
+                     for v in rows]).reshape(len(rows), 2)
     bound = 2.0 * np.array([norm_error(16, n) for n in scalar])
     assert np.all(np.abs(batch_norm(space, rows) - scalar) <= bound)
-    assert np.all(np.abs(pair - scalar) <= bound)
+    assert np.all(np.abs(pair - scalar[:, None]) <= bound[:, None])

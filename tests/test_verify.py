@@ -176,8 +176,13 @@ def test_remark45_reverify_shapes():
     ("lemma23", {"delta": 0.0}),
     ("remark45", {"rows": [1.0, 0.0]}),
     ("remark45", {"rows": []}),
+    ("lemma23", {"x": [1.0, "a"]}),      # was numpy's plain ValueError
+    ("lemma23", {"functional": [[1.0], [0.0, 1.0]]}),  # ragged: the same
+    ("lemma23", {"p": math.nan}),        # was SpaceSpec's plain ValueError
+    ("lemma23", {"x": []}),              # d = 0: the same
 ], ids=["short", "2d", "nan-functional", "nan-delta", "nan-eps", "zero-delta",
-        "flat-rows", "no-rows"])
+        "flat-rows", "no-rows", "non-numeric-x", "ragged-functional", "nan-p",
+        "empty-x"])
 def test_reverify_rejects_malformed_records(statement, change):
     # x = e_0, x' = e_1 in l^2_2; each change makes a field unreadable
     record = {"p": 2.0, "eps": 0.5, "delta": 0.01, "x": [1.0, 0.0],
