@@ -196,8 +196,6 @@ def _vectors(kind: str, ns):
         return space, sequences.unit_basis_seed(space, n)
     if kind == "shifted-basis":
         return space, sequences.shifted_basis_seed(space, n)
-    if kind == "riesz":
-        return space, sequences.riesz_seed(space, n, ns.budget, ns.seed)
     return space, sequences.unit_basis_seed(space, 1)[[0] * n]  # e_0, n times
 
 
@@ -304,14 +302,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                          "construction")
     c.add_argument("--p", type=float, required=True)
     c.add_argument("--d", type=int, required=True)
-    c.add_argument("--seed-kind", choices=("basis", "shifted-basis", "riesz"),
+    c.add_argument("--seed-kind", choices=("basis", "shifted-basis"),
                    default="shifted-basis")
     c.add_argument("--n", type=int, default=None, help="seed length")
-    c.add_argument("--budget", type=int, default=20000)
     c.add_argument("--max-len", type=int, default=None)
     c.add_argument("--out", default=None, help="trace JSON path")
     c.add_argument("--vectors-out", default=None, help="output vectors CSV")
-    _add_seed(c)
     c.set_defaults(func=_cmd_construct)
 
     e = sub.add_parser("extract", help="extract a certified cluster from a "

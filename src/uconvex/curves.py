@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -326,7 +327,7 @@ def check_modulus_properties(curve: ModulusCurve) -> VerificationReport:
 
 
 def _check_eps(eps: float) -> None:
-    if not 0.0 < eps <= 2.0:
+    if not (isinstance(eps, numbers.Real) and 0.0 < eps <= 2.0):
         raise PreconditionError(f"eps must lie in (0, 2], got {eps!r}")
 
 
@@ -335,7 +336,7 @@ def _vec_str(v) -> str:
 
 
 def _field(record, name: str, kind):
-    """``kind(record[name])`` of a curve file record.
+    """``kind(record[name])`` of a curve file or violation record.
 
     A missing or malformed field raises ``PreconditionError`` naming it.
     """
@@ -343,7 +344,7 @@ def _field(record, name: str, kind):
         return kind(record[name])
     except (KeyError, TypeError, ValueError):
         raise PreconditionError(
-            f"curve file has no valid {name!r} field") from None
+            f"record has no valid {name!r} field") from None
 
 
 def _point_from_fields(row) -> ModulusPoint:

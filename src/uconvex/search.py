@@ -1,9 +1,9 @@
 """Constrained random search on unit spheres.
 
-Shared machinery for the empirical modulus estimator and the greedy seed
-builder: batch sampling of feasible pairs and a feasibility-preserving
-pattern refinement (coordinate-wise perturbation with shrinking step,
-re-projection to the sphere, infeasible moves discarded).
+The machinery of the empirical modulus estimator: batch sampling of
+feasible pairs and a feasibility-preserving pattern refinement
+(coordinate-wise perturbation with shrinking step, re-projection to the
+sphere, infeasible moves discarded).
 
 :func:`refine` is the one pattern-search loop, with a pluggable move
 evaluator: by default scalar callbacks one move at a time; the empirical
@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spaces import SpaceSpec, batch_norm, normalize, row_blocks, unit_batch
+from .spaces import SpaceSpec, batch_norm, row_blocks, unit_batch
 
 REFINE_ROUNDS = 30
 SHRINK = 0.5
 INIT_STEP = 0.25
 MAX_SWEEPS = 200           # sweeps per step level
 MAX_RESAMPLE_ROUNDS = 8    # rejection rounds before the boundary fallback
-MULTISTARTS = 16           # refined starts of maximize_min_distance
 
 
 class EvalBudget:
@@ -117,8 +116,9 @@ def sample_feasible_pairs(space: SpaceSpec, eps: float,
     while np.any(bad) and rounds < MAX_RESAMPLE_ROUNDS:
         if bad.mean() > 0.99:
             break
-        Y[bad] = unit_batch(space, rng, int(bad.sum()))
-        bad = _too_close(space, eps, X, Y)
+        idx = np.flatnonzero(bad)
+        Y[idx] = unit_batch(space, rng, len(idx))
+        bad[idx] = _too_close(space, eps, X[idx], Y[idx])
         rounds += 1
     if np.any(bad):
         _interpolate_to_boundary(space, eps, X, Y, np.flatnonzero(bad))
@@ -167,36 +167,3 @@ def _interpolate_to_boundary(space: SpaceSpec, eps: float, X: np.ndarray,
         final = (1.0 - hi)[:, None] * y - hi[:, None] * x
         final /= batch_norm(space, final)[:, None]
         Y[r] = final
-
-
-def maximize_min_distance(space: SpaceSpec, anchors: np.ndarray,
-                          rng: np.random.Generator, budget: EvalBudget):
-    """Find a unit vector far from all anchors: maximize min_j ||c - v_j||.
-
-    ``anchors`` holds the v_j as rows, at least one.  Random multistart
-    (the best :data:`MULTISTARTS` probes) plus the shared pattern
-    refinement (on the negated objective).  Returns ``(vector, min_distance)``.
-    """
-    def neg_min_dist(c):
-        return -float(np.min(batch_norm(space, anchors - c)))
-
-    n_probe = max(MULTISTARTS * 8, 32)
-    probes = unit_batch(space, rng, n_probe)
-    budget.used += n_probe
-    scores = np.array([neg_min_dist(c) for c in probes])
-    order = np.argsort(scores)[:MULTISTARTS]
-
-    best_c, best_v = None, np.inf
-    for idx in order:
-        c, v = refine(
-            probes[idx],
-            neg_min_dist,
-            lambda z: normalize(space, z),
-            lambda z: True,
-            budget,
-        )
-        if v < best_v:
-            best_c, best_v = c, v
-        if budget.used >= budget.cap:
-            break
-    return best_c, -best_v

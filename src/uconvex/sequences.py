@@ -24,7 +24,7 @@ from .errors import (CapacityError, CertificateError,
 from .curves import HANNER_TOL, _check_eps, lp_delta
 from .rounding import norm_error, unit_error
 from .spaces import (SpaceSpec, as_rows, as_vector, batch_norm, norm,
-                     norming_functional, pair_rows, unit_batch)
+                     norming_functional, pair_rows)
 
 
 @dataclass(frozen=True)
@@ -136,33 +136,6 @@ def shifted_basis_seed(space: SpaceSpec, n: int) -> np.ndarray:
     seed = np.eye(n, space.d, k=1)
     seed[:, 0] = 1.0
     return seed / 2.0 ** (1.0 / space.p)
-
-
-def riesz_seed(space: SpaceSpec, n: int, budget: int,
-               rng_seed) -> np.ndarray:
-    """Greedy 1-separated unit vectors, as (m, d) rows, m <= n.
-
-    Each new vector maximizes the minimum distance to all previous ones
-    (random multistart plus the shared pattern refinement); construction
-    stops early once the optimizer cannot reach 1, the separation that
-    :func:`theorem3_construct` requires of its seed and checks as its
-    precondition.  Short output is signaled by fewer rows, never an error.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    from .search import EvalBudget, maximize_min_distance  # Riesz seeds only
-    rng = np.random.default_rng(rng_seed)
-    vectors = unit_batch(space, rng, 1)
-    share = max(1, budget // max(1, n - 1))
-    for _ in range(n - 1):
-        cand, min_dist = maximize_min_distance(space, vectors, rng,
-                                               EvalBudget(share))
-        if min_dist < 1.0:
-            break
-        vectors = np.vstack([vectors, cand])
-    return vectors
 
 
 def baseline_extract(space: SpaceSpec, seq, x, tau: float) -> BaselineResult:

@@ -42,13 +42,13 @@ class SpaceSpec:
     d: int
 
     def __post_init__(self):
-        p = float(self.p)
+        p, d = _real(self.p), _real(self.d)
         if not math.isfinite(p) or p <= 1.0:
             raise PreconditionError(f"exponent p must satisfy 1 < p < inf, got {self.p!r}")
-        if not (self.d >= 1 and float(self.d).is_integer()):
+        if not (d >= 1 and d.is_integer()):
             raise PreconditionError(f"dimension d must be a positive integer, got {self.d!r}")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", int(d))
 
     @property
     def dual(self) -> "SpaceSpec":
@@ -57,6 +57,14 @@ class SpaceSpec:
 
     def __str__(self) -> str:
         return f"l^{self.p:g}_{self.d}"
+
+
+def _real(value) -> float:
+    """``float(value)``, or NaN for a value that is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
 
 
 def as_rows(space: SpaceSpec, seq) -> np.ndarray:
@@ -72,7 +80,7 @@ def as_rows(space: SpaceSpec, seq) -> np.ndarray:
     try:
         rows = (np.asarray(seq, dtype=float) if len(seq)
                 else np.empty((0, space.d)))
-    except ValueError:
+    except (TypeError, ValueError):
         raise DimensionMismatchError("ragged or non-numeric rows") from None
     if rows.ndim != 2 or rows.shape[1] != space.d:
         raise DimensionMismatchError(

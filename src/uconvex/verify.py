@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .curves import (STATEMENTS, VerificationReport, _check_eps,
+from .curves import (STATEMENTS, VerificationReport, _check_eps, _field,
                      curve_violated, delta_from_constraint, lp_delta)
 from .errors import PreconditionError, SamplerExhaustedError
 from .spaces import (SpaceSpec, as_rows, as_vector, batch_norm, duality_map,
@@ -233,21 +233,25 @@ def reverify_violation(statement: str, rec: dict) -> bool:
     conclusion as a batch of one row, the sampler's own arithmetic.  Its
     vectors and witness (a functional, or k >= 1 functional rows) must be
     finite and of the record's dimension, eps in (0, 2] and delta finite
-    and positive; else ``UconvexError``.
+    and positive; else ``UconvexError``, which names a missing or
+    unreadable field.
     """
     if statement == "modulus_properties":
         return curve_violated(rec)
 
     st = _sampler(statement)
-    space = SpaceSpec(p=rec["p"], d=len(rec["x"]))
-    x, xp = (as_vector(space, rec[key])[None] for key in ("x", "x_prime"))
-    w = (as_rows if st.ranked else as_vector)(space, rec[st.witness])[None]
-    _check_eps(rec["eps"])
-    if not (0.0 < rec["delta"] < math.inf and w.size):
+    space = SpaceSpec(p=_field(rec, "p", float), d=_field(rec, "x", len))
+    x, xp = (_field(rec, key, lambda v: as_vector(space, v))[None]
+             for key in ("x", "x_prime"))
+    witness = as_rows if st.ranked else as_vector
+    w = _field(rec, st.witness, lambda v: witness(space, v))[None]
+    eps, delta = _field(rec, "eps", float), _field(rec, "delta", float)
+    _check_eps(eps)
+    if not (0.0 < delta < math.inf and w.size):
         raise PreconditionError(f"record needs a finite delta > 0 and a "
-                                f"witness, got delta={rec['delta']!r}")
-    mask, _ = st.hypotheses(space, rec["delta"], x, xp, w)
-    holds, _ = _conclusion(space, rec["eps"], x, xp)
+                                f"{st.witness!r} witness, got delta={delta!r}")
+    mask, _ = st.hypotheses(space, delta, x, xp, w)
+    holds, _ = _conclusion(space, eps, x, xp)
     return bool(mask[0] and not holds[0])
 
 

@@ -201,8 +201,8 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
     cases = [
         ("modulus", "--p", "1.5", "--d", "2", "--method", "empirical",
          "--eps", "0.5,1.5", "--budget", "20000", "--seed", "11"),
-        ("construct", "--p", "2", "--d", "6", "--seed-kind", "riesz",
-         "--n", "6", "--budget", "4000", "--seed", "11", "--max-len", "6"),
+        ("construct", "--p", "3", "--d", "12", "--seed-kind",
+         "shifted-basis", "--n", "11", "--max-len", "3"),
         ("verify", "--statement", "remark45", "--p", "2", "--d", "2",
          "--eps", "1", "--trials", "500", "--seed", "11"),
         ("extract", "--mode", "theorem1", "--p", "2", "--d", "50",

@@ -335,6 +335,28 @@ def test_sample_feasible_pairs_equals_one_shot(p, d, eps):
     assert _same_stream(new_rng, old_rng)
 
 
+@pytest.mark.parametrize("eps", [0.7, 1.3])
+def test_sample_feasible_pairs_rejudges_only_resampled_rows(eps,
+                                                            monkeypatch):
+    space, count = SpaceSpec(1.5, 16), 13998
+    judged = []
+    too_close = search._too_close
+
+    def spy(space, eps, X, Y):
+        judged.append(len(X))
+        return too_close(space, eps, X, Y)
+
+    monkeypatch.setattr(search, "_too_close", spy)
+    for seed in range(3):
+        new_rng, old_rng = (np.random.default_rng(seed) for _ in range(2))
+        X, Y = search.sample_feasible_pairs(space, eps, new_rng, count)
+        oX, oY = _old_sample_feasible_pairs(space, eps, old_rng, count)
+        assert np.array_equal(X, oX) and np.array_equal(Y, oY)
+        assert _same_stream(new_rng, old_rng)
+    # every draw judges all rows once, then each round only its resampled rows
+    assert judged.count(count) == 3 and 0 < min(judged) < count // 2
+
+
 # ---------------------------- statement checks ----------------------------
 
 # B = BLOCK_ELEMS // (k * 24) rows does not divide the 2048-row batch

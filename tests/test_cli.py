@@ -169,47 +169,20 @@ def test_construct_max_len_one(capsys):
     assert "output=1" in stdout
 
 
-def test_construct_riesz_deterministic(tmp_path, capsys):
-    args = ("construct", "--p", "2", "--d", "6", "--seed-kind", "riesz",
-            "--n", "6", "--budget", "4000", "--seed", "5", "--max-len", "6")
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    va, vb = tmp_path / "a.csv", tmp_path / "b.csv"
-    ca, *_ = run(capsys, *args, "--out", str(a), "--vectors-out", str(va))
-    cb, *_ = run(capsys, *args, "--out", str(b), "--vectors-out", str(vb))
-    assert ca == cb
-    assert a.read_bytes() == b.read_bytes()
-    assert va.read_bytes() == vb.read_bytes()
-
-
-# each (p, d, n, seed) exited 2 while the riesz seed targeted 1 - 0.01
-@pytest.mark.parametrize("p, d, n, seed", [
-    (1.5, 4, 40, 1), (1.5, 4, 40, 2), (1.5, 4, 40, 5), (3, 4, 40, 2),
-    (3, 4, 40, 3), (2, 3, 20, 3), (2, 3, 20, 6),
+@pytest.mark.parametrize("argv", [
+    ("--seed-kind", "riesz"), ("--budget", "4000"), ("--seed", "5"),
 ])
-def test_construct_riesz_seed_is_one_separated(monkeypatch, capsys, p, d, n,
-                                               seed):
-    seeds = []
-    riesz_seed = sequences.riesz_seed
-
-    def recorded(*args):
-        seeds.append(riesz_seed(*args))
-        return seeds[-1]
-
-    monkeypatch.setattr(sequences, "riesz_seed", recorded)
-    code, _, err = run(capsys, "construct", "--p", str(p), "--d", str(d),
-                       "--n", str(n), "--seed-kind", "riesz",
-                       "--seed", str(seed))
-    assert code == 0 and err == ""
-    [vectors] = seeds
-    space = SpaceSpec(p=p, d=d)
-    cert = sequences.certify(space, vectors, 1.0)
-    assert len(vectors) >= 2 and cert.passed and cert.threshold == 1.0
-    assert sequences.separation(space, vectors) >= 1.0
+def test_construct_has_no_maximin_seed_options(capsys, argv):
+    code, _, err = run(capsys, "construct", "--p", "2", "--d", "4", *argv)
+    assert code == 2 and argv[0] in err
+    assert main(["construct", "--help"]) == 0
+    usage = capsys.readouterr().out
+    assert "--budget" not in usage and "--seed " not in usage
+    assert "riesz" not in usage
 
 
 @pytest.mark.parametrize("kind, extra", [
-    ("basis", ()), ("shifted-basis", ()),
-    ("riesz", ("--n", "6", "--budget", "2000")),
+    ("basis", ()), ("shifted-basis", ("--n", "4")),
 ])
 def test_construct_seed_description_names_kind_length_and_space(
         tmp_path, capsys, monkeypatch, kind, extra):

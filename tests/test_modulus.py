@@ -51,6 +51,9 @@ def test_clarkson_domain_errors():
         clarkson_delta(2.0, 0.0)
     with pytest.raises(ValueError):
         clarkson_delta(2.0, 2.5)
+    for eps in ("a", None):  # was a plain TypeError
+        with pytest.raises(PreconditionError, match="eps must lie"):
+            clarkson_delta(2.0, eps)
 
 
 def test_hanner_matches_independent_root_finder():

@@ -121,7 +121,7 @@ def test_refine_makes_the_scalar_loop_calls(cap):
 
 
 def test_refine_respects_an_overdrawn_budget():
-    # maximize_min_distance takes its probes in one draw that can overshoot
+    # a caller may charge a whole batch at once and overshoot the cap
     budget = EvalBudget(5)
     budget.used += 9
     x, v = refine(np.array([3.0, 4.0]), lambda z: float(z[0]),

@@ -13,10 +13,9 @@ from uconvex.errors import (CapacityError, CertificateError,
                             PreconditionError)
 from uconvex.curves import lp_delta
 from uconvex.sequences import (baseline_extract, certify, ramsey_extract,
-                               riesz_seed, separation, shifted_basis_seed,
+                               separation, shifted_basis_seed,
                                theorem1_extract, theorem3_construct,
                                unit_basis_seed, vectors_to_csv)
-from uconvex.search import EvalBudget, maximize_min_distance
 from uconvex.spaces import (SpaceSpec, as_rows, batch_norm, normalize,
                             pair_rows, unit_batch)
 from test_pair_norms import _old_pair_norms
@@ -87,41 +86,6 @@ def test_certify_vacuous_for_singleton():
     space = SpaceSpec(p=2, d=2)
     cert = certify(space, unit_basis_seed(space, 1), threshold=1.5)
     assert cert.passed and math.isinf(cert.min_pairwise)
-
-
-def test_riesz_seed_l2_8():
-    space = SpaceSpec(p=2, d=8)
-    vectors = riesz_seed(space, 8, budget=20_000, rng_seed=5)
-    cert = certify(space, vectors, 1.0)
-    assert len(vectors) == 8
-    assert cert.passed and cert.threshold == 1.0
-    assert cert.min_pairwise >= 1.0
-
-
-def test_riesz_seed_dimension_one():
-    space = SpaceSpec(p=2, d=1)
-    vectors = riesz_seed(space, 2, budget=200, rng_seed=1)
-    cert = certify(space, vectors, 1.0)
-    assert sorted(float(v[0]) for v in vectors) == [-1.0, 1.0]
-    assert cert.min_pairwise == pytest.approx(2.0, abs=1e-12)
-    # a third unit vector cannot exist; output is short, not an error
-    vectors = riesz_seed(space, 3, budget=200, rng_seed=1)
-    assert len(vectors) == 2
-
-
-@pytest.mark.parametrize("n, budget, message", [
-    (0, 10, "n must be >= 1, got 0"), (2, 0, "budget must be >= 1, got 0"),
-])
-def test_riesz_seed_rejects_empty_requests(n, budget, message):
-    with pytest.raises(ValueError, match=message):
-        riesz_seed(SpaceSpec(p=2, d=3), n, budget=budget, rng_seed=0)
-
-
-def test_riesz_seed_single_vector():
-    space = SpaceSpec(p=2, d=3)
-    vectors = riesz_seed(space, 1, budget=10, rng_seed=0)
-    cert = certify(space, vectors, 1.0)
-    assert len(vectors) == 1 and cert.passed
 
 
 # ----------------------------- baseline extraction -----------------------------
@@ -370,7 +334,8 @@ def _noisy_shifted_seed(space, rng_seed):
 
 def test_ramsey_on_pair_rows_equals_matrix_pivots():
     """The rows of ``pair_rows`` give the pivots the n x n matrix gave, on
-    seeds of both branches and on Riesz seeds, whose pivots split."""
+    seeds of both branches and on random unit families, whose pivots
+    split."""
     seeds = []
     for p in (1.5, 3.0):
         space = SpaceSpec(p=p, d=24)
@@ -378,7 +343,7 @@ def test_ramsey_on_pair_rows_equals_matrix_pivots():
                   (space, unit_basis_seed(space, 24))]
     for p in (1.5, 2.0):
         space = SpaceSpec(p=p, d=8)
-        seeds.append((space, riesz_seed(space, 40, 4000, 2)))
+        seeds.append((space, unit_batch(space, np.random.default_rng(2), 40)))
     branches, sizes = set(), []
     for space, seed in seeds:
         split = 1.0 + 0.5 * lp_delta(space.p, 2.0 / 3.0)
@@ -611,23 +576,6 @@ def test_fixed_seeds_are_float_arrays_of_the_old_rows(p):
     for n in (1, 5, 8):
         assert _same_rows(shifted_basis_seed(space, n),
                           _old_shifted_rows(space, n))
-
-
-def test_riesz_seed_is_a_float_array_of_the_old_rows():
-    space, n, budget, seed = SpaceSpec(p=3, d=5), 5, 3000, 7
-    vectors = riesz_seed(space, n, budget, seed)
-    cert = certify(space, vectors, 1.0)
-    # the list-of-rows loop the seed used to run, on the same draws
-    rng = np.random.default_rng(seed)
-    rows = [unit_batch(space, rng, 1)[0]]
-    for _ in range(n - 1):
-        cand, min_dist = maximize_min_distance(
-            space, np.asarray(rows), rng, EvalBudget(max(1, budget // (n - 1))))
-        if min_dist < 1.0:
-            break
-        rows.append(cand)
-    assert _same_rows(vectors, rows)
-    assert cert.indices == tuple(range(len(rows)))
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])

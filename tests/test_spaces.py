@@ -28,11 +28,12 @@ coords = st.lists(st.floats(min_value=-1e3, max_value=1e3,
 
 def test_space_validation():
     SpaceSpec(p=1.5, d=3)
-    for bad_p in (1.0, 0.5, -2.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
+    for bad_p in (1.0, 0.5, -2.0, math.inf, math.nan, "abc", None):
+        with pytest.raises(PreconditionError, match="exponent p"):
             SpaceSpec(p=bad_p, d=2)
-    with pytest.raises(ValueError):
-        SpaceSpec(p=2.0, d=0)
+    for bad_d in (0, 2.5, math.nan, "a", None):
+        with pytest.raises(PreconditionError, match="dimension d"):
+            SpaceSpec(p=2.0, d=bad_d)
 
 
 def test_dual_exponent():
@@ -57,6 +58,8 @@ def test_norm_p15_ones():
 def test_norm_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         norm(SpaceSpec(p=2, d=3), [1.0, 2.0])
+    with pytest.raises(DimensionMismatchError):  # was numpy's TypeError
+        norm(SpaceSpec(p=2, d=2), [{}, 2.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

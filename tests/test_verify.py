@@ -167,29 +167,45 @@ def test_remark45_reverify_shapes():
         reverify_violation("unknown", record)
 
 
-@pytest.mark.parametrize("statement, change", [
-    ("lemma23", {"functional": [1.0]}),          # truncated: was broadcast
-    ("lemma23", {"functional": [[1.0, 0.0]]}),   # was a raw einsum error
-    ("lemma23", {"functional": [1.0, math.nan]}),
-    ("lemma23", {"delta": math.nan}),            # was a silent False
-    ("lemma23", {"eps": math.nan}),              # was a silent False
-    ("lemma23", {"delta": 0.0}),
-    ("remark45", {"rows": [1.0, 0.0]}),
-    ("remark45", {"rows": []}),
-    ("lemma23", {"x": [1.0, "a"]}),      # was numpy's plain ValueError
-    ("lemma23", {"functional": [[1.0], [0.0, 1.0]]}),  # ragged: the same
-    ("lemma23", {"p": math.nan}),        # was SpaceSpec's plain ValueError
-    ("lemma23", {"x": []}),              # d = 0: the same
+MISSING = object()  # a change that removes the field
+
+
+@pytest.mark.parametrize("statement, change, named", [
+    ("lemma23", {"functional": [1.0]}, "functional"),  # was broadcast
+    ("lemma23", {"functional": [[1.0, 0.0]]}, "functional"),  # raw einsum
+    ("lemma23", {"functional": [1.0, math.nan]}, "functional"),
+    ("lemma23", {"delta": math.nan}, "delta"),   # was a silent False
+    ("lemma23", {"eps": math.nan}, "eps"),       # was a silent False
+    ("lemma23", {"delta": 0.0}, "delta"),
+    ("remark45", {"rows": [1.0, 0.0]}, "rows"),
+    ("remark45", {"rows": []}, "rows"),
+    ("lemma23", {"x": [1.0, "a"]}, "'x'"),  # was numpy's plain ValueError
+    ("lemma23", {"functional": [[1.0], [0.0, 1.0]]}, "functional"),  # ragged
+    ("lemma23", {"p": math.nan}, "exponent p"),  # was SpaceSpec's ValueError
+    ("lemma23", {"x": []}, "dimension d"),       # d = 0: the same
+    # each was a plain ValueError, TypeError or KeyError
+    ("lemma23", {"p": "abc"}, "'p'"),
+    ("lemma23", {"p": None}, "'p'"),
+    ("lemma23", {"eps": "a"}, "'eps'"),
+    ("lemma23", {"eps": None}, "'eps'"),
+    ("lemma23", {"delta": None}, "'delta'"),
+    ("lemma23", {"x": [{}, 0.0]}, "'x'"),
+    ("lemma23", {"x": 5.0}, "'x'"),
+    ("lemma23", {"x": MISSING}, "'x'"),
 ], ids=["short", "2d", "nan-functional", "nan-delta", "nan-eps", "zero-delta",
         "flat-rows", "no-rows", "non-numeric-x", "ragged-functional", "nan-p",
-        "empty-x"])
-def test_reverify_rejects_malformed_records(statement, change):
-    # x = e_0, x' = e_1 in l^2_2; each change makes a field unreadable
+        "empty-x", "text-p", "none-p", "text-eps", "none-eps", "none-delta",
+        "dict-in-x", "scalar-x", "missing-x"])
+def test_reverify_rejects_malformed_records(statement, change, named):
+    # x = e_0, x' = e_1 in l^2_2; each change makes a field unreadable, and
+    # the error names it
     record = {"p": 2.0, "eps": 0.5, "delta": 0.01, "x": [1.0, 0.0],
               "x_prime": [0.0, 1.0], "functional": [1.0, 0.0],
               "rows": [[1.0, 0.0]]}
-    with pytest.raises(UconvexError):
-        reverify_violation(statement, {**record, **change})
+    record = {k: v for k, v in {**record, **change}.items()
+              if v is not MISSING}
+    with pytest.raises(UconvexError, match=named):
+        reverify_violation(statement, record)
 
 
 # ----------------------------- curve properties -----------------------------
