@@ -153,9 +153,13 @@ def _json_items(items, sep: str) -> str:
 
 
 def _jsonable(obj):
-    """An array as a list, a result by its ``to_json_dict`` or its fields."""
+    """An array as a list, a result by its ``to_json_dict`` or its fields.
+
+    An array of more than one dimension is listed as its rows, so the
+    writer turns one row at a time into Python floats.
+    """
     if hasattr(obj, "tolist"):  # a numpy array, whose module may not be loaded
-        return obj.tolist()
+        return list(obj) if obj.ndim > 1 else obj.tolist()
     if hasattr(obj, "to_json_dict"):
         return obj.to_json_dict()
     return vars(obj)
@@ -278,14 +282,17 @@ def _add_seed(sub):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: a mistyped or removed flag is an error, never
+    # another flag that shares its prefix
     parser = argparse.ArgumentParser(
-        prog="uconvex",
+        prog="uconvex", allow_abbrev=False,
         description="Moduli of convexity, separated sequences and "
                     "uniform Kadec-Klee checks in finite-dimensional "
                     "l^p spaces.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    m = sub.add_parser("modulus", help="emit a modulus-of-convexity curve")
+    m = sub.add_parser("modulus", allow_abbrev=False,
+                       help="emit a modulus-of-convexity curve")
     m.add_argument("--p", type=float, required=True)
     m.add_argument("--d", type=int, default=None,
                    help="dimension (empirical method only)")
@@ -298,8 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_seed(m)
     m.set_defaults(func=_cmd_modulus)
 
-    c = sub.add_parser("construct", help="run the greedy separated-sequence "
-                                         "construction")
+    c = sub.add_parser("construct", allow_abbrev=False,
+                       help="run the greedy separated-sequence construction")
     c.add_argument("--p", type=float, required=True)
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--seed-kind", choices=("basis", "shifted-basis"),
@@ -310,8 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--vectors-out", default=None, help="output vectors CSV")
     c.set_defaults(func=_cmd_construct)
 
-    e = sub.add_parser("extract", help="extract a certified cluster from a "
-                                       "separated sequence")
+    e = sub.add_parser("extract", allow_abbrev=False,
+                       help="extract a certified cluster from a separated "
+                            "sequence")
     e.add_argument("--mode", choices=("theorem1", "baseline"),
                    default="theorem1")
     e.add_argument("--p", type=float, required=True)
@@ -328,8 +336,9 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", default=None)
     e.set_defaults(func=_cmd_extract)
 
-    v = sub.add_parser("verify", help="adversarial verification of the "
-                                      "eps-delta statements")
+    v = sub.add_parser("verify", allow_abbrev=False,
+                       help="adversarial verification of the eps-delta "
+                            "statements")
     v.add_argument("--statement",
                    choices=(*(s.replace("_", "-") for s in curves.STATEMENTS),
                             "modulus-props", "all"),

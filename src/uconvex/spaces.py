@@ -198,29 +198,40 @@ def pair_rows(space: SpaceSpec, arr: np.ndarray, x=None):
     sign; x is applied only on the smallest column slice that holds its
     nonzeros, as off it both have the powers ``|D|^p``.  Every value is the
     :func:`batch_norm` of its difference bit for bit: the same ufuncs on
-    the same values over a row of length d.  Each yielded array is new;
-    only the (n, d) difference buffer is reused.
+    the same values over a row of length d.  Row i's differences are formed
+    one :func:`row_blocks` block at a time, each block's power sums written
+    into the row's arrays, whose roots are then taken in one pass.  Each
+    yielded array is new; only one block's difference buffer (at most
+    :data:`BLOCK_ELEMS` entries, and with ``x`` one of ``x - D`` on the
+    slice) is reused.
     """
     arr = np.asarray(arr, dtype=float)
-    n = len(arr)
-    buf = np.empty_like(arr)
+    n, d = len(arr), space.d
+    buf = np.empty((min(n, max(1, BLOCK_ELEMS // d)), d))
     root = 1.0 / space.p
     if x is not None:
         x = np.asarray(x, dtype=float)
         nz = np.flatnonzero(x)
         cols = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
-        xs, tbuf = x[cols], np.empty((n, cols.stop - cols.start))
+        xs, tbuf = x[cols], np.empty((len(buf), cols.stop - cols.start))
     for i in range(n):
-        rows = np.subtract(arr[i + 1:], arr[i], out=buf[:n - i - 1])
-        if x is None:
-            yield _power_sums(space, rows, out=rows) ** root
-            continue
-        sup, t = rows[:, cols], tbuf[:n - i - 1]
-        np.subtract(xs, sup, out=t)  # x - D to t, x + D over D, on the slice
-        np.add(xs, sup, out=sup)
-        plus = _power_sums(space, rows, out=rows) ** root
-        _powers(space, t, out=sup)  # |x - D|^p into the slice
-        yield plus, np.add.reduce(rows, axis=-1) ** root
+        rest = arr[i + 1:]
+        sums = [np.empty(len(rest)) for _ in range(1 if x is None else 2)]
+        for blk in row_blocks(len(rest), d):
+            rows = np.subtract(rest[blk], arr[i],
+                               out=buf[:blk.stop - blk.start])
+            if x is not None:
+                sup, t = rows[:, cols], tbuf[:len(rows)]
+                np.subtract(xs, sup, out=t)  # x - D to t, x + D over D
+                np.add(xs, sup, out=sup)
+            np.add.reduce(_powers(space, rows, out=rows), axis=-1,
+                          out=sums[0][blk])
+            if x is not None:
+                _powers(space, t, out=sup)  # |x - D|^p into the slice
+                np.add.reduce(rows, axis=-1, out=sums[1][blk])
+        for s in sums:
+            s **= root
+        yield sums[0] if x is None else tuple(sums)
 
 
 def _row_norms(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:

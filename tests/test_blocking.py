@@ -10,7 +10,6 @@ by the number of rows.
 """
 
 import math
-import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -425,22 +424,7 @@ def test_thm2_condition3_violation_records_equal_one_shot(monkeypatch):
 
 # ------------------------------- working set -------------------------------
 
-def _peak_bytes(fn):
-    """Peak traced bytes that ``fn()`` allocates above what is live before.
-
-    numpy reports its array buffers to ``tracemalloc``.
-    """
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
-def test_interpolate_to_boundary_working_set_is_one_block():
+def test_interpolate_to_boundary_working_set_is_one_block(peak_bytes):
     """Beyond its inputs, the bisection holds a few block-sized arrays.
 
     Per block: the gathered ``x`` and ``y`` rows, the interpolant, two
@@ -455,13 +439,14 @@ def test_interpolate_to_boundary_working_set_is_one_block():
     for n in (4 * b, 8 * b):
         X, Y = _boundary_inputs(space, n, seed=n)
         rows = np.arange(n)
-        peaks.append(_peak_bytes(
+        peaks.append(peak_bytes(
             lambda: search._interpolate_to_boundary(space, 1.9, X, Y, rows)))
     assert max(peaks) < bound
     assert peaks[1] <= peaks[0] + 64 * 1024
 
 
-def test_remark45_cell_working_set_is_bounded_by_blocks(monkeypatch):
+def test_remark45_cell_working_set_is_bounded_by_blocks(monkeypatch,
+                                                        peak_bytes):
     """A d=64, k=4 cell holds its batch's draws plus a few blocks.
 
     A batch of n rows keeps ``X`` and ``x'`` (n x d each) and O(n) row
@@ -477,7 +462,7 @@ def test_remark45_cell_working_set_is_bounded_by_blocks(monkeypatch):
     excess = []
     for n in (2048, 4096):
         monkeypatch.setattr(verify, "BATCH", n)
-        peak = _peak_bytes(
+        peak = peak_bytes(
             lambda: verify.check_remark45(space, 1.0, n // 2, 4, 0))
         excess.append(peak - 4 * n * space.d * BYTES - 32 * n * BYTES)
     assert max(excess) < 16 * BLOCK_ELEMS * BYTES

@@ -181,6 +181,18 @@ def test_construct_has_no_maximin_seed_options(capsys, argv):
     assert "riesz" not in usage
 
 
+def test_flag_prefixes_are_not_abbreviations(capsys):
+    """A flag is never read as a longer one that it is a prefix of."""
+    code, _, err = run(capsys, "construct", "--p", "2", "--d", "4",
+                       "--seed", "5")
+    assert code == 2 and "unrecognized arguments: --seed 5" in err
+    assert "--seed-kind" not in err.splitlines()[-1]
+    code, stdout, err = run(capsys, "modulus", "--p", "2", "--method",
+                            "clarkson", "--eps", "1", "--for", "json")
+    assert code == 2 and stdout == ""
+    assert "unrecognized arguments: --for json" in err
+
+
 @pytest.mark.parametrize("kind, extra", [
     ("basis", ()), ("shifted-basis", ("--n", "4")),
 ])

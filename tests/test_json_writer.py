@@ -81,3 +81,17 @@ _nested = st.recursive(
 @given(_nested)
 def test_writer_equals_json_dumps_on_nested_data(obj):
     assert _json_text(obj) == _dumps(obj)
+
+
+def test_writer_lists_a_matrix_one_row_at_a_time(peak_bytes):
+    """A (124, 250) array with two nonzeros a row, the shape and pattern of
+    the normalized differences in Theorem 3's trace output in l^3_250: the
+    text equals ``json.dumps`` of ``A.tolist()``, and the writer never holds
+    that list, whose floats alone outweigh the text here."""
+    A = np.zeros((124, 250))
+    rows = np.arange(124)
+    A[rows, 2 * rows + 1] = 2.0 ** (-1.0 / 3.0)
+    A[rows, 2 * rows + 2] = -(2.0 ** (-1.0 / 3.0))
+    want = json.dumps({"a": A.tolist()}, indent=2, sort_keys=True) + "\n"
+    assert _json_text({"a": A}) == want
+    assert peak_bytes(lambda: _json_text({"a": A})) < peak_bytes(A.tolist)

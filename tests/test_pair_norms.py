@@ -6,18 +6,18 @@ applied only on the column slice that holds its nonzeros.  Row i must
 equal, bit for bit, the upper-triangle row ``M[i, i+1:]`` of the matrix
 ``M`` of the per-row kernel it replaced (copied below as
 ``_old_pair_norms``), which formed ``x - (a_i - a_j)`` in full for every
-ordered pair, and with ``x`` also the column ``M[i+1:, i]``; and its
-working set must stay within one row, one (n, d) buffer and one (n, w)
-buffer for a slice of width w.
+ordered pair, and with ``x`` also the column ``M[i+1:, i]``, also where a
+row spans several blocks; and its working set must stay within one row,
+one block's difference buffer and one buffer of ``x - D`` on a slice of
+width w.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from uconvex.sequences import theorem1_extract
-from uconvex.spaces import SpaceSpec, _power_sums, pair_rows, unit_batch
+from uconvex.spaces import (BLOCK_ELEMS, SpaceSpec, _power_sums, pair_rows,
+                            unit_batch)
 
 BYTES = 8  # float64
 
@@ -127,6 +127,23 @@ def test_pair_norms_equal_per_row_kernel_bit_for_bit(p, x_kind, seq_kind):
                                       _old_pair_norms(space, arr)), (d, n)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("seq_kind", sorted(SEQUENCES))
+@pytest.mark.parametrize("d, n", [(64, 600), (400, 100)])
+def test_pair_norms_equal_per_row_kernel_across_blocks(d, n, seq_kind, p):
+    """512 and 81 rows per block: the early rows span two blocks."""
+    assert n - 1 > BLOCK_ELEMS // d
+    rng = np.random.default_rng(23)
+    space = SpaceSpec(p, d)
+    arr = SEQUENCES[seq_kind](p, n, d, rng)
+    assert _rows_equal_matrix(list(pair_rows(space, arr)),
+                              _old_pair_norms(space, arr))
+    for x_kind in sorted(X_KINDS):
+        x = X_KINDS[x_kind](d, rng)
+        assert _rows_equal_matrix(list(pair_rows(space, arr, x)),
+                                  _old_pair_norms(space, arr, x), x), x_kind
+
+
 def test_pair_norms_accept_list_inputs_and_no_rows():
     space = SpaceSpec(3.0, 4)
     arr = np.random.default_rng(3).standard_normal((5, 4))
@@ -136,28 +153,15 @@ def test_pair_norms_accept_list_inputs_and_no_rows():
     assert list(pair_rows(space, np.zeros((0, 4)), x)) == []
 
 
-def _peak_bytes(fn):
-    """Peak traced bytes that ``fn()`` allocates above what is live before.
-
-    numpy reports its array buffers to ``tracemalloc``.
-    """
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("x_kind", ["e_interior", "far_pair", "dense"])
-def test_pair_norms_working_set_is_result_and_two_buffers(p, x_kind):
-    """With ``x``: the (n, d) difference buffer and the (n, w) buffer of
-    ``x - D`` on the slice, plus O(n) row vectors and, at p != 2, the
-    boolean zero mask of :func:`spaces._pow_abs` over the differences (one
-    byte per entry); no n x n term, as the rows are read one at a time."""
+def test_pair_norms_working_set_is_result_and_two_buffers(p, x_kind,
+                                                         peak_bytes):
+    """With ``x``: one block's difference buffer of ``BLOCK_ELEMS // d``
+    rows and the buffer of ``x - D`` on the slice for those rows, plus O(n)
+    row vectors and, at p != 2, the boolean zero mask of
+    :func:`spaces._pow_abs` over the block (one byte per entry); no n x n
+    term, as the rows are read one at a time, and no n x d term."""
     n, d = 300, 200
     space = SpaceSpec(p, d)
     rng = np.random.default_rng(9)
@@ -165,22 +169,46 @@ def test_pair_norms_working_set_is_result_and_two_buffers(p, x_kind):
     x = X_KINDS[x_kind](d, rng)
     nz = np.flatnonzero(x)
     w = nz[-1] + 1 - nz[0]
-    peak = _peak_bytes(lambda: min(min(a.min(), b.min())
-                                   for a, b in pair_rows(space, arr, x)
-                                   if a.size))
-    assert peak <= BYTES * (n * d + n * w) + n * d + 64 * 1024
+    rows = BLOCK_ELEMS // d
+    peak = peak_bytes(lambda: _min_of_rows(pair_rows(space, arr, x)))
+    assert peak <= BYTES * rows * (d + w) + rows * d + 64 * 1024
 
 
-def test_theorem1_extract_working_set_has_no_n_squared_term():
+def _min_of_rows(rows):
+    return min(min(np.min(values) for values in row) for row in rows
+               if row[0].size)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("x_kind", [None, "e_interior", "dense"])
+def test_pair_rows_working_set_is_two_blocks(p, x_kind, peak_bytes):
+    """n = 1000 vectors of l^p_400: the (n, d) buffer alone would be
+    3.2 MB; the kernel holds at most two ``BLOCK_ELEMS`` float buffers, the
+    block's zero mask at p != 2, O(n) row values and numpy's iterator
+    buffer (``np.getbufsize()`` entries), which the broadcast ``a_j - a_i``
+    takes whatever the sizes."""
+    n, d = 1000, 400
+    space = SpaceSpec(p, d)
+    rng = np.random.default_rng(11)
+    arr = rng.standard_normal((n, d))
+    x = None if x_kind is None else X_KINDS[x_kind](d, rng)
+    peak = peak_bytes(lambda: _min_of_rows(
+        (row,) if x is None else row for row in pair_rows(space, arr, x)))
+    assert peak <= (2 * BYTES * BLOCK_ELEMS + BLOCK_ELEMS
+                    + BYTES * np.getbufsize() + 64 * n)
+
+
+def test_theorem1_extract_working_set_has_no_n_squared_term(peak_bytes):
     """Theorem 1's separation and certificate scans read one row at a time:
-    the peak is the (n, d) difference buffer plus O(n) per-row values (a
-    row, its minimum, the functional values and their sort), where the
-    n x n matrix alone took 32 MB."""
+    the peak is at most the certificate's copy of the selected vectors
+    (n x d at most), one block and O(n) per-row values (a row, its
+    minimum, the functional values and their sort), where the n x n
+    matrix alone took 32 MB."""
     n, d = 2000, 16
     space = SpaceSpec(3.0, d)
     seq = unit_batch(space, np.random.default_rng(4), n)
     out = []
-    peak = _peak_bytes(lambda: out.append(
+    peak = peak_bytes(lambda: out.append(
         theorem1_extract(space, seq, seq[0], eps=None)))
     assert len(out[0].selected) >= 2
     assert peak <= BYTES * n * d + 64 * n + 64 * 1024
