@@ -10,7 +10,7 @@ Exit codes: 0 success, 1 verification/certificate failure, 2 configuration
 error (including a sampler cell whose hypotheses it cannot satisfy, and a
 file that cannot be read or written), 3 data-dependent non-failure
 (insufficient cluster, exhausted construction).  Every JSON file and JSON
-stdout goes through one writer, :func:`_json_text`, and ``modulus``
+stdout goes through one writer, :func:`_write_json`, and ``modulus``
 prints to stdout exactly the text it would write to ``--out``.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import io
 import math
 import os
 import sys
@@ -105,51 +106,83 @@ def parse_values(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True, default=_jsonable)`` and
-    a newline, byte for byte, for objects whose dict keys are strings.
+def _write_json(out, obj) -> None:
+    """Write ``json.dumps(obj, indent=2, sort_keys=True, default=_jsonable)``
+    and a newline to the text stream ``out``, byte for byte, for objects
+    whose dict keys are strings.
 
     With ``indent`` json runs its pure-Python encoder, one generator step
-    per value; this writer builds each container's text with one join,
-    and a list of finite floats (a vector) in a single call.
+    per value; this writer writes a container piece by piece, and a list
+    of finite floats (a vector) in one piece, so it never holds the text
+    of more than one vector.
     """
-    return _json_value(obj, "\n") + "\n"
+    _json_put(obj, "\n", out.write)
+    out.write("\n")
 
 
-def _json_value(obj, nl: str) -> str:
-    """``obj`` as JSON; ``nl`` is a newline and the indent of its level."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):  # json writes non-finite floats by name
-        return (float.__repr__(obj) if math.isfinite(obj) else "NaN"
-                if obj != obj else "Infinity" if obj > 0 else "-Infinity")
-    inner = nl + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + inner + _json_items(obj, "," + inner) + nl + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + _json_value(v, inner)
-             for k, v in sorted(obj.items())]) + nl + "}"
-    return _json_value(_jsonable(obj), nl)
-
-
-def _json_items(items, sep: str) -> str:
-    """A list's items joined by ``sep``, finite floats in one ``join``."""
+def _write_json_file(path, obj) -> None:
+    """Write :func:`_write_json`'s text to the file ``path`` whole or not
+    at all: the text goes to a new file beside it, which then replaces
+    ``path`` and is removed if writing fails, so an error part-way leaves
+    ``path`` as it was.  A symbolic link is followed, so the file it names
+    is replaced, not the link; a path that exists and is not a regular
+    file (a terminal, a pipe) is written in place."""
+    path = Path(os.path.realpath(path))
+    if path.exists() and not path.is_file():
+        with open(path, "w") as out:
+            _write_json(out, obj)
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        text = sep.join(map(float.__repr__, items))
-    except TypeError:  # an item that is not a float
-        text = "n"
-    if "n" not in text:  # float.__repr__ writes nan and inf with an n
-        return text
-    return sep.join([_json_value(v, sep[1:]) for v in items])
+        with open(tmp, "w") as out:
+            _write_json(out, obj)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _json_text(obj) -> str:
+    """The text :func:`_write_json` writes, as one string."""
+    buf = io.StringIO()
+    _write_json(buf, obj)
+    return buf.getvalue()
+
+
+def _json_put(obj, nl: str, write) -> None:
+    """Write ``obj`` as JSON; ``nl`` is a newline and its level's indent."""
+    inner = nl + "  "
+    if isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        write("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, float):  # json writes non-finite floats by name
+        write(float.__repr__(obj) if math.isfinite(obj) else "NaN"
+              if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif isinstance(obj, (list, tuple, dict)) and not obj:
+        write("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        for k, (key, v) in enumerate(sorted(obj.items())):
+            write(("," if k else "{") + inner
+                  + encode_basestring_ascii(key) + ": ")
+            _json_put(v, inner, write)
+        write(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        try:
+            text = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:  # an item that is not a float
+            text = "n"
+        if "n" not in text:  # float.__repr__ writes nan and inf with an n
+            write("[" + inner + text + nl + "]")
+            return
+        for k, v in enumerate(obj):
+            write(("," if k else "[") + inner)
+            _json_put(v, inner, write)
+        write(nl + "]")
+    else:
+        _json_put(_jsonable(obj), nl, write)
 
 
 def _jsonable(obj):
@@ -216,7 +249,7 @@ def _cmd_construct(ns) -> int:
     print(f"separation constant: {cert.min_pairwise:.17g}")
     print(f"target 1 + delta(2/3)/2: {cert.threshold:.17g}")
     if ns.out:
-        Path(ns.out).write_text(_json_text(trace))
+        _write_json_file(ns.out, trace)
         print(f"wrote trace to {ns.out}")
     if ns.vectors_out:
         sequences.vectors_to_csv(ns.vectors_out, trace.output)
@@ -237,7 +270,7 @@ def _cmd_extract(ns) -> int:
     print(f"selected {len(result.selected)} indices, "
           f"pair_min={result.pair_min:.17g} >= {result.guaranteed:.17g}")
     if ns.out:
-        Path(ns.out).write_text(_json_text(result))
+        _write_json_file(ns.out, result)
         print(f"wrote result to {ns.out}")
     return EXIT_OK
 
@@ -268,7 +301,7 @@ def _cmd_verify(ns) -> int:
     for rep in reports:
         print(curves.summary_line(rep))
     if ns.out:
-        Path(ns.out).write_text(_json_text(reports))
+        _write_json_file(ns.out, reports)
         print(f"wrote reports to {ns.out}")
     if any(rep.violations for rep in reports):
         return EXIT_FAILURE

@@ -24,7 +24,7 @@ from .errors import (CapacityError, CertificateError,
 from .curves import HANNER_TOL, _check_eps, lp_delta
 from .rounding import norm_error, unit_error
 from .spaces import (SpaceSpec, as_rows, as_vector, batch_norm, norm,
-                     norming_functional, pair_rows)
+                     norming_functional, pair_tiles)
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,12 @@ class ConstructionTrace:
 def separation(space: SpaceSpec, seq) -> float:
     """Exact minimum pairwise distance over the sequence.
 
-    One O(n^2) scan of the rows of the pairwise kernel
-    :func:`spaces.pair_rows`, holding one row at a time.  A non-finite
+    One O(n^2) scan of the tiles of the pairwise kernel
+    :func:`spaces.pair_tiles`, keeping a running minimum.  A non-finite
     coordinate raises ``PreconditionError``.
     """
-    return _min_pair(pair_rows(space, as_rows(space, seq)))
+    return _min_pair(values for _, _, values in
+                     pair_tiles(space, as_rows(space, seq)))
 
 
 def certify(space: SpaceSpec, seq, threshold: float) -> SeparationCertificate:
@@ -168,8 +169,9 @@ def theorem1_extract(space: SpaceSpec, seq, x,
     ``1 - delta_eps / 2`` by construction of the window, and eps-separation
     then forces ``||xi|| >= 1 + delta_eps`` -- that bound is asserted pair
     by pair, not assumed.  Both the separation and the pair values are
-    scanned row by row from the pairwise kernel :func:`spaces.pair_rows`,
-    so no n x n array is formed.
+    scanned tile by tile from the pairwise kernel :func:`spaces.pair_tiles`
+    into a running minimum, so no n x n array is formed, and the selected
+    vectors are read where they lie, not copied.
     """
     if eps is not None:
         _check_eps(eps)
@@ -196,15 +198,15 @@ def theorem1_extract(space: SpaceSpec, seq, x,
 def ramsey_extract(rows, split: float) -> tuple[list[int], str]:
     """Greedy-pivot monochromatic subset of a family of pair distances.
 
-    ``rows`` is the strict upper triangle as :func:`spaces.pair_rows`
-    yields it: row i holds the values of the pairs (i, j), j > i, so it
-    has ``n - i - 1`` entries; other lengths, such as a full n x n matrix,
-    raise ``PreconditionError``.  Values at most ``split`` are colored
-    low, the rest high (ties at the split go low, matching the closed
-    interval).  Each pivot keeps its majority color class; the
-    majority-color pivots plus the final unpaired pivot form the output,
-    whose pairwise values all lie on one side of the split.  Output size
-    is at least ``ceil(log2 n) / 2`` rounded down.
+    ``rows`` is the strict upper triangle by rows: row i holds the values
+    of the pairs (i, j), j > i, so it has ``n - i - 1`` entries; other
+    lengths, such as a full n x n matrix, raise ``PreconditionError``.
+    Values at most ``split`` are colored low, the rest high (ties at the
+    split go low, matching the closed interval).  Each pivot keeps its
+    majority color class; the majority-color pivots plus the final
+    unpaired pivot form the output, whose pairwise values all lie on one
+    side of the split.  Output size is at least ``ceil(log2 n) / 2``
+    rounded down.
     """
     n = len(rows)
     if n < 2:
@@ -242,23 +244,24 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
                        seed_description: str = "") -> ConstructionTrace:
     """Ramsey dichotomy plus greedy normalized differences.
 
-    The seed must be 1-separated; its separation is the least value of the
-    rows of the pairwise kernel :func:`spaces.pair_rows`, which are kept,
-    the n(n-1)/2 upper-triangle values, for the Ramsey extraction's pivots
-    to read.  If the extracted monochromatic class sits in the high branch
-    the seed subsequence itself is the output.  In the low branch,
-    candidate differences ``y = xi_a - xi_b`` are enumerated in the
-    diagonal-sweep order of :func:`_open_pairs`, skipping pairs touching
-    indices already consumed by an accepted candidate; a candidate is
-    accepted when it keeps distance ``1 + delta1`` to all prior outputs,
-    and its normalization then stays ``1 + delta1/2``-separated.  In
-    either branch one final :func:`certify` of the whole output asserts
-    that separation.
+    The seed must be 1-separated; its separation is the least of the
+    n(n-1)/2 upper-triangle values, which the tiles of the pairwise kernel
+    :func:`spaces.pair_tiles` write into one flat array, row by row, for
+    the Ramsey extraction's pivots to read as row views.  If the extracted
+    monochromatic class sits in the high branch the seed subsequence
+    itself is the output.  In the low branch, candidate differences
+    ``y = xi_a - xi_b`` of the extracted seed vectors, read in place, are
+    enumerated in the diagonal-sweep order of :func:`_open_pairs`,
+    skipping pairs touching indices already consumed by an accepted
+    candidate; a candidate is accepted when it keeps distance
+    ``1 + delta1`` to all prior outputs, and its normalization then stays
+    ``1 + delta1/2``-separated.  In either branch one final
+    :func:`certify` of the whole output asserts that separation.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     seed = as_rows(space, seed)
-    rows = list(pair_rows(space, seed))
+    rows = _upper_triangle(space, seed)
     sep = _min_pair(rows)
     if sep < 1.0 - norm_error(space.d, sep, sep):
         raise PreconditionError(
@@ -270,19 +273,19 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
     split = 1.0 + 0.5 * delta1
 
     extracted, branch = ramsey_extract(rows, split)
-    xi = seed[extracted]
+    del rows  # the triangle is read no more
 
     steps: list[TraceStep] = []
     if branch == "high":
         # certify passes: it recomputes the entries the split judged above it
-        output, status = xi[:max_len], "completed"
+        output, status = seed[extracted[:max_len]], "completed"
     else:
         consumed: set[int] = set()
-        # each accepted candidate consumes two indices of xi
-        outputs = np.empty((min(max_len, len(xi) // 2), space.d))
+        # each accepted candidate consumes two of the extracted indices
+        outputs = np.empty((min(max_len, len(extracted) // 2), space.d))
         m = 0
-        for pos, (a, b) in _open_pairs(len(xi), consumed):
-            y = xi[a] - xi[b]
+        for pos, (a, b) in _open_pairs(len(extracted), consumed):
+            y = seed[extracted[a]] - seed[extracted[b]]
             y_norm = norm(space, y)
             if m:
                 dists = batch_norm(space, outputs[:m] - y)
@@ -311,6 +314,20 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
         seed_description=seed_description, delta1=delta1, branch=branch,
         steps=tuple(steps), output=output, final_certificate=cert,
         status=status)
+
+
+def _upper_triangle(space: SpaceSpec, seed: np.ndarray) -> list[np.ndarray]:
+    """The values of the pairs i < j of ``seed`` as row views of one flat
+    n(n-1)/2 array, row i holding the pairs (i, j), j > i; the tiles of
+    :func:`spaces.pair_tiles` are written into it where they belong."""
+    n = len(seed)
+    tri = np.empty(n * (n - 1) // 2)
+    starts = [i * (2 * n - i - 1) // 2 for i in range(n)]  # row i's (i, i+1)
+    for i, j, values in pair_tiles(space, seed):
+        for r, row in enumerate(values, start=i):
+            at = starts[r] + j - r - 1
+            tri[at:at + len(row)] = row
+    return [tri[s:s + n - i - 1] for i, s in enumerate(starts)]
 
 
 def _open_pairs(k: int, consumed: set[int]):
@@ -342,13 +359,14 @@ def vectors_to_csv(path, vectors: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def _min_pair(rows) -> float:
-    """Least value in ``rows``, arrays of pair values; empty ones, such as
-    the last row of :func:`spaces.pair_rows`, hold no pair."""
-    mins = [row.min() for row in rows if row.size]
-    if not mins:
+def _min_pair(arrays) -> float:
+    """Least value in ``arrays``, arrays of pair values, as a running
+    minimum: one array is held at a time.  Empty ones hold no pair."""
+    least = min((values.min() for values in arrays if values.size),
+                default=None)
+    if least is None:
         raise PreconditionError("separation needs at least 2 vectors")
-    return float(np.min(mins))
+    return float(least)
 
 
 def _largest_cluster(values: np.ndarray,
@@ -402,8 +420,8 @@ def _certified_cluster(space: SpaceSpec, vecs: np.ndarray, x, width: float,
         raise PreconditionError(f"x must be a unit vector, norm {n!r}")
     f = norming_functional(space, x)
     selected, window = _largest_cluster(vecs @ f, width)
-    pair_min = _min_pair(values for row in pair_rows(
-        space, vecs[list(selected)], x) for values in row)
+    pair_min = _min_pair(values for _, _, values in pair_tiles(
+        space, vecs, x, selected))
     margin = (norm_error(d, pair_min, n + 2.0 * pair_min + guaranteed)
               + abs(n - 1.0) + norm_error(d, n) + accuracy)
     if pair_min < guaranteed - margin:

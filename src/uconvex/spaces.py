@@ -186,52 +186,74 @@ def batch_norm(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     return _power_sums(space, rows) ** (1.0 / space.p)
 
 
-def pair_rows(space: SpaceSpec, arr: np.ndarray, x=None):
-    """The one pairwise kernel: per row i, the values of the pairs j > i.
+def pair_tiles(space: SpaceSpec, arr: np.ndarray, x=None, rows=None):
+    """The one pairwise kernel: the values of the pairs i < j, tile by tile.
 
-    ``arr`` holds the vectors ``a_i`` as rows; row i is an array over
-    ``j = i+1, ..., n-1``, so the last row is empty.  With ``x`` None it
-    holds ``||a_j - a_i||``.  Else one ``D = a_j - a_i`` per pair gives the
-    two arrays ``||x + D||`` and ``||x - D||``, the values of ``x - (a_i -
-    a_j)`` and ``x - (a_j - a_i)``, since ``fl(a_i - a_j) = -fl(a_j -
-    a_i)``, ``y - (-z) = y + z`` and the square or ``abs`` drops a zero's
-    sign; x is applied only on the smallest column slice that holds its
-    nonzeros, as off it both have the powers ``|D|^p``.  Every value is the
-    :func:`batch_norm` of its difference bit for bit: the same ufuncs on
-    the same values over a row of length d.  Row i's differences are formed
-    one :func:`row_blocks` block at a time, each block's power sums written
-    into the row's arrays, whose roots are then taken in one pass.  Each
-    yielded array is new; only one block's difference buffer (at most
-    :data:`BLOCK_ELEMS` entries, and with ``x`` one of ``x - D`` on the
-    slice) is reused.
+    The sequence is ``a_0, a_1, ...``, the rows of ``arr`` or, with
+    ``rows``, the rows ``arr[rows[0]], arr[rows[1]], ...``; i and j are
+    positions in it.  The positions j are walked in the
+    :func:`row_blocks` tiles of ``BLOCK_ELEMS // d`` positions.  A tile
+    whose rows lie consecutively in ``arr`` (every tile when ``rows`` is
+    None) is read in place; any other is gathered once into one reused
+    tile buffer.  Every row i below the tile's last position then reads
+    the tile, and ``(i, j, values)`` is yielded, ``values[r]`` holding the
+    pairs (i + r, j), (i + r, j + 1), ... to the tile's end: the rows
+    before the tile share j, its first position, and come in groups of
+    about n values; the rows inside it come one by one, j = i + 1.  With
+    ``x`` None ``values[r]`` holds ``||a_j - a_i||``.  Else one
+    ``D = a_j - a_i`` per pair gives the two rows ``values[r, 0]``, of
+    ``||x + D||``, and ``values[r, 1]``, of ``||x - D||``: the values of
+    ``x - (a_i - a_j)`` and ``x - (a_j - a_i)``, since ``fl(a_i - a_j) =
+    -fl(a_j - a_i)``, ``y - (-z) = y + z`` and the square or ``abs`` drops
+    a zero's sign; x is applied only on the smallest column slice that
+    holds its nonzeros, as off it both have the powers ``|D|^p``.  Every
+    value is the :func:`batch_norm` of its difference bit for bit: the
+    same ufuncs on the same values over a row of length d.  Each
+    ``values`` is new; the difference buffer, the buffer of ``x - D`` on
+    the slice and the tile buffer (at most :data:`BLOCK_ELEMS` entries
+    each) are reused, so the kernel allocates no array of n·d entries.
     """
     arr = np.asarray(arr, dtype=float)
-    n, d = len(arr), space.d
-    buf = np.empty((min(n, max(1, BLOCK_ELEMS // d)), d))
+    idx = np.arange(len(arr))
+    if rows is not None:
+        idx = idx[np.asarray(rows, dtype=np.intp)]
+    pos, d = idx.tolist(), space.d
+    buf = np.empty((min(len(idx), max(1, BLOCK_ELEMS // d)), d))
+    gathered = None if rows is None else np.empty_like(buf)
     root = 1.0 / space.p
     if x is not None:
         x = np.asarray(x, dtype=float)
         nz = np.flatnonzero(x)
         cols = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
         xs, tbuf = x[cols], np.empty((len(buf), cols.stop - cols.start))
-    for i in range(n):
-        rest = arr[i + 1:]
-        sums = [np.empty(len(rest)) for _ in range(1 if x is None else 2)]
-        for blk in row_blocks(len(rest), d):
-            rows = np.subtract(rest[blk], arr[i],
-                               out=buf[:blk.stop - blk.start])
-            if x is not None:
-                sup, t = rows[:, cols], tbuf[:len(rows)]
-                np.subtract(xs, sup, out=t)  # x - D to t, x + D over D
-                np.add(xs, sup, out=sup)
-            np.add.reduce(_powers(space, rows, out=rows), axis=-1,
-                          out=sums[0][blk])
-            if x is not None:
-                _powers(space, t, out=sup)  # |x - D|^p into the slice
-                np.add.reduce(rows, axis=-1, out=sums[1][blk])
-        for s in sums:
-            s **= root
-        yield sums[0] if x is None else tuple(sums)
+    for blk in row_blocks(len(idx), d):
+        ids = idx[blk]
+        if np.all(np.diff(ids) == 1):
+            tile = arr[ids[0]:ids[-1] + 1]
+        else:  # the indices are checked above; mode "raise" would copy out
+            tile = np.take(arr, ids, axis=0, out=gathered[:len(ids)],
+                           mode="clip")
+        # the rows before the tile in groups of about n values, then the
+        # rows inside it one by one
+        firsts = [*range(0, blk.start, max(1, len(idx) // len(ids))),
+                  *range(blk.start, blk.stop)]
+        for i0, i1 in zip(firsts, firsts[1:]):
+            j = max(blk.start, i0 + 1)
+            values = np.empty((i1 - i0, 1 if x is None else 2, blk.stop - j))
+            for row, out in zip(pos[i0:i1], values):
+                diff = np.subtract(tile[j - blk.start:], arr[row],
+                                   out=buf[:blk.stop - j])
+                if x is not None:
+                    sup, t = diff[:, cols], tbuf[:len(diff)]
+                    np.subtract(xs, sup, out=t)  # x - D to t, x + D over D
+                    np.add(xs, sup, out=sup)
+                np.add.reduce(_powers(space, diff, out=diff), axis=-1,
+                              out=out[0])
+                if x is not None:
+                    _powers(space, t, out=sup)  # |x - D|^p into the slice
+                    np.add.reduce(diff, axis=-1, out=out[1])
+            values **= root
+            yield i0, j, values[:, 0] if x is None else values
 
 
 def _row_norms(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:

@@ -216,6 +216,9 @@ def _sample(statement: str, space: SpaceSpec, eps: float, trials: int,
                     st.witness: w[i].tolist(), **fields(i),
                     "dist": float(dist[i]),
                 })
+        # x, xp and w are views of the batch's draws: release them before
+        # the next batch is drawn
+        x = xp = w = None
         attempted += n
         kept += int(keep.sum())
         t_scale = _adapt(t_scale, keep.mean())

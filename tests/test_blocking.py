@@ -445,25 +445,45 @@ def test_interpolate_to_boundary_working_set_is_one_block(peak_bytes):
     assert peaks[1] <= peaks[0] + 64 * 1024
 
 
+def _cell_excess(monkeypatch, peak_bytes, check, d):
+    """What a cell of ``check(n)`` holds beyond two (n, d) arrays and O(n)
+    row vectors, at batches of n = 2048 and 4096 rows."""
+    excess = []
+    for n in (2048, 4096):
+        monkeypatch.setattr(verify, "BATCH", n)
+        peak = peak_bytes(lambda: check(n))
+        excess.append(peak - 2 * n * d * BYTES - 32 * n * BYTES)
+    return excess
+
+
 def test_remark45_cell_working_set_is_bounded_by_blocks(monkeypatch,
                                                         peak_bytes):
     """A d=64, k=4 cell holds its batch's draws plus a few blocks.
 
     A batch of n rows keeps ``X`` and ``x'`` (n x d each) and O(n) row
-    vectors, and while the next batch is drawn the previous one is still
-    referenced: four (n, d) arrays.  Everything else (the k functionals
-    per row, their pairings, the norms' temporaries) lives in blocks of at
-    most ``BLOCK_ELEMS`` entries.  What the cell holds beyond the (n, d)
-    arrays must stay within sixteen blocks and must not grow when the
-    batch doubles; the one-shot cell held about 35 blocks above them at
-    n = 2048 and 69 at n = 4096.
+    vectors; the previous batch is released before the next is drawn, so
+    two (n, d) arrays are live, not four.  Everything else (the k
+    functionals per row, their pairings, the norms' temporaries) lives in
+    blocks of at most ``BLOCK_ELEMS`` entries.  What the cell holds beyond
+    the two (n, d) arrays must stay within sixteen blocks and must not
+    grow when the batch doubles; the one-shot cell held about 35 blocks
+    above four such arrays at n = 2048 and 69 at n = 4096.
     """
     space = SpaceSpec(3.0, 64)
-    excess = []
-    for n in (2048, 4096):
-        monkeypatch.setattr(verify, "BATCH", n)
-        peak = peak_bytes(
-            lambda: verify.check_remark45(space, 1.0, n // 2, 4, 0))
-        excess.append(peak - 4 * n * space.d * BYTES - 32 * n * BYTES)
+    excess = _cell_excess(
+        monkeypatch, peak_bytes,
+        lambda n: verify.check_remark45(space, 1.0, n // 2, 4, 0), space.d)
+    assert max(excess) < 16 * BLOCK_ELEMS * BYTES
+    assert excess[1] <= excess[0] + 64 * 1024
+
+
+def test_lemma23_cell_working_set_is_bounded_by_blocks(monkeypatch,
+                                                      peak_bytes):
+    """The lemma23 cell of the same size: two (n, d) arrays, O(n) row
+    vectors and at most sixteen blocks, not growing with the batch."""
+    space = SpaceSpec(3.0, 64)
+    excess = _cell_excess(
+        monkeypatch, peak_bytes,
+        lambda n: verify.check_lemma23(space, 1.0, n // 2, 0), space.d)
     assert max(excess) < 16 * BLOCK_ELEMS * BYTES
     assert excess[1] <= excess[0] + 64 * 1024

@@ -1,8 +1,10 @@
+import errno
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uconvex import sequences
+from uconvex import cli, sequences
 from uconvex.cli import main, parse_values
 from uconvex.curves import lp_delta
 from uconvex.spaces import SpaceSpec
@@ -624,6 +626,79 @@ def test_modulus_csv_stdout_is_the_csv_file(tmp_path, capsys):
                           "--curve-file", str(piped))
     assert code == 0
     assert report.splitlines()[0].endswith(",0")
+
+
+JSON_OUT_COMMANDS = {
+    "construct": ("construct", "--p", "2", "--d", "4", "--seed-kind", "basis"),
+    "extract": ("extract", "--p", "2", "--d", "4", "--seq-kind", "basis"),
+    "verify": ("verify", "--statement", "lemma23", "--p", "2", "--d", "2",
+               "--eps", "1", "--trials", "20"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_OUT_COMMANDS))
+def test_json_out_is_written_whole_and_leaves_no_other_file(tmp_path, capsys,
+                                                            command):
+    out = tmp_path / "out.json"
+    out.write_text("old\n")
+    assert run(capsys, *JSON_OUT_COMMANDS[command], "--out", str(out))[0] == 0
+    assert list(tmp_path.iterdir()) == [out]
+    assert json.loads(out.read_text())
+
+
+def test_json_out_writes_through_a_link_and_into_a_pipe(tmp_path, capsys):
+    """A link to ``--out`` stays a link to the new text; a pipe is written
+    in place, with no file beside it."""
+    argv = JSON_OUT_COMMANDS["extract"]
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert run(capsys, *argv, "--out", str(link))[0] == 0
+    assert link.is_symlink() and json.loads(target.read_text())
+    text = target.read_text()
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    assert run(capsys, *argv, "--out", str(fifo))[0] == 0
+    reader.join(timeout=10)
+    assert got == [text]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.json", "pipe", "target.json"]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("error", [
+    OSError(errno.ENOSPC, "No space left on device"),
+    TypeError("Object of type set is not JSON serializable"),
+], ids=["write-error", "unlisted-type"])
+@pytest.mark.parametrize("command", sorted(JSON_OUT_COMMANDS))
+def test_json_out_failing_part_way_leaves_the_file_as_it_was(
+        tmp_path, capsys, monkeypatch, command, error, existing):
+    """construct, extract and verify stream their JSON: an error after
+    part of the text is written leaves ``--out`` absent or with its old
+    text, and no partial file beside it.  A write error exits 2; a
+    TypeError is a bug and propagates."""
+    out = tmp_path / "out.json"
+    if existing:
+        out.write_text("old\n")
+
+    def fail(stream, obj):
+        stream.write('{\n  "')
+        stream.flush()
+        raise error
+
+    monkeypatch.setattr(cli, "_write_json", fail)
+    argv = (*JSON_OUT_COMMANDS[command], "--out", str(out))
+    if isinstance(error, OSError):
+        assert run(capsys, *argv)[0] == 2
+    else:
+        with pytest.raises(TypeError):
+            main(list(argv))
+    assert list(tmp_path.iterdir()) == ([out] if existing else [])
+    assert not existing or out.read_text() == "old\n"
 
 
 def test_modulus_json_stdout_is_the_json_file(tmp_path, capsys):

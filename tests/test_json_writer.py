@@ -1,7 +1,8 @@
 """The CLI's JSON writer against ``json.dumps`` with the same settings.
 
-``cli._json_text`` builds the text itself instead of running json's
-pure-Python indenting encoder; it must give the same bytes as
+``cli._write_json`` writes the text itself, piece by piece, instead of
+running json's pure-Python indenting encoder, and ``cli._json_text`` is
+the text it writes; it must give the same bytes as
 ``json.dumps(obj, indent=2, sort_keys=True, default=_jsonable) + "\\n"`` on
 every result the CLI writes and on arbitrary nested data.
 """
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uconvex import curves, sequences, verify
-from uconvex.cli import _json_text, _jsonable
+from uconvex.cli import _json_text, _jsonable, _write_json
 from uconvex.spaces import SpaceSpec
 
 
@@ -83,11 +84,15 @@ def test_writer_equals_json_dumps_on_nested_data(obj):
     assert _json_text(obj) == _dumps(obj)
 
 
-def test_writer_lists_a_matrix_one_row_at_a_time(peak_bytes):
+def test_writer_lists_a_matrix_one_row_at_a_time(peak_bytes, tmp_path):
     """A (124, 250) array with two nonzeros a row, the shape and pattern of
     the normalized differences in Theorem 3's trace output in l^3_250: the
     text equals ``json.dumps`` of ``A.tolist()``, and the writer never holds
-    that list, whose floats alone outweigh the text here."""
+    that list, whose floats alone outweigh the text here.  Writing the
+    file holds no copy of the text either, only a row's text and the
+    file's buffers at a time: at most a quarter of the text (as one
+    string, the text and the pieces it is joined from are about twice
+    its size)."""
     A = np.zeros((124, 250))
     rows = np.arange(124)
     A[rows, 2 * rows + 1] = 2.0 ** (-1.0 / 3.0)
@@ -95,3 +100,10 @@ def test_writer_lists_a_matrix_one_row_at_a_time(peak_bytes):
     want = json.dumps({"a": A.tolist()}, indent=2, sort_keys=True) + "\n"
     assert _json_text({"a": A}) == want
     assert peak_bytes(lambda: _json_text({"a": A})) < peak_bytes(A.tolist)
+    path = tmp_path / "a.json"
+
+    def write():
+        with open(path, "w") as out:
+            _write_json(out, {"a": A})
+    assert peak_bytes(write) <= len(want) / 4
+    assert path.read_text() == want

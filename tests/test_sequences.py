@@ -17,8 +17,8 @@ from uconvex.sequences import (baseline_extract, certify, ramsey_extract,
                                theorem1_extract, theorem3_construct,
                                unit_basis_seed, vectors_to_csv)
 from uconvex.spaces import (SpaceSpec, as_rows, batch_norm, normalize,
-                            pair_rows, unit_batch)
-from test_pair_norms import _old_pair_norms
+                            unit_batch)
+from test_pair_norms import _old_pair_norms, _tile_rows
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -247,7 +247,7 @@ def test_theorem1_window_members_inside_window():
 # ----------------------------- ramsey extraction -----------------------------
 
 def _upper_rows(m):
-    """The strict upper triangle of ``m`` as :func:`pair_rows` yields it."""
+    """The strict upper triangle of ``m`` by rows, as Ramsey reads it."""
     return [m[i, i + 1:] for i in range(len(m))]
 
 
@@ -333,9 +333,9 @@ def _noisy_shifted_seed(space, rng_seed):
 
 
 def test_ramsey_on_pair_rows_equals_matrix_pivots():
-    """The rows of ``pair_rows`` give the pivots the n x n matrix gave, on
-    seeds of both branches and on random unit families, whose pivots
-    split."""
+    """The tiles of ``pair_tiles``, put together per row, give the pivots
+    the n x n matrix gave, on seeds of both branches and on random unit
+    families, whose pivots split."""
     seeds = []
     for p in (1.5, 3.0):
         space = SpaceSpec(p=p, d=24)
@@ -347,9 +347,11 @@ def test_ramsey_on_pair_rows_equals_matrix_pivots():
     branches, sizes = set(), []
     for space, seed in seeds:
         split = 1.0 + 0.5 * lp_delta(space.p, 2.0 / 3.0)
-        got = ramsey_extract(list(pair_rows(space, seed)), split)
-        assert got == _ramsey_pivots_by_comprehension(
-            _old_pair_norms(space, seed), split, sizes)
+        got = ramsey_extract(_tile_rows(space, seed), split)
+        m = np.zeros((len(seed), len(seed)))
+        for i, row in enumerate(_old_pair_norms(space, seed)):
+            m[i, i + 1:] = row
+        assert got == _ramsey_pivots_by_comprehension(m, split, sizes)
         branches.add(got[1])
     assert branches == {"low", "high"}
     assert any(0 < n_low < n_rest for n_low, n_rest in sizes)
@@ -470,7 +472,7 @@ def test_theorem3_low_branch_measures_every_prior_output(p):
     trace = theorem3_construct(space, list(seed), max_len=100)
     assert trace.branch == "low" and len(trace.output) > 2
     split = 1.0 + 0.5 * trace.delta1
-    extracted, _ = ramsey_extract(list(pair_rows(space, seed)), split)
+    extracted, _ = ramsey_extract(_tile_rows(space, seed), split)
     xi = seed[extracted]
     prior = []
     for step in trace.steps:
@@ -584,13 +586,13 @@ def test_theorem3_outputs_are_float_arrays_of_the_old_rows(p):
     split = 1.0 + 0.5 * lp_delta(p, 2.0 / 3.0)
     basis = unit_basis_seed(space, 12)
     high = theorem3_construct(space, basis, max_len=5)
-    extracted, _ = ramsey_extract(list(pair_rows(space, basis)), split)
+    extracted, _ = ramsey_extract(_tile_rows(space, basis), split)
     assert high.branch == "high"
     assert _same_rows(high.output, [basis[i] for i in extracted][:5])
 
     seed = shifted_basis_seed(space, 11)
     low = theorem3_construct(space, seed, max_len=12)
-    extracted, _ = ramsey_extract(list(pair_rows(space, seed)), split)
+    extracted, _ = ramsey_extract(_tile_rows(space, seed), split)
     xi = [seed[i] for i in extracted]
     rows = [(xi[s.pair[0]] - xi[s.pair[1]]) / s.y_norm
             for s in low.steps if s.accepted]

@@ -12,7 +12,8 @@ from uconvex.sequences import shifted_basis_seed
 from uconvex.rounding import norm_error
 from uconvex.spaces import (SpaceSpec, _pow_abs, _power_sums, _row_norms,
                             batch_norm, duality_map, norm, norming_functional,
-                            normalize, pair_rows, unit_batch)
+                            normalize, pair_tiles, unit_batch)
+from test_pair_norms import _tile_rows
 
 ATOL = 1e-12
 
@@ -208,8 +209,8 @@ def test_pair_norms_equal_per_pair_batch_norm(p, n, d):
     rng = np.random.default_rng(int(10 * p) + n)
     arr = _rows_with_repeats(rng, n, d)
     x = rng.standard_normal(d)
-    plain = [row.tolist() for row in pair_rows(space, arr)]
-    shifted = [(a.tolist(), b.tolist()) for a, b in pair_rows(space, arr, x)]
+    plain = [row.tolist() for row in _tile_rows(space, arr)]
+    shifted = [(a.tolist(), b.tolist()) for a, b in _tile_rows(space, arr, x)]
     assert (plain, shifted) == _pair_rows_by_batch_norm(space, arr, x)
     assert len(plain) == n and plain[-1] == []
     if n > 2:
@@ -303,8 +304,8 @@ def test_pair_norms_on_shifted_basis_equal_per_pair_batch_norm(p):
     space = SpaceSpec(p=p, d=12)
     arr = np.asarray(shifted_basis_seed(space, 11))
     x = arr[4] - arr[7]
-    plain = [row.tolist() for row in pair_rows(space, arr)]
-    shifted = [(a.tolist(), b.tolist()) for a, b in pair_rows(space, arr, x)]
+    plain = [row.tolist() for row in _tile_rows(space, arr)]
+    shifted = [(a.tolist(), b.tolist()) for a, b in _tile_rows(space, arr, x)]
     assert (plain, shifted) == _pair_rows_by_batch_norm(space, arr, x)
     assert np.allclose(np.concatenate(plain), 1.0, rtol=0, atol=1e-15)
 
@@ -414,9 +415,8 @@ def test_p2_pair_norms_equal_abs_first_bit_for_bit(case):
     space = SpaceSpec(p=2, d=7)
     x = a[1] - 2.0 * a[0] if case == "huge" else a[0] + 0.5
     with np.errstate(over="ignore"):
-        plain = list(pair_rows(space, arr))
-        shifted = list(pair_rows(space, arr,
-                                 x.tolist() if case == "list" else x))
+        plain = _tile_rows(space, arr)
+        shifted = _tile_rows(space, arr, x.tolist() if case == "list" else x)
         want_plain = _p2_norms_abs_first(a[None, :, :] - a[:, None, :])
         want_shifted = _p2_norms_abs_first(x - (a[:, None, :] - a[None, :, :]))
     for i in range(len(a)):
@@ -543,7 +543,7 @@ def test_norm_error_bounds_every_norm_against_an_exact_sum(p, d):
             assert _within(p, computed, norm_error(d, computed), exact), name
         # a pairwise entry norms a rounded difference of stored rows
         b = rows["random"] if name != "random" else rows["equal"]
-        computed = next(pair_rows(space, np.stack([b, a])))[0]
+        computed = next(pair_tiles(space, np.stack([b, a])))[2][0, 0]
         diff = sum(abs(Fraction(u) - Fraction(v)) ** p
                    for u, v in zip(a.tolist(), b.tolist()))
         assert _within(p, computed, norm_error(d, computed, computed), diff)
@@ -564,7 +564,7 @@ def test_norm_kernels_agree_within_norm_error(p):
     rows = np.random.default_rng(5).standard_normal((4000, 16))
     scalar = np.array([norm(space, v) for v in rows])
     # ||x + 0|| and ||x - 0||, the one pair of two zero rows
-    pair = np.array([next(pair_rows(space, np.zeros((2, 16)), x=v))
+    pair = np.array([next(pair_tiles(space, np.zeros((2, 16)), x=v))[2]
                      for v in rows]).reshape(len(rows), 2)
     bound = 2.0 * np.array([norm_error(16, n) for n in scalar])
     assert np.all(np.abs(batch_norm(space, rows) - scalar) <= bound)
