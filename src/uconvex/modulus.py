@@ -17,8 +17,8 @@ from .curves import (ModulusPoint, _check_eps,  # noqa: F401
 from .errors import CertificateError, PreconditionError
 from .rounding import norm_error, unit_error
 from .search import EvalBudget, refine, sample_feasible_pairs
-from .spaces import (SpaceSpec, _row_norms, as_vector, batch_norm, norm,
-                     row_blocks, unit_batch)
+from .spaces import (SpaceSpec, _row_norms, as_vector, batch_norm,
+                     block_buffer, norm, row_blocks, unit_batch)
 
 
 def empirical_delta(space: SpaceSpec, eps: float, budget: int,
@@ -34,6 +34,9 @@ def empirical_delta(space: SpaceSpec, eps: float, budget: int,
     the witness does not depend on the batching.  The result can only
     overestimate the true infimum, and never exceeds eps/2: the Clarkson
     candidate scores ``1 - a <= eps/2``.  Deterministic given the seed.
+    The random pairs are whole draws; they are scored one
+    :func:`spaces.row_blocks` block at a time, each block's ``x + y`` and
+    its powers in one reused block buffer.
 
     In dimension 1 every feasible pair is antipodal, so the modulus is 1
     for every eps; that breaks the ``delta <= eps/2`` bound for eps < 2,
@@ -78,8 +81,10 @@ def empirical_delta(space: SpaceSpec, eps: float, budget: int,
     if sample_budget > 0:
         X, Y = sample_feasible_pairs(space, eps, rng, sample_budget)
         vals = np.empty(len(X))
+        sums = block_buffer(len(X), d)
         for blk in row_blocks(len(X), d):
-            vals[blk] = batch_norm(space, X[blk] + Y[blk])
+            total = np.add(X[blk], Y[blk], out=sums[:blk.stop - blk.start])
+            vals[blk] = batch_norm(space, total, out=total)
         vals = 1.0 - 0.5 * vals
         top = np.argsort(vals, kind="stable")[:8]
         for i in top:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spaces import SpaceSpec, batch_norm, row_blocks, unit_batch
+from .spaces import (SpaceSpec, batch_norm, block_buffer, row_blocks,
+                     unit_batch)
 
 REFINE_ROUNDS = 30
 SHRINK = 0.5
@@ -104,34 +105,73 @@ def sample_feasible_pairs(space: SpaceSpec, eps: float,
     interpolating ``y`` toward ``-x`` until the separation constraint holds
     (a boundary pair).
 
+    ``X`` and ``Y`` are whole draws, as a split one would shift the rest.
     The distances and the fallback run one :func:`spaces.row_blocks` block
-    at a time; each random draw is whole, as a split one would shift the rest.
+    at a time through :func:`_row_pairs`, in reused block buffers.
 
     Returns ``(X, Y)`` arrays of shape (count, d).
     """
     X = unit_batch(space, rng, count)
     Y = unit_batch(space, rng, count)
-    bad = _too_close(space, eps, X, Y)
+    bad = _too_close(space, eps, X, Y, np.arange(count))
     rounds = 0
     while np.any(bad) and rounds < MAX_RESAMPLE_ROUNDS:
         if bad.mean() > 0.99:
             break
         idx = np.flatnonzero(bad)
         Y[idx] = unit_batch(space, rng, len(idx))
-        bad[idx] = _too_close(space, eps, X[idx], Y[idx])
+        bad[idx] = _too_close(space, eps, X, Y, idx)
         rounds += 1
     if np.any(bad):
         _interpolate_to_boundary(space, eps, X, Y, np.flatnonzero(bad))
     return X, Y
 
 
-def _too_close(space: SpaceSpec, eps: float, X: np.ndarray,
-               Y: np.ndarray) -> np.ndarray:
-    """``||x - y|| < eps`` for each row pair, one row block at a time."""
-    bad = np.empty(len(X), dtype=bool)
-    for blk in row_blocks(len(X), space.d):
-        bad[blk] = batch_norm(space, X[blk] - Y[blk]) < eps
+def _row_pairs(space: SpaceSpec, X: np.ndarray, Y: np.ndarray,
+               rows: np.ndarray):
+    """``(blk, X[rows[blk]], Y[rows[blk]])`` per :func:`spaces.row_blocks`
+    block of ``rows``.
+
+    A block whose rows lie consecutively is read in place, as views of
+    ``X`` and ``Y``; any other is gathered once into one of two reused
+    block buffers, which the next such block overwrites.
+    """
+    gathered = None
+    for blk in row_blocks(len(rows), space.d):
+        r = rows[blk]
+        if np.all(np.diff(r) == 1):
+            yield blk, X[r[0]:r[-1] + 1], Y[r[0]:r[-1] + 1]
+            continue
+        if gathered is None:
+            gathered = [block_buffer(len(rows), space.d) for _ in range(2)]
+        # the rows are in range; mode "raise" would copy out
+        yield blk, *(np.take(A, r, axis=0, out=buf[:len(r)], mode="clip")
+                     for A, buf in zip((X, Y), gathered))
+
+
+def _too_close(space: SpaceSpec, eps: float, X: np.ndarray, Y: np.ndarray,
+               rows: np.ndarray) -> np.ndarray:
+    """``||x - y|| < eps`` for the row pairs ``rows`` of ``X`` and ``Y``.
+
+    Each block's differences and their powers go to one reused block
+    buffer.
+    """
+    bad = np.empty(len(rows), dtype=bool)
+    diff = block_buffer(len(rows), space.d)
+    for blk, x, y in _row_pairs(space, X, Y, rows):
+        D = np.subtract(x, y, out=diff[:len(x)])
+        bad[blk] = batch_norm(space, D, out=D) < eps
     return bad
+
+
+def _interpolant(space: SpaceSpec, x, y, t, out, tmp) -> np.ndarray:
+    """``(1 - t) y - t x`` row by row into ``out``; returns its norms.
+
+    ``tmp``, of ``out``'s shape, is overwritten.
+    """
+    np.multiply((1.0 - t)[:, None], y, out=out)
+    out -= np.multiply(t[:, None], x, out=tmp)
+    return batch_norm(space, out, out=tmp)
 
 
 def _interpolate_to_boundary(space: SpaceSpec, eps: float, X: np.ndarray,
@@ -141,29 +181,31 @@ def _interpolate_to_boundary(space: SpaceSpec, eps: float, X: np.ndarray,
     Each ``y`` moves until ``||x - y|| >= eps``, by bisection on the
     interpolation parameter; t = 1 (the antipode) is always feasible since
     ``||x - (-x)|| = 2 >= eps``.  The rows are bisected through all 40 steps
-    one row block at a time; rows are independent, so the result is that
-    of bisecting all rows at once, bit for bit.
+    one :func:`_row_pairs` block at a time; rows are independent, so the
+    result is that of bisecting all rows at once, bit for bit.  Each step's
+    interpolant, its norms and ``x - cand`` go to two reused block
+    buffers; a block read in place as a view of ``Y`` is read before its
+    final write.
     """
-    for blk in row_blocks(len(rows), space.d):
-        r = rows[blk]
-        x, y = X[r], Y[r]
-        lo = np.zeros(len(r))
-        hi = np.ones(len(r))
+    bufs = [block_buffer(len(rows), space.d) for _ in range(2)]
+    for blk, x, y in _row_pairs(space, X, Y, rows):
+        cand, tmp = (buf[:len(x)] for buf in bufs)
+        lo = np.zeros(len(x))
+        hi = np.ones(len(x))
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            cand = (1.0 - mid)[:, None] * y - mid[:, None] * x
-            norms = batch_norm(space, cand)
+            norms = _interpolant(space, x, y, mid, cand, tmp)
             # a coincident pair y = x makes the interpolant vanish at the
             # first midpoint; nudge past it
             degenerate = norms == 0.0
             if np.any(degenerate):
                 mid[degenerate] = np.nextafter(mid[degenerate], 2.0)
-                cand = (1.0 - mid)[:, None] * y - mid[:, None] * x
-                norms = batch_norm(space, cand)
+                norms = _interpolant(space, x, y, mid, cand, tmp)
             cand /= norms[:, None]
-            feas = batch_norm(space, x - cand) >= eps
+            dist = np.subtract(x, cand, out=tmp)
+            feas = batch_norm(space, dist, out=dist) >= eps
             hi[feas] = mid[feas]
             lo[~feas] = mid[~feas]
-        final = (1.0 - hi)[:, None] * y - hi[:, None] * x
-        final /= batch_norm(space, final)[:, None]
-        Y[r] = final
+        norms = _interpolant(space, x, y, hi, cand, tmp)
+        cand /= norms[:, None]
+        Y[rows[blk]] = cand

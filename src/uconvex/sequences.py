@@ -254,9 +254,10 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
     enumerated in the diagonal-sweep order of :func:`_open_pairs`,
     skipping pairs touching indices already consumed by an accepted
     candidate; a candidate is accepted when it keeps distance
-    ``1 + delta1`` to all prior outputs, and its normalization then stays
-    ``1 + delta1/2``-separated.  In either branch one final
-    :func:`certify` of the whole output asserts that separation.
+    ``1 + delta1`` to all prior outputs (their differences from it and
+    the powers go to one reused (max_len, d) buffer), and its
+    normalization then stays ``1 + delta1/2``-separated.  In either branch
+    one final :func:`certify` of the whole output asserts that separation.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -283,12 +284,14 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
         consumed: set[int] = set()
         # each accepted candidate consumes two of the extracted indices
         outputs = np.empty((min(max_len, len(extracted) // 2), space.d))
+        diffs = np.empty_like(outputs)  # each candidate's outputs - y
         m = 0
         for pos, (a, b) in _open_pairs(len(extracted), consumed):
             y = seed[extracted[a]] - seed[extracted[b]]
             y_norm = norm(space, y)
             if m:
-                dists = batch_norm(space, outputs[:m] - y)
+                diff = np.subtract(outputs[:m], y, out=diffs[:m])
+                dists = batch_norm(space, diff, out=diff)
                 min_dist = float(dists.min())
                 accepted = bool(min_dist >= 1.0 + delta1)
             else:

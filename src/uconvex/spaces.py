@@ -75,7 +75,9 @@ def as_rows(space: SpaceSpec, seq) -> np.ndarray:
     ``DimensionMismatchError``.  A NaN or infinite coordinate raises
     ``PreconditionError``: every norm, distance and pairing involving it is
     not a number, and a NaN compares false against every threshold, so
-    checks built on it would pass.
+    checks built on it would pass.  Finiteness is checked one
+    :func:`row_blocks` block at a time, so the check allocates no mask of
+    n·d entries.
     """
     try:
         rows = (np.asarray(seq, dtype=float) if len(seq)
@@ -85,8 +87,12 @@ def as_rows(space: SpaceSpec, seq) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] != space.d:
         raise DimensionMismatchError(
             f"expected rows of {space.d} coordinates, got shape {rows.shape}")
-    if np.count_nonzero(np.isfinite(rows)) < rows.size:
-        raise PreconditionError("vector has a non-finite coordinate")
+    # an array within one block is its own only block
+    blocks = ((rows,) if rows.size <= BLOCK_ELEMS
+              else (rows[blk] for blk in row_blocks(len(rows), space.d)))
+    for block in blocks:
+        if np.count_nonzero(np.isfinite(block)) < block.size:
+            raise PreconditionError("vector has a non-finite coordinate")
     return rows
 
 
@@ -177,13 +183,21 @@ def row_blocks(n: int, width: int):
         yield slice(start, min(start + step, n))
 
 
-def batch_norm(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
-    """p-norms along the last axis of ``rows``, which is left unmodified.
+def block_buffer(n: int, width: int) -> np.ndarray:
+    """An empty float array for the largest :func:`row_blocks` block of
+    ``n`` rows of ``width`` entries: a loop's reused block buffer."""
+    return np.empty((min(n, max(1, BLOCK_ELEMS // max(1, width))), width))
+
+
+def batch_norm(space: SpaceSpec, rows: np.ndarray, out=None) -> np.ndarray:
+    """p-norms along the last axis of ``rows``; p-th powers go to ``out``.
 
     Accepts lists and integer arrays.  The numpy array root of
-    :func:`_power_sums`.
+    :func:`_power_sums`, which writes the powers: ``out`` may be ``rows``
+    itself, and the norms have the same bits either way; without it
+    ``rows`` is left unmodified.
     """
-    return _power_sums(space, rows) ** (1.0 / space.p)
+    return _power_sums(space, rows, out=out) ** (1.0 / space.p)
 
 
 def pair_tiles(space: SpaceSpec, arr: np.ndarray, x=None, rows=None):

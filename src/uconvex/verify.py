@@ -68,19 +68,26 @@ def _lemma23_hypotheses(space, delta, x, xp, f):
 
 def _thm2_batch(space, rng, n, delta, t_scale, k):
     """Unit x, unit x' near x, and the norming functional of x or, for
-    half the rows, of a nearby point."""
+    half the rows, of a nearby point.
+
+    ``X``, ``U`` and ``W`` are the batch's whole draws.  Per block, x'
+    is built in place in ``U``'s block and the anchor in ``W``'s block, as
+    :func:`_near_unit_pairs` does: ``t*u + x`` and ``f*w + x`` are the
+    sums ``x + t*u`` and ``x + f*w``, bit for bit.
+    """
     f_scale = 0.7 * math.sqrt(delta)
     X = unit_batch(space, rng, n)
     U = unit_batch(space, rng, n)
     perturb = rng.random(n) < 0.5
     W = unit_batch(space, rng, n)
     for blk in row_blocks(n, space.d):
-        x = X[blk]
-        xp = x + t_scale * U[blk]
+        x, xp, anchor = X[blk], U[blk], W[blk]
+        xp *= t_scale
+        xp += x
         xp /= batch_norm(space, xp)[:, None]
-        anchor = x.copy()
-        near = perturb[blk]
-        anchor[near] += f_scale * W[blk][near]
+        anchor *= f_scale  # x + f*w on the rows near x, x on the others
+        anchor += x
+        np.copyto(anchor, x, where=~perturb[blk, None])
         anchor /= batch_norm(space, anchor)[:, None]
         yield blk, x, xp, duality_map(space, anchor)
 

@@ -293,8 +293,8 @@ def test_interpolate_to_boundary_equals_one_shot(p, d, monkeypatch):
     space = SpaceSpec(p, d)
     zero_norms = []
 
-    def spy(space, rows):
-        norms = batch_norm(space, rows)
+    def spy(space, rows, out=None):
+        norms = batch_norm(space, rows, out=out)
         zero_norms.append(bool(np.any(norms == 0.0)))
         return norms
 
@@ -322,6 +322,22 @@ def test_interpolate_to_boundary_touches_only_its_rows(d):
     assert np.array_equal(Y, expected)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d", [2, 64])
+def test_too_close_over_any_rows_equals_one_shot(p, d):
+    space = SpaceSpec(p, d)
+    b = _rows_per_block(d)
+    X, Y = _boundary_inputs(space, 4 * b + 9, seed=d)
+    # a consecutive run read in place, then scattered rows gathered, in
+    # blocks that cross each other's boundaries
+    rows = np.concatenate([np.arange(3, b + 8), np.arange(b + 9, 4 * b, 3),
+                           [4 * b + 8, 0]])
+    for eps in (0.5, 1.5, 1.9):
+        expected = batch_norm(space, X[rows] - Y[rows]) < eps
+        assert np.array_equal(search._too_close(space, eps, X, Y, rows),
+                              expected)
+
+
 @pytest.mark.parametrize("eps", [0.5, 1.5, 1.9, 2.0])
 @pytest.mark.parametrize("p,d", [(1.5, 16), (3.0, 64), (2.0, 2)])
 def test_sample_feasible_pairs_equals_one_shot(p, d, eps):
@@ -341,9 +357,9 @@ def test_sample_feasible_pairs_rejudges_only_resampled_rows(eps,
     judged = []
     too_close = search._too_close
 
-    def spy(space, eps, X, Y):
-        judged.append(len(X))
-        return too_close(space, eps, X, Y)
+    def spy(space, eps, X, Y, rows):
+        judged.append(len(rows))
+        return too_close(space, eps, X, Y, rows)
 
     monkeypatch.setattr(search, "_too_close", spy)
     for seed in range(3):
@@ -427,32 +443,34 @@ def test_thm2_condition3_violation_records_equal_one_shot(monkeypatch):
 def test_interpolate_to_boundary_working_set_is_one_block(peak_bytes):
     """Beyond its inputs, the bisection holds a few block-sized arrays.
 
-    Per block: the gathered ``x`` and ``y`` rows, the interpolant, two
-    broadcast products, the distance rows and ``batch_norm``'s absolute
-    values, each at most ``BLOCK_ELEMS`` entries; eight such arrays bound
-    them with room for the O(rows) bisection brackets.
+    The interpolant and the work buffer of its products, norms and
+    ``x - cand``, plus, for rows that are not consecutive, the gathered
+    ``x`` and ``y`` rows: at most four arrays of ``BLOCK_ELEMS`` entries,
+    reused across blocks; six such arrays bound them with room for the
+    O(rows) bisection brackets.
     """
     space = SpaceSpec(1.5, 64)
     b = _rows_per_block(64)
-    bound = 8 * BLOCK_ELEMS * BYTES
-    peaks = []
-    for n in (4 * b, 8 * b):
-        X, Y = _boundary_inputs(space, n, seed=n)
-        rows = np.arange(n)
-        peaks.append(peak_bytes(
-            lambda: search._interpolate_to_boundary(space, 1.9, X, Y, rows)))
-    assert max(peaks) < bound
-    assert peaks[1] <= peaks[0] + 64 * 1024
+    bound = 6 * BLOCK_ELEMS * BYTES
+    for step in (1, 2):  # rows read in place, then gathered
+        peaks = []
+        for n in (4 * b, 8 * b):
+            X, Y = _boundary_inputs(space, step * n, seed=n)
+            rows = np.arange(0, step * n, step)
+            peaks.append(peak_bytes(lambda: search._interpolate_to_boundary(
+                space, 1.9, X, Y, rows)))
+        assert max(peaks) < bound
+        assert peaks[1] <= peaks[0] + 64 * 1024
 
 
-def _cell_excess(monkeypatch, peak_bytes, check, d):
-    """What a cell of ``check(n)`` holds beyond two (n, d) arrays and O(n)
-    row vectors, at batches of n = 2048 and 4096 rows."""
+def _cell_excess(monkeypatch, peak_bytes, check, d, arrays=2):
+    """What a cell of ``check(n)`` holds beyond ``arrays`` (n, d) arrays and
+    O(n) row vectors, at batches of n = 2048 and 4096 rows."""
     excess = []
     for n in (2048, 4096):
         monkeypatch.setattr(verify, "BATCH", n)
         peak = peak_bytes(lambda: check(n))
-        excess.append(peak - 2 * n * d * BYTES - 32 * n * BYTES)
+        excess.append(peak - arrays * n * d * BYTES - 32 * n * BYTES)
     return excess
 
 
@@ -486,4 +504,19 @@ def test_lemma23_cell_working_set_is_bounded_by_blocks(monkeypatch,
         monkeypatch, peak_bytes,
         lambda n: verify.check_lemma23(space, 1.0, n // 2, 0), space.d)
     assert max(excess) < 16 * BLOCK_ELEMS * BYTES
+    assert excess[1] <= excess[0] + 64 * 1024
+
+
+def test_thm2_condition3_cell_working_set_is_bounded_by_blocks(monkeypatch,
+                                                              peak_bytes):
+    """A thm2_condition3 cell holds its batch's three draws, ``X``, ``U``
+    and ``W``, plus O(n) row vectors and at most four blocks: x' is built
+    in ``U``'s block and the anchor in ``W``'s, so no other array grows
+    with the batch."""
+    space = SpaceSpec(3.0, 64)
+    excess = _cell_excess(
+        monkeypatch, peak_bytes,
+        lambda n: verify.check_thm2_condition3(space, 1.0, n // 2, 0),
+        space.d, arrays=3)
+    assert max(excess) < 4 * BLOCK_ELEMS * BYTES
     assert excess[1] <= excess[0] + 64 * 1024

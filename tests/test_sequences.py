@@ -505,7 +505,8 @@ def test_theorem3_final_certificate_rejects_close_low_branch_outputs(
     monkeypatch.setattr(sequences, "_open_pairs",
                         lambda k, consumed: iter([(0, (0, 1)), (2, (0, 2))]))
     monkeypatch.setattr(sequences, "batch_norm",
-                        lambda space, rows: np.full(len(rows), np.inf))
+                        lambda space, rows, out=None: np.full(len(rows),
+                                                              np.inf))
     with pytest.raises(CertificateError, match="final certificate failed"):
         theorem3_construct(space, shifted_basis_seed(space, 4), max_len=2)
 

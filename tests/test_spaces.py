@@ -10,9 +10,10 @@ from uconvex.errors import (DimensionMismatchError, PreconditionError,
                             ZeroVectorError)
 from uconvex.sequences import shifted_basis_seed
 from uconvex.rounding import norm_error
-from uconvex.spaces import (SpaceSpec, _pow_abs, _power_sums, _row_norms,
-                            batch_norm, duality_map, norm, norming_functional,
-                            normalize, pair_tiles, unit_batch)
+from uconvex.spaces import (BLOCK_ELEMS, SpaceSpec, _pow_abs, _power_sums,
+                            _row_norms, as_rows, batch_norm, duality_map,
+                            norm, norming_functional, normalize, pair_tiles,
+                            unit_batch)
 from test_pair_norms import _tile_rows
 
 ATOL = 1e-12
@@ -225,6 +226,18 @@ def test_batch_norm_matches_formula_and_keeps_input():
         expected = np.sum(np.abs(rows) ** p, axis=-1) ** (1.0 / p)
         assert np.array_equal(batch_norm(space, rows), expected)
         assert np.array_equal(rows, before)
+
+
+def test_as_rows_checks_finiteness_block_by_block(peak_bytes):
+    # the check allocates one block's mask, not one of n·d entries, and
+    # still finds a non-finite entry in the last block
+    space = SpaceSpec(p=2, d=64)
+    rows = np.ones((4 * BLOCK_ELEMS // 64 + 3, 64))
+    assert peak_bytes(lambda: as_rows(space, rows)) < 2 * BLOCK_ELEMS
+    for bad in (math.nan, math.inf):
+        rows[-1, -1] = bad
+        with pytest.raises(PreconditionError, match="non-finite"):
+            as_rows(space, rows)
 
 
 def test_batch_norm_accepts_lists_and_integer_arrays():
@@ -490,6 +503,21 @@ def test_power_sums_writes_powers_to_out():
     got = _power_sums(space, buf, out=buf)
     assert _same_bits(buf, np.abs(a) ** 3.0)
     assert _same_bits(got, np.sum(np.abs(a) ** 3.0, axis=-1))
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 7.0])
+@pytest.mark.parametrize("case", sorted(_kernel_inputs()))
+def test_batch_norm_out_equals_batch_norm_bit_for_bit(p, case):
+    space = SpaceSpec(p=p, d=9)
+    rows = _kernel_inputs()[case]
+    with np.errstate(over="ignore"):
+        expected = batch_norm(space, rows)
+        assert _same_bits(rows, _kernel_inputs()[case])  # left unmodified
+        buf = np.full(rows.shape, np.nan)
+        assert _same_bits(batch_norm(space, rows, out=buf), expected)
+        assert _same_bits(rows, _kernel_inputs()[case])
+        if rows.dtype == float:  # the powers may overwrite the rows
+            assert _same_bits(batch_norm(space, rows, out=rows), expected)
 
 
 @pytest.mark.parametrize("p", [1.1, 1.5, 1.9, 2.0, 3.0, 7.0, 50.0, 400.0])
