@@ -17,8 +17,8 @@ from .curves import (ModulusPoint, _check_eps,  # noqa: F401
 from .errors import CertificateError, PreconditionError
 from .rounding import norm_error, unit_error
 from .search import EvalBudget, refine, sample_feasible_pairs
-from .spaces import (SpaceSpec, _row_norms, as_vector, batch_norm,
-                     block_buffer, norm, row_blocks, unit_batch)
+from .spaces import (SpaceSpec, _row_norms, as_vector, norm, row_pair_norms,
+                     unit_batch)
 
 
 def empirical_delta(space: SpaceSpec, eps: float, budget: int,
@@ -34,9 +34,8 @@ def empirical_delta(space: SpaceSpec, eps: float, budget: int,
     the witness does not depend on the batching.  The result can only
     overestimate the true infimum, and never exceeds eps/2: the Clarkson
     candidate scores ``1 - a <= eps/2``.  Deterministic given the seed.
-    The random pairs are whole draws; they are scored one
-    :func:`spaces.row_blocks` block at a time, each block's ``x + y`` and
-    its powers in one reused block buffer.
+    The random pairs are whole draws, scored by
+    :func:`spaces.row_pair_norms` of ``np.add``.
 
     In dimension 1 every feasible pair is antipodal, so the modulus is 1
     for every eps; that breaks the ``delta <= eps/2`` bound for eps < 2,
@@ -80,12 +79,8 @@ def empirical_delta(space: SpaceSpec, eps: float, budget: int,
     sample_budget = max(0, int(0.7 * budget) - len(candidates))
     if sample_budget > 0:
         X, Y = sample_feasible_pairs(space, eps, rng, sample_budget)
-        vals = np.empty(len(X))
-        sums = block_buffer(len(X), d)
-        for blk in row_blocks(len(X), d):
-            total = np.add(X[blk], Y[blk], out=sums[:blk.stop - blk.start])
-            vals[blk] = batch_norm(space, total, out=total)
-        vals = 1.0 - 0.5 * vals
+        vals = 1.0 - 0.5 * row_pair_norms(space, np.add, X, Y,
+                                          np.arange(len(X)))
         top = np.argsort(vals, kind="stable")[:8]
         for i in top:
             candidates.append((float(vals[i]), X[i], Y[i]))

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spaces import (SpaceSpec, batch_norm, block_buffer, row_blocks,
-                     unit_batch)
+from .spaces import (SpaceSpec, batch_norm, block_buffer, gathered_blocks,
+                     row_pair_norms, unit_batch)
 
 REFINE_ROUNDS = 30
 SHRINK = 0.5
@@ -106,62 +106,24 @@ def sample_feasible_pairs(space: SpaceSpec, eps: float,
     (a boundary pair).
 
     ``X`` and ``Y`` are whole draws, as a split one would shift the rest.
-    The distances and the fallback run one :func:`spaces.row_blocks` block
-    at a time through :func:`_row_pairs`, in reused block buffers.
+    The distances are :func:`spaces.row_pair_norms` of ``np.subtract``.
 
     Returns ``(X, Y)`` arrays of shape (count, d).
     """
     X = unit_batch(space, rng, count)
     Y = unit_batch(space, rng, count)
-    bad = _too_close(space, eps, X, Y, np.arange(count))
+    bad = row_pair_norms(space, np.subtract, X, Y, np.arange(count)) < eps
     rounds = 0
     while np.any(bad) and rounds < MAX_RESAMPLE_ROUNDS:
         if bad.mean() > 0.99:
             break
         idx = np.flatnonzero(bad)
         Y[idx] = unit_batch(space, rng, len(idx))
-        bad[idx] = _too_close(space, eps, X, Y, idx)
+        bad[idx] = row_pair_norms(space, np.subtract, X, Y, idx) < eps
         rounds += 1
     if np.any(bad):
         _interpolate_to_boundary(space, eps, X, Y, np.flatnonzero(bad))
     return X, Y
-
-
-def _row_pairs(space: SpaceSpec, X: np.ndarray, Y: np.ndarray,
-               rows: np.ndarray):
-    """``(blk, X[rows[blk]], Y[rows[blk]])`` per :func:`spaces.row_blocks`
-    block of ``rows``.
-
-    A block whose rows lie consecutively is read in place, as views of
-    ``X`` and ``Y``; any other is gathered once into one of two reused
-    block buffers, which the next such block overwrites.
-    """
-    gathered = None
-    for blk in row_blocks(len(rows), space.d):
-        r = rows[blk]
-        if np.all(np.diff(r) == 1):
-            yield blk, X[r[0]:r[-1] + 1], Y[r[0]:r[-1] + 1]
-            continue
-        if gathered is None:
-            gathered = [block_buffer(len(rows), space.d) for _ in range(2)]
-        # the rows are in range; mode "raise" would copy out
-        yield blk, *(np.take(A, r, axis=0, out=buf[:len(r)], mode="clip")
-                     for A, buf in zip((X, Y), gathered))
-
-
-def _too_close(space: SpaceSpec, eps: float, X: np.ndarray, Y: np.ndarray,
-               rows: np.ndarray) -> np.ndarray:
-    """``||x - y|| < eps`` for the row pairs ``rows`` of ``X`` and ``Y``.
-
-    Each block's differences and their powers go to one reused block
-    buffer.
-    """
-    bad = np.empty(len(rows), dtype=bool)
-    diff = block_buffer(len(rows), space.d)
-    for blk, x, y in _row_pairs(space, X, Y, rows):
-        D = np.subtract(x, y, out=diff[:len(x)])
-        bad[blk] = batch_norm(space, D, out=D) < eps
-    return bad
 
 
 def _interpolant(space: SpaceSpec, x, y, t, out, tmp) -> np.ndarray:
@@ -181,14 +143,14 @@ def _interpolate_to_boundary(space: SpaceSpec, eps: float, X: np.ndarray,
     Each ``y`` moves until ``||x - y|| >= eps``, by bisection on the
     interpolation parameter; t = 1 (the antipode) is always feasible since
     ``||x - (-x)|| = 2 >= eps``.  The rows are bisected through all 40 steps
-    one :func:`_row_pairs` block at a time; rows are independent, so the
-    result is that of bisecting all rows at once, bit for bit.  Each step's
-    interpolant, its norms and ``x - cand`` go to two reused block
-    buffers; a block read in place as a view of ``Y`` is read before its
-    final write.
+    one :func:`spaces.gathered_blocks` block at a time; rows are
+    independent, so the result is that of bisecting all rows at once, bit
+    for bit.  Each step's interpolant, its norms and ``x - cand`` go to two
+    reused block buffers; a block read in place as a view of ``Y`` is read
+    before its final write.
     """
     bufs = [block_buffer(len(rows), space.d) for _ in range(2)]
-    for blk, x, y in _row_pairs(space, X, Y, rows):
+    for blk, x, y in gathered_blocks(rows, space.d, X, Y):
         cand, tmp = (buf[:len(x)] for buf in bufs)
         lo = np.zeros(len(x))
         hi = np.ones(len(x))

@@ -186,7 +186,42 @@ def row_blocks(n: int, width: int):
 def block_buffer(n: int, width: int) -> np.ndarray:
     """An empty float array for the largest :func:`row_blocks` block of
     ``n`` rows of ``width`` entries: a loop's reused block buffer."""
-    return np.empty((min(n, max(1, BLOCK_ELEMS // max(1, width))), width))
+    first = next(row_blocks(n, width), slice(0, 0))
+    return np.empty((first.stop, width))
+
+
+def gathered_blocks(rows: np.ndarray, width: int, *arrays):
+    """``(blk, *(A[rows[blk]] for A in arrays))`` per :func:`row_blocks`
+    block of the index array ``rows``, whose entries are in range.
+
+    A block whose rows lie consecutively is read in place, as views; any
+    other is gathered once into one reused block buffer per array, which
+    the next such block overwrites.
+    """
+    bufs = None
+    for blk in row_blocks(len(rows), width):
+        r = rows[blk]
+        if np.all(np.diff(r) == 1):
+            yield blk, *(A[r[0]:r[-1] + 1] for A in arrays)
+            continue
+        if bufs is None:
+            bufs = [block_buffer(len(rows), width) for _ in arrays]
+        # the rows are in range; mode "raise" would copy out
+        yield blk, *(np.take(A, r, axis=0, out=buf[:len(r)], mode="clip")
+                     for A, buf in zip(arrays, bufs))
+
+
+def row_pair_norms(space: SpaceSpec, op, X: np.ndarray, Y: np.ndarray,
+                   rows: np.ndarray) -> np.ndarray:
+    """``batch_norm(space, op(X[rows], Y[rows]))``, bit for bit, one
+    :func:`gathered_blocks` block at a time: each block's ``op`` (a binary
+    ufunc) and its powers go to one reused block buffer."""
+    norms = np.empty(len(rows))
+    buf = block_buffer(len(rows), space.d)
+    for blk, x, y in gathered_blocks(rows, space.d, X, Y):
+        vals = op(x, y, out=buf[:len(x)])
+        norms[blk] = batch_norm(space, vals, out=vals)
+    return norms
 
 
 def batch_norm(space: SpaceSpec, rows: np.ndarray, out=None) -> np.ndarray:
@@ -206,10 +241,8 @@ def pair_tiles(space: SpaceSpec, arr: np.ndarray, x=None, rows=None):
     The sequence is ``a_0, a_1, ...``, the rows of ``arr`` or, with
     ``rows``, the rows ``arr[rows[0]], arr[rows[1]], ...``; i and j are
     positions in it.  The positions j are walked in the
-    :func:`row_blocks` tiles of ``BLOCK_ELEMS // d`` positions.  A tile
-    whose rows lie consecutively in ``arr`` (every tile when ``rows`` is
-    None) is read in place; any other is gathered once into one reused
-    tile buffer.  Every row i below the tile's last position then reads
+    :func:`gathered_blocks` tiles of the rows of ``arr`` (read in place
+    when ``rows`` is None).  Every row i below the tile's last position reads
     the tile, and ``(i, j, values)`` is yielded, ``values[r]`` holding the
     pairs (i + r, j), (i + r, j + 1), ... to the tile's end: the rows
     before the tile share j, its first position, and come in groups of
@@ -229,27 +262,20 @@ def pair_tiles(space: SpaceSpec, arr: np.ndarray, x=None, rows=None):
     """
     arr = np.asarray(arr, dtype=float)
     idx = np.arange(len(arr))
-    if rows is not None:
+    if rows is not None:  # indexing checks that the rows are in range
         idx = idx[np.asarray(rows, dtype=np.intp)]
     pos, d = idx.tolist(), space.d
-    buf = np.empty((min(len(idx), max(1, BLOCK_ELEMS // d)), d))
-    gathered = None if rows is None else np.empty_like(buf)
+    buf = block_buffer(len(idx), d)
     root = 1.0 / space.p
     if x is not None:
         x = np.asarray(x, dtype=float)
         nz = np.flatnonzero(x)
         cols = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
         xs, tbuf = x[cols], np.empty((len(buf), cols.stop - cols.start))
-    for blk in row_blocks(len(idx), d):
-        ids = idx[blk]
-        if np.all(np.diff(ids) == 1):
-            tile = arr[ids[0]:ids[-1] + 1]
-        else:  # the indices are checked above; mode "raise" would copy out
-            tile = np.take(arr, ids, axis=0, out=gathered[:len(ids)],
-                           mode="clip")
+    for blk, tile in gathered_blocks(idx, d, arr):
         # the rows before the tile in groups of about n values, then the
         # rows inside it one by one
-        firsts = [*range(0, blk.start, max(1, len(idx) // len(ids))),
+        firsts = [*range(0, blk.start, max(1, len(idx) // len(tile))),
                   *range(blk.start, blk.stop)]
         for i0, i1 in zip(firsts, firsts[1:]):
             j = max(blk.start, i0 + 1)

@@ -17,7 +17,8 @@ import pytest
 
 from uconvex import search, verify
 from uconvex.spaces import (BLOCK_ELEMS, SpaceSpec, batch_norm, duality_map,
-                            row_blocks, unit_batch)
+                            gathered_blocks, row_blocks, row_pair_norms,
+                            unit_batch)
 
 BYTES = 8  # float64
 
@@ -332,10 +333,39 @@ def test_too_close_over_any_rows_equals_one_shot(p, d):
     # blocks that cross each other's boundaries
     rows = np.concatenate([np.arange(3, b + 8), np.arange(b + 9, 4 * b, 3),
                            [4 * b + 8, 0]])
+    for op in (np.subtract, np.add):
+        expected = batch_norm(space, op(X[rows], Y[rows]))
+        norms = row_pair_norms(space, op, X, Y, rows)
+        assert norms.tobytes() == expected.tobytes()
+    dist = row_pair_norms(space, np.subtract, X, Y, rows)
     for eps in (0.5, 1.5, 1.9):
         expected = batch_norm(space, X[rows] - Y[rows]) < eps
-        assert np.array_equal(search._too_close(space, eps, X, Y, rows),
-                              expected)
+        assert np.array_equal(dist < eps, expected)
+
+
+def test_gathered_blocks_reads_runs_in_place_and_gathers_the_rest():
+    d = 64
+    b = _rows_per_block(d)
+    rng = np.random.default_rng(4)
+    X, Y = rng.standard_normal((2, 4 * b + 9, d))
+    # a consecutive block, then two scattered ones, then a short run
+    rows = np.concatenate([np.arange(5, b + 5), np.arange(0, 4 * b, 2),
+                           np.arange(4 * b + 2, 4 * b + 9)])
+    in_place = [True, False, False, True]
+    for arrays in ((X,), (X, Y)):
+        buffers = [set() for _ in arrays]
+        # check each block before the next one overwrites its buffer
+        walked = 0
+        for blk, *blocks in gathered_blocks(rows, d, *arrays):
+            run, walked = in_place[walked], walked + 1
+            for A, B, seen in zip(arrays, blocks, buffers):
+                assert np.array_equal(B, A[rows[blk]])
+                assert np.shares_memory(B, A) == run
+                if not run:
+                    seen.add(B.__array_interface__["data"][0])
+        assert walked == len(in_place)
+        # every gathered block of one array lands in the same buffer
+        assert all(len(seen) == 1 for seen in buffers)
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.5, 1.9, 2.0])
@@ -355,13 +385,13 @@ def test_sample_feasible_pairs_rejudges_only_resampled_rows(eps,
                                                             monkeypatch):
     space, count = SpaceSpec(1.5, 16), 13998
     judged = []
-    too_close = search._too_close
+    pair_norms = search.row_pair_norms
 
-    def spy(space, eps, X, Y, rows):
+    def spy(space, op, X, Y, rows):
         judged.append(len(rows))
-        return too_close(space, eps, X, Y, rows)
+        return pair_norms(space, op, X, Y, rows)
 
-    monkeypatch.setattr(search, "_too_close", spy)
+    monkeypatch.setattr(search, "row_pair_norms", spy)
     for seed in range(3):
         new_rng, old_rng = (np.random.default_rng(seed) for _ in range(2))
         X, Y = search.sample_feasible_pairs(space, eps, new_rng, count)
