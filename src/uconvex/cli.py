@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 verification/certificate failure, 2 configuration
 error (including a sampler cell whose hypotheses it cannot satisfy, and a
 file that cannot be read or written), 3 data-dependent non-failure
 (insufficient cluster, exhausted construction).  Every JSON file and JSON
-stdout goes through one writer, :func:`_write_json`, and ``modulus``
-prints to stdout exactly the text it would write to ``--out``.
+stdout goes through one writer, :func:`_write_json`, every file is written
+whole or not at all by :func:`_write_file`, and ``modulus`` prints to
+stdout exactly the text it would write to ``--out``.
 """
 
 from __future__ import annotations
@@ -25,14 +26,23 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+# Two process settings, each made before the process's first numpy
+# import and each only where nothing set it before (setdefault); ``import
+# uconvex`` loads no numpy and makes neither, so library importers keep
+# the defaults.
 # The CLI's only BLAS calls are two small matrix-vector products, but
 # OpenBLAS starts one worker thread per CPU when numpy is imported; that
 # idle pool costs each CLI process about 0.07 s of CPU (import-only child
 # on a 2-vCPU x86-64 VM: 0.29 -> 0.22 s).  So run on one thread, unless
-# the variable is set.  This must come before the process's first numpy
-# import; ``import uconvex`` loads no numpy, so library importers keep
-# OpenBLAS's default.
+# the variable is set.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# ``numpy.random`` imports ``secrets``, whose ``hmac`` and ``hashlib``
+# load OpenSSL's libcrypto through ``_hashlib``, and uconvex hashes
+# nothing: peak RSS of ``import numpy, numpy.random`` 33.1 -> 29.7 MB
+# (``import numpy`` alone: 26.8 MB; same VM).  A None entry makes
+# ``import _hashlib`` fail, so ``hashlib`` and ``hmac`` use CPython's
+# builtin hashes; a process that has loaded OpenSSL keeps it.
+sys.modules.setdefault("_hashlib", None)
 
 # Only the standard library so far: each handler imports the engines it
 # runs, so the closed-form commands and ``--help`` load no numpy.
@@ -120,22 +130,23 @@ def _write_json(out, obj) -> None:
     out.write("\n")
 
 
-def _write_json_file(path, obj) -> None:
-    """Write :func:`_write_json`'s text to the file ``path`` whole or not
-    at all: the text goes to a new file beside it, which then replaces
-    ``path`` and is removed if writing fails, so an error part-way leaves
-    ``path`` as it was.  A symbolic link is followed, so the file it names
-    is replaced, not the link; a path that exists and is not a regular
-    file (a terminal, a pipe) is written in place."""
+def _write_file(path, write) -> None:
+    """Write to the file ``path``, whole or not at all, the text that
+    ``write(out)`` writes to the text stream ``out``: the text goes to a
+    new file beside it, which then replaces ``path`` and is removed if
+    writing fails, so an error part-way leaves ``path`` as it was.  A
+    symbolic link is followed, so the file it names is replaced, not the
+    link; a path that exists and is not a regular file (a terminal, a
+    pipe) is written in place."""
     path = Path(os.path.realpath(path))
     if path.exists() and not path.is_file():
         with open(path, "w") as out:
-            _write_json(out, obj)
+            write(out)
         return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as out:
-            _write_json(out, obj)
+            write(out)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -206,7 +217,7 @@ def _cmd_modulus(ns) -> int:
         budget=ns.budget, rng_seed=ns.seed)
     text = curve.csv_text() if ns.format == "csv" else _json_text(curve)
     if ns.out:
-        Path(ns.out).write_text(text)
+        _write_file(ns.out, lambda out: out.write(text))
         print(f"wrote {len(curve.points)} points to {ns.out}")
     else:
         sys.stdout.write(text)
@@ -249,10 +260,11 @@ def _cmd_construct(ns) -> int:
     print(f"separation constant: {cert.min_pairwise:.17g}")
     print(f"target 1 + delta(2/3)/2: {cert.threshold:.17g}")
     if ns.out:
-        _write_json_file(ns.out, trace)
+        _write_file(ns.out, lambda out: _write_json(out, trace))
         print(f"wrote trace to {ns.out}")
     if ns.vectors_out:
-        sequences.vectors_to_csv(ns.vectors_out, trace.output)
+        _write_file(ns.vectors_out, lambda out:
+                    sequences.vectors_to_csv(out, trace.output))
         print(f"wrote vectors to {ns.vectors_out}")
     return EXIT_DATA if trace.status == "exhausted" else EXIT_OK
 
@@ -270,7 +282,7 @@ def _cmd_extract(ns) -> int:
     print(f"selected {len(result.selected)} indices, "
           f"pair_min={result.pair_min:.17g} >= {result.guaranteed:.17g}")
     if ns.out:
-        _write_json_file(ns.out, result)
+        _write_file(ns.out, lambda out: _write_json(out, result))
         print(f"wrote result to {ns.out}")
     return EXIT_OK
 
@@ -301,7 +313,7 @@ def _cmd_verify(ns) -> int:
     for rep in reports:
         print(curves.summary_line(rep))
     if ns.out:
-        _write_json_file(ns.out, reports)
+        _write_file(ns.out, lambda out: _write_json(out, reports))
         print(f"wrote reports to {ns.out}")
     if any(rep.violations for rep in reports):
         return EXIT_FAILURE

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -356,10 +355,11 @@ def _open_pairs(k: int, consumed: set[int]):
                 yield base + 2 * t + 1, (s, t)
 
 
-def vectors_to_csv(path, vectors: np.ndarray) -> None:
-    """One vector per row, coordinates at 17 significant digits."""
-    lines = [",".join(f"{c:.17g}" for c in v) for v in vectors.tolist()]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+def vectors_to_csv(out, vectors: np.ndarray) -> None:
+    """Write to the text stream ``out`` one vector per line, coordinates
+    at 17 significant digits."""
+    for v in vectors.tolist():
+        out.write(",".join(f"{c:.17g}" for c in v) + "\n")
 
 
 def _min_pair(arrays) -> float:

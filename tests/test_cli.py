@@ -701,6 +701,49 @@ def test_json_out_failing_part_way_leaves_the_file_as_it_was(
     assert not existing or out.read_text() == "old\n"
 
 
+# The commands that write a text file other than JSON, with its flag last.
+TEXT_OUT_COMMANDS = {
+    "modulus": ("modulus", "--p", "2", "--method", "clarkson", "--eps",
+                "0.5,1", "--out"),
+    "construct": ("construct", "--p", "2", "--d", "4", "--seed-kind",
+                  "basis", "--vectors-out"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_OUT_COMMANDS))
+def test_text_out_failing_part_way_leaves_the_file_as_it_was(
+        tmp_path, capsys, monkeypatch, command):
+    """A curve CSV and a vectors CSV go through the JSON files' writer: a
+    write error after part of the text exits 2 and leaves the old file,
+    and no other."""
+    out = tmp_path / "out.csv"
+    out.write_text("old\n")
+
+    class FullDisk:
+        """A file that takes half of the first text, then fails."""
+
+        def __init__(self, *args):
+            self.file = open(*args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, text):
+            self.file.write(text[:len(text) // 2 + 1])
+            self.file.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+    code, _, err = run(capsys, *TEXT_OUT_COMMANDS[command], str(out))
+    assert code == 2
+    assert err == "error: [Errno 28] No space left on device\n"
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text() == "old\n"
+
+
 def test_modulus_json_stdout_is_the_json_file(tmp_path, capsys):
     out = tmp_path / "curve.json"
     args = ("modulus", "--p", "1.5", "--method", "hanner", "--eps",

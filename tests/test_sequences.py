@@ -543,7 +543,8 @@ def test_vectors_csv_roundtrip(tmp_path):
     space = SpaceSpec(p=2, d=3)
     vecs = unit_basis_seed(space, 3)
     path = tmp_path / "vecs.csv"
-    vectors_to_csv(path, vecs)
+    with open(path, "w") as out:
+        vectors_to_csv(out, vecs)
     rows = [[float(t) for t in line.split(",")]
             for line in path.read_text().splitlines()]
     assert np.array_equal(np.asarray(rows), np.asarray(vecs))
