@@ -8,8 +8,8 @@ statements by randomized search with reproducible counterexample reports.
 
 The API lives in the submodules :mod:`uconvex.spaces`,
 :mod:`uconvex.rounding`, :mod:`uconvex.curves`, :mod:`uconvex.modulus`,
-:mod:`uconvex.sequences`, :mod:`uconvex.search`, :mod:`uconvex.verify`
-and :mod:`uconvex.errors`; this package module imports none of them, so
+:mod:`uconvex.sequences`, :mod:`uconvex.sampling`, :mod:`uconvex.search`,
+:mod:`uconvex.verify` and :mod:`uconvex.errors`; this package module imports none of them, so
 ``import uconvex`` loads no numpy and :mod:`uconvex.cli` can set up
 numpy's environment before numpy is imported.
 """

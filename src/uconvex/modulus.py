@@ -16,9 +16,9 @@ from .curves import (ModulusPoint, _check_eps,  # noqa: F401
                      lp_delta)
 from .errors import CertificateError, PreconditionError
 from .rounding import norm_error, unit_error
+from .sampling import unit_batch
 from .search import EvalBudget, refine, sample_feasible_pairs
-from .spaces import (SpaceSpec, _row_norms, as_vector, norm, row_pair_norms,
-                     unit_batch)
+from .spaces import SpaceSpec, _row_norms, as_vector, norm
 
 
 def empirical_delta(space: SpaceSpec, eps: float, budget: int,
@@ -34,8 +34,8 @@ def empirical_delta(space: SpaceSpec, eps: float, budget: int,
     the witness does not depend on the batching.  The result can only
     overestimate the true infimum, and never exceeds eps/2: the Clarkson
     candidate scores ``1 - a <= eps/2``.  Deterministic given the seed.
-    The random pairs are whole draws, scored by
-    :func:`spaces.row_pair_norms` of ``np.add``.
+    The random pairs and their scores come from
+    :func:`search.sample_feasible_pairs`, which keeps the best of them.
 
     In dimension 1 every feasible pair is antipodal, so the modulus is 1
     for every eps; that breaks the ``delta <= eps/2`` bound for eps < 2,
@@ -78,12 +78,10 @@ def empirical_delta(space: SpaceSpec, eps: float, budget: int,
 
     sample_budget = max(0, int(0.7 * budget) - len(candidates))
     if sample_budget > 0:
-        X, Y = sample_feasible_pairs(space, eps, rng, sample_budget)
-        vals = 1.0 - 0.5 * row_pair_norms(space, np.add, X, Y,
-                                          np.arange(len(X)))
-        top = np.argsort(vals, kind="stable")[:8]
-        for i in top:
-            candidates.append((float(vals[i]), X[i], Y[i]))
+        X, values, top, Y_top = sample_feasible_pairs(space, eps, rng,
+                                                      sample_budget)
+        for i, y in zip(top, Y_top):
+            candidates.append((float(values[i]), X[i], y))
 
     candidates.sort(key=lambda t: t[0])
     best_val, best_x, best_y = candidates[0]

@@ -1,9 +1,11 @@
 """Constrained random search on unit spheres.
 
-The machinery of the empirical modulus estimator: batch sampling of
-feasible pairs and a feasibility-preserving pattern refinement
-(coordinate-wise perturbation with shrinking step, re-projection to the
-sphere, infeasible moves discarded).
+The machinery of the empirical modulus estimator: batch sampling and
+scoring of feasible pairs, which streams every draw of ``y`` rows one
+block at a time and keeps only the values and the best pairs, and a
+feasibility-preserving pattern refinement (coordinate-wise perturbation
+with shrinking step, re-projection to the sphere, infeasible moves
+discarded).
 
 :func:`refine` is the one pattern-search loop, with a pluggable move
 evaluator: by default scalar callbacks one move at a time; the empirical
@@ -13,16 +15,19 @@ same trajectory, result and budget.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
-from .spaces import (SpaceSpec, batch_norm, block_buffer, gathered_blocks,
-                     row_pair_norms, unit_batch)
+from .sampling import op_norms, unit_batch, unit_blocks
+from .spaces import SpaceSpec, batch_norm, block_buffer, gathered_blocks
 
 REFINE_ROUNDS = 30
 SHRINK = 0.5
 INIT_STEP = 0.25
 MAX_SWEEPS = 200           # sweeps per step level
 MAX_RESAMPLE_ROUNDS = 8    # rejection rounds before the boundary fallback
+KEEP_BEST = 8              # sampled pairs kept as refinement starts
 
 
 class EvalBudget:
@@ -97,7 +102,8 @@ def refine(x0: np.ndarray, objective, project, feasible, budget: EvalBudget,
 
 def sample_feasible_pairs(space: SpaceSpec, eps: float,
                           rng: np.random.Generator, count: int):
-    """Sample ``count`` unit-vector pairs with ``||x - y|| >= eps``.
+    """Sample ``count`` unit-vector pairs with ``||x - y|| >= eps`` and score
+    each by ``1 - ||x + y||/2``.
 
     Pairs are drawn independently on the sphere; infeasible ``y`` rows are
     re-sampled for at most :data:`MAX_RESAMPLE_ROUNDS` rounds.  If rejection
@@ -105,25 +111,79 @@ def sample_feasible_pairs(space: SpaceSpec, eps: float,
     interpolating ``y`` toward ``-x`` until the separation constraint holds
     (a boundary pair).
 
-    ``X`` and ``Y`` are whole draws, as a split one would shift the rest.
-    The distances are :func:`spaces.row_pair_norms` of ``np.subtract``.
+    ``X`` is a whole draw.  Every draw of ``y`` rows is streamed through
+    :func:`sampling.unit_blocks` and each row judged against its ``x`` as its
+    block arrives; once a row's ``y`` is final the row is scored, and only
+    the values and the :data:`KEEP_BEST` best rows are kept, so no (count,
+    d) array of ``y`` rows is built.  The rows left for the bisection all
+    come from one draw, the first when rejection gives up at once and else
+    the last round's, which is drawn again from a copy of the generator
+    taken before it.  Distances and values are those of
+    :func:`sampling.row_pair_norms` of ``np.subtract`` and ``np.add``, bit for
+    bit.
 
-    Returns ``(X, Y)`` arrays of shape (count, d).
+    Returns ``(X, values, best, Y_best)``: ``X`` of shape (count, d), the
+    value of every row, the :data:`KEEP_BEST` rows of least value in
+    ``np.argsort(values, kind="stable")`` order, and their ``y`` rows.
     """
+    d = space.d
     X = unit_batch(space, rng, count)
-    Y = unit_batch(space, rng, count)
-    bad = row_pair_norms(space, np.subtract, X, Y, np.arange(count)) < eps
-    rounds = 0
-    while np.any(bad) and rounds < MAX_RESAMPLE_ROUNDS:
-        if bad.mean() > 0.99:
+    values = np.empty(count)
+    best = np.empty(0, dtype=np.intp), np.empty((0, d))
+    cand, tmp = (block_buffer(count, d) for _ in range(2))
+    rows = np.arange(count)
+    for rounds in range(MAX_RESAMPLE_ROUNDS + 1):
+        replay = copy.deepcopy(rng)
+        bad = np.empty(len(rows), dtype=bool)
+        for blk, x, y in _drawn_pairs(space, rng, X, rows):
+            bad[blk] = op_norms(space, np.subtract, x, y, tmp) < eps
+            best = _score(space, x, y, rows[blk], ~bad[blk], values, best,
+                          tmp)
+        left = np.count_nonzero(bad)
+        if (not left or rounds == MAX_RESAMPLE_ROUNDS
+                or left / count > 0.99):
             break
-        idx = np.flatnonzero(bad)
-        Y[idx] = unit_batch(space, rng, len(idx))
-        bad[idx] = row_pair_norms(space, np.subtract, X, Y, idx) < eps
-        rounds += 1
-    if np.any(bad):
-        _interpolate_to_boundary(space, eps, X, Y, np.flatnonzero(bad))
-    return X, Y
+        rows = rows[bad]
+    if left:
+        for blk, x, y in _drawn_pairs(space, replay, X, rows):
+            # rows already feasible are bisected along and dropped
+            y = _bisect(space, eps, x, y, cand[:len(x)], tmp[:len(x)])
+            best = _score(space, x, y, rows[blk], bad[blk], values, best,
+                          tmp)
+    return X, values, *best
+
+
+def _drawn_pairs(space: SpaceSpec, rng: np.random.Generator, X: np.ndarray,
+                 rows: np.ndarray):
+    """``(blk, X[rows[blk]], y)`` per block, ``y`` the block of a
+    :func:`sampling.unit_blocks` draw of ``len(rows)`` rows."""
+    for (blk, x), (_, y) in zip(gathered_blocks(rows, space.d, X),
+                                unit_blocks(space, rng, len(rows)),
+                                strict=True):
+        yield blk, x, y
+
+
+def _score(space: SpaceSpec, x, y, rows, final, values, best, buf):
+    """Score the pairs ``final`` of a block and merge them into ``best``.
+
+    ``values[rows[i]]`` becomes ``1 - ||x_i + y_i||/2`` for each ``i`` in
+    ``final``; returns the :data:`KEEP_BEST` rows of least value among
+    ``best`` and these, ties by row, as ``(rows, y rows)``.  ``buf``, a
+    block buffer, is overwritten.
+    """
+    pos = np.flatnonzero(final)
+    vals = 1.0 - 0.5 * op_norms(space, np.add, x, y, buf)
+    values[rows[pos]] = vals[pos]
+    old_rows, old_y = best
+    if len(old_rows) == KEEP_BEST:  # a row above the worst kept one stays out
+        pos = pos[vals[pos] <= values[old_rows[-1]]]
+    merged = np.concatenate([old_rows, rows[pos]])
+    order = np.lexsort((merged, values[merged]))[:KEEP_BEST]
+    new = order >= len(old_rows)
+    best_y = np.empty((len(order), space.d))
+    best_y[~new] = old_y[order[~new]]
+    best_y[new] = y[pos[order[new] - len(old_rows)]]
+    return merged[order], best_y
 
 
 def _interpolant(space: SpaceSpec, x, y, t, out, tmp) -> np.ndarray:
@@ -136,38 +196,32 @@ def _interpolant(space: SpaceSpec, x, y, t, out, tmp) -> np.ndarray:
     return batch_norm(space, out, out=tmp)
 
 
-def _interpolate_to_boundary(space: SpaceSpec, eps: float, X: np.ndarray,
-                             Y: np.ndarray, rows: np.ndarray) -> None:
-    """Move ``Y[rows]`` along the sphere toward ``-X[rows]``, in place.
+def _bisect(space: SpaceSpec, eps: float, x: np.ndarray, y: np.ndarray,
+            cand: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Each ``y`` moved along the sphere toward ``-x``, into ``cand``.
 
     Each ``y`` moves until ``||x - y|| >= eps``, by bisection on the
     interpolation parameter; t = 1 (the antipode) is always feasible since
-    ``||x - (-x)|| = 2 >= eps``.  The rows are bisected through all 40 steps
-    one :func:`spaces.gathered_blocks` block at a time; rows are
-    independent, so the result is that of bisecting all rows at once, bit
-    for bit.  Each step's interpolant, its norms and ``x - cand`` go to two
-    reused block buffers; a block read in place as a view of ``Y`` is read
-    before its final write.
+    ``||x - (-x)|| = 2 >= eps``.  Rows are independent: a row's result does
+    not depend on the rows bisected with it, bit for bit.  Each of the 40
+    steps' interpolant, its norms and ``x - cand`` go to ``cand`` and
+    ``tmp``, of ``x``'s shape; ``tmp`` is overwritten.
     """
-    bufs = [block_buffer(len(rows), space.d) for _ in range(2)]
-    for blk, x, y in gathered_blocks(rows, space.d, X, Y):
-        cand, tmp = (buf[:len(x)] for buf in bufs)
-        lo = np.zeros(len(x))
-        hi = np.ones(len(x))
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
+    lo = np.zeros(len(x))
+    hi = np.ones(len(x))
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        norms = _interpolant(space, x, y, mid, cand, tmp)
+        # a coincident pair y = x makes the interpolant vanish at the
+        # first midpoint; nudge past it
+        degenerate = norms == 0.0
+        if np.any(degenerate):
+            mid[degenerate] = np.nextafter(mid[degenerate], 2.0)
             norms = _interpolant(space, x, y, mid, cand, tmp)
-            # a coincident pair y = x makes the interpolant vanish at the
-            # first midpoint; nudge past it
-            degenerate = norms == 0.0
-            if np.any(degenerate):
-                mid[degenerate] = np.nextafter(mid[degenerate], 2.0)
-                norms = _interpolant(space, x, y, mid, cand, tmp)
-            cand /= norms[:, None]
-            dist = np.subtract(x, cand, out=tmp)
-            feas = batch_norm(space, dist, out=dist) >= eps
-            hi[feas] = mid[feas]
-            lo[~feas] = mid[~feas]
-        norms = _interpolant(space, x, y, hi, cand, tmp)
         cand /= norms[:, None]
-        Y[rows[blk]] = cand
+        dist = np.subtract(x, cand, out=tmp)
+        feas = batch_norm(space, dist, out=dist) >= eps
+        hi[feas] = mid[feas]
+        lo[~feas] = mid[~feas]
+    cand /= _interpolant(space, x, y, hi, cand, tmp)[:, None]
+    return cand

@@ -1,5 +1,6 @@
 """Finite-dimensional l^p spaces: norms, pairwise distances, duality
-mapping, sphere sampling.
+mapping, row blocks; the sphere sampling of :mod:`uconvex.sampling` is
+named here too, as ``unit_batch``.
 
 Vectors and dual functionals are plain numpy arrays of length ``d``, and
 a family of vectors is one (n, d) array; a :class:`SpaceSpec` fixes the
@@ -137,38 +138,17 @@ def norming_functional(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
     return duality_map(space, x) / n ** (space.p - 1.0)
 
 
-def duality_map(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
+def duality_map(space: SpaceSpec, X: np.ndarray, out=None) -> np.ndarray:
     """``sign(X) * |X|^(p-1)`` elementwise: unnormalized norming functionals.
 
     For a unit row ``x`` the result is its norming functional; in general
     it pairs with ``x`` to ``||x||^p`` and has dual norm ``||x||^(p-1)``.
-    The power comes from :func:`_pow_abs`.
+    The power comes from :func:`_pow_abs`.  The result goes to ``out``,
+    which may be ``X`` itself, or to a new array.
     """
-    return np.sign(X) * _pow_abs(np.abs(X), space.p - 1.0)
-
-
-def unit_batch(space: SpaceSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n random unit vectors as rows of an (n, d) array.
-
-    Coordinates are sampled from a standard normal and each row is
-    normalized in the p-norm; a row that is exactly zero is drawn again.
-    This has full support on the sphere; it is uniform only for p = 2,
-    which nothing downstream requires.
-
-    The norms are taken one row block at a time and the rows divided in
-    place, so no temporary is as large as the batch.
-    """
-    g = rng.standard_normal((n, space.d))
-    norms = np.empty(n)
-    for blk in row_blocks(n, space.d):
-        norms[blk] = batch_norm(space, g[blk])
-    bad = norms == 0.0
-    while np.any(bad):
-        g[bad] = rng.standard_normal((int(bad.sum()), space.d))
-        norms[bad] = batch_norm(space, g[bad])
-        bad = norms == 0.0
-    g /= norms[:, None]
-    return g
+    sign = np.sign(X)
+    powers = _pow_abs(np.abs(X, out=out), space.p - 1.0)
+    return np.multiply(sign, powers, out=powers)
 
 
 def row_blocks(n: int, width: int):
@@ -209,19 +189,6 @@ def gathered_blocks(rows: np.ndarray, width: int, *arrays):
         # the rows are in range; mode "raise" would copy out
         yield blk, *(np.take(A, r, axis=0, out=buf[:len(r)], mode="clip")
                      for A, buf in zip(arrays, bufs))
-
-
-def row_pair_norms(space: SpaceSpec, op, X: np.ndarray, Y: np.ndarray,
-                   rows: np.ndarray) -> np.ndarray:
-    """``batch_norm(space, op(X[rows], Y[rows]))``, bit for bit, one
-    :func:`gathered_blocks` block at a time: each block's ``op`` (a binary
-    ufunc) and its powers go to one reused block buffer."""
-    norms = np.empty(len(rows))
-    buf = block_buffer(len(rows), space.d)
-    for blk, x, y in gathered_blocks(rows, space.d, X, Y):
-        vals = op(x, y, out=buf[:len(x)])
-        norms[blk] = batch_norm(space, vals, out=vals)
-    return norms
 
 
 def batch_norm(space: SpaceSpec, rows: np.ndarray, out=None) -> np.ndarray:
@@ -348,3 +315,13 @@ def _pow_abs(buf: np.ndarray, e: float) -> np.ndarray:
     else:
         buf **= e
     return buf
+
+
+def __getattr__(name):
+    """``unit_batch``, the whole-batch draw of :mod:`uconvex.sampling`,
+    which loads on first use: a process that draws nothing, such as a
+    pair scan, never loads the draw code."""
+    if name == "unit_batch":
+        from .sampling import unit_batch
+        return unit_batch
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,8 +10,10 @@ conclusion to a batch of one built from a record.  For the theorem-backed
 statements any violation is a release-blocking defect in either the
 sampler or the modulus engines, never an expected outcome.
 
-A batch is drawn whole (splitting any but its last draw would shift the
-numbers), then judged one :func:`spaces.row_blocks` block at a time.
+A batch's draws are whole but for the last, which is taken one
+:func:`spaces.row_blocks` block at a time with the same numbers (drawing
+any other per block would shift the numbers after it); the batch is
+judged block by block, and the conclusion is normed on the kept rows only.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ import numpy as np
 from .curves import (STATEMENTS, VerificationReport, _check_eps, _field,
                      curve_violated, delta_from_constraint, lp_delta)
 from .errors import PreconditionError, SamplerExhaustedError
-from .spaces import (SpaceSpec, as_rows, as_vector, batch_norm, duality_map,
-                     row_blocks, unit_batch)
+from .sampling import row_pair_norms, unit_batch, unit_blocks
+from .spaces import (SpaceSpec, as_rows, as_vector, batch_norm, block_buffer,
+                     duality_map, row_blocks)
 
 BATCH = 2048
 MAX_ATTEMPT_FACTOR = 1000  # give up if kept rate stays near zero
@@ -37,8 +40,9 @@ MAX_ATTEMPT_FACTOR = 1000  # give up if kept rate stays near zero
 class _Sampler(NamedTuple):
     """What one sampler statement adds to the shared driver.
 
-    ``batch`` makes a batch's whole draws in their fixed order, then yields
-    ``(blk, x, x', witness)`` per row block; ``hypotheses`` returns the mask
+    ``batch`` makes a batch's draws in their fixed order, the last one per
+    block, and yields ``(blk, x, x', witness)`` per row block, the
+    witness valid until the next block; ``hypotheses`` returns the mask
     of rows satisfying them all and ``fields(i)``, row ``i``'s record
     fields.  ``witness`` is its record key; ``ranked`` takes the rank ``k``.
     """
@@ -70,8 +74,9 @@ def _thm2_batch(space, rng, n, delta, t_scale, k):
     """Unit x, unit x' near x, and the norming functional of x or, for
     half the rows, of a nearby point.
 
-    ``X``, ``U`` and ``W`` are the batch's whole draws.  Per block, x'
-    is built in place in ``U``'s block and the anchor in ``W``'s block, as
+    ``X`` and ``U`` are whole draws; ``W``, the batch's last draw, is
+    taken per block from :func:`sampling.unit_blocks`.  Per block, x' is
+    built in place in ``U``'s block and the anchor in ``W``'s, as
     :func:`_near_unit_pairs` does: ``t*u + x`` and ``f*w + x`` are the
     sums ``x + t*u`` and ``x + f*w``, bit for bit.
     """
@@ -79,9 +84,8 @@ def _thm2_batch(space, rng, n, delta, t_scale, k):
     X = unit_batch(space, rng, n)
     U = unit_batch(space, rng, n)
     perturb = rng.random(n) < 0.5
-    W = unit_batch(space, rng, n)
-    for blk in row_blocks(n, space.d):
-        x, xp, anchor = X[blk], U[blk], W[blk]
+    for blk, anchor in unit_blocks(space, rng, n):
+        x, xp = X[blk], U[blk]
         xp *= t_scale
         xp += x
         xp /= batch_norm(space, xp)[:, None]
@@ -89,7 +93,7 @@ def _thm2_batch(space, rng, n, delta, t_scale, k):
         anchor += x
         np.copyto(anchor, x, where=~perturb[blk, None])
         anchor /= batch_norm(space, anchor)[:, None]
-        yield blk, x, xp, duality_map(space, anchor)
+        yield blk, x, xp, duality_map(space, anchor, out=anchor)
 
 
 def _thm2_hypotheses(space, delta, x, xp, f):
@@ -105,20 +109,24 @@ def _remark45_batch(space, rng, n, delta, t_scale, k):
     """Unit x, a rim-stressed x' and the k rows of T: the norming
     functional of x, then k - 1 random unit-dual functionals.
 
-    The random functionals, the batch's last draw, are drawn per block:
-    numpy fills a normal draw in order, so the blocks get the numbers of
-    one batch-wide draw, and no (n, k, d) array is built.
+    The random functionals, the batch's last draw, are drawn per block
+    with ``rng.standard_normal(out=)``: numpy fills a normal draw in order,
+    so the blocks get the numbers of one batch-wide draw, and no (n, k, d)
+    array is built.  The rows, the draw and its powers go to three block
+    buffers reused by every block.
     """
     X, Xp = _near_unit_pairs(space, rng, n, delta, t_scale)
-    dual = space.dual
-    for blk in row_blocks(n, k * space.d):
+    dual, d = space.dual, space.d
+    rows_buf = block_buffer(n, k * d).reshape(-1, k, d)
+    G_buf, powers = (np.empty((len(rows_buf), k - 1, d)) for _ in range(2))
+    for blk in row_blocks(n, k * d):
         x = X[blk]
-        rows = np.empty((len(x), k, space.d))
-        rows[:, 0, :] = duality_map(space, x)
+        rows = rows_buf[:len(x)]
+        duality_map(space, x, out=rows[:, 0, :])
         if k > 1:
-            G = rng.standard_normal((len(x), k - 1, space.d))
-            G /= batch_norm(dual, G)[:, :, None]
-            rows[:, 1:, :] = G
+            G = rng.standard_normal(out=G_buf[:len(x)])
+            norms = batch_norm(dual, G, out=powers[:len(x)])
+            np.divide(G, norms[:, :, None], out=rows[:, 1:, :])
         yield blk, x, Xp[blk], rows
 
 
@@ -154,9 +162,10 @@ SAMPLERS = dict(zip(STATEMENTS, (
 ), strict=True))
 
 
-def _conclusion(space: SpaceSpec, eps: float, x, xp):
-    """The shared conclusion ||x - x'|| < eps, and the distances."""
-    dist = batch_norm(space, x - xp)
+def _conclusion(space: SpaceSpec, eps: float, x, xp, rows):
+    """The shared conclusion ||x - x'|| < eps on ``rows``, and the
+    distances."""
+    dist = row_pair_norms(space, np.subtract, x, xp, rows)
     return dist < eps, dist
 
 
@@ -215,13 +224,14 @@ def _sample(statement: str, space: SpaceSpec, eps: float, trials: int,
         keep = np.empty(n, dtype=bool)
         for blk, x, xp, w in st.batch(space, rng, n, delta, t_scale, k):
             keep[blk], fields = st.hypotheses(space, delta, x, xp, w)
-            holds, dist = _conclusion(space, eps, x, xp)
-            for i in np.flatnonzero(keep[blk] & ~holds):
+            kept_rows = np.flatnonzero(keep[blk])
+            holds, dist = _conclusion(space, eps, x, xp, kept_rows)
+            for i, dist_i in zip(kept_rows[~holds], dist[~holds]):
                 violations.append({
                     "p": space.p, "eps": eps, "delta": delta,
                     "x": x[i].tolist(), "x_prime": xp[i].tolist(),
                     st.witness: w[i].tolist(), **fields(i),
-                    "dist": float(dist[i]),
+                    "dist": float(dist_i),
                 })
         # x, xp and w are views of the batch's draws: release them before
         # the next batch is drawn
@@ -261,7 +271,7 @@ def reverify_violation(statement: str, rec: dict) -> bool:
         raise PreconditionError(f"record needs a finite delta > 0 and a "
                                 f"{st.witness!r} witness, got delta={delta!r}")
     mask, _ = st.hypotheses(space, delta, x, xp, w)
-    holds, _ = _conclusion(space, eps, x, xp)
+    holds, _ = _conclusion(space, eps, x, xp, np.arange(1))
     return bool(mask[0] and not holds[0])
 
 

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from uconvex import search, verify
-from uconvex.spaces import (BLOCK_ELEMS, SpaceSpec, batch_norm, duality_map,
-                            gathered_blocks, row_blocks, row_pair_norms,
-                            unit_batch)
+from uconvex.sampling import row_pair_norms, unit_batch, unit_blocks
+from uconvex.spaces import (BLOCK_ELEMS, SpaceSpec, batch_norm, block_buffer,
+                            duality_map, gathered_blocks, row_blocks)
 
 BYTES = 8  # float64
 
@@ -65,20 +65,41 @@ def _old_interpolate_to_boundary(space, eps, X, Y):
     return final / batch_norm(space, final)[:, None]
 
 
-def _old_sample_feasible_pairs(space, eps, rng, count, max_resample_rounds=8):
+def _old_sample_feasible_pairs(space, eps, rng, count, max_resample_rounds=8,
+                               draws=None):
+    """The one-shot sampler; ``draws`` gets the size of each draw of Y."""
+    draws = [] if draws is None else draws
     X = _old_unit_batch(space, rng, count)
     Y = _old_unit_batch(space, rng, count)
+    draws.append(count)
     bad = batch_norm(space, X - Y) < eps
     rounds = 0
     while np.any(bad) and rounds < max_resample_rounds:
         if bad.mean() > 0.99:
             break
+        draws.append(int(bad.sum()))
         Y[bad] = _old_unit_batch(space, rng, int(bad.sum()))
         bad = batch_norm(space, X - Y) < eps
         rounds += 1
     if np.any(bad):
         Y[bad] = _old_interpolate_to_boundary(space, eps, X[bad], Y[bad])
     return X, Y
+
+
+def _old_scored_pairs(space, eps, rng, count, draws=None):
+    """The one-shot sampler, then the scoring and top-8 choice that
+    ``empirical_delta`` made of its whole ``X`` and ``Y``."""
+    X, Y = _old_sample_feasible_pairs(space, eps, rng, count, draws=draws)
+    values = 1.0 - 0.5 * batch_norm(space, X + Y)
+    top = np.argsort(values, kind="stable")[:8]
+    return X, values, top, Y[top]
+
+
+def _assert_same_arrays(new, old):
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def _old_stressed_near_unit(space, rng, X, delta, t_scale):
@@ -250,18 +271,20 @@ def test_unit_batch_equals_one_shot(p, d):
 
 
 class _ZeroRowsFirst:
-    """Stand-in generator whose first draw has exact zero rows."""
+    """Stand-in generator whose draws have exact zero rows at the given
+    positions of its stream of rows, however the draws are split."""
 
     def __init__(self, seed, zero_rows):
         self.rng = np.random.default_rng(seed)
         self.zero_rows = zero_rows
-        self.first = True
+        self.drawn = 0
 
-    def standard_normal(self, size):
-        g = self.rng.standard_normal(size)
-        if self.first:
-            g[self.zero_rows] = 0.0
-            self.first = False
+    def standard_normal(self, size=None, out=None):
+        g = self.rng.standard_normal(size, out=out)
+        rows = g.reshape(-1, g.shape[-1])
+        pos = np.arange(self.drawn, self.drawn + len(rows))
+        rows[np.isin(pos, self.zero_rows)] = 0.0
+        self.drawn += len(rows)
         return g
 
 
@@ -275,6 +298,48 @@ def test_unit_batch_redraws_zero_rows_as_one_shot():
     assert np.all(batch_norm(space, new[zero_rows]) > 0.0)
 
 
+def _streamed(space, rng, n):
+    """The blocks of ``unit_blocks`` joined, checking that they follow
+    ``row_blocks`` and share one buffer."""
+    rows, buffers = [], set()
+    blocks = list(row_blocks(n, space.d))
+    for (blk, block), expected in zip(unit_blocks(space, rng, n), blocks,
+                                      strict=True):
+        assert blk == expected and len(block) == blk.stop - blk.start
+        buffers.add(block.__array_interface__["data"][0])
+        rows.append(block.copy())
+    return np.concatenate(rows) if rows else np.empty((0, space.d)), buffers
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d", [2, 16, 64])
+def test_unit_blocks_equal_unit_batch(p, d):
+    space = SpaceSpec(p, d)
+    for n in [0] + _sizes(d):
+        new_rng, old_rng = np.random.default_rng(n), np.random.default_rng(n)
+        rows, buffers = _streamed(space, new_rng, n)
+        assert rows.tobytes() == _old_unit_batch(space, old_rng, n).tobytes()
+        assert _same_stream(new_rng, old_rng)
+        assert len(buffers) <= 1  # one reused block buffer
+
+
+@pytest.mark.parametrize("d", [2, 16, 64])
+def test_unit_blocks_redraw_zero_rows_as_one_shot(d):
+    space = SpaceSpec(1.5, d)
+    b = _rows_per_block(d)
+    n = 3 * b + 7
+    # zeros in the first block, in a later one, in the last row and in the
+    # first row drawn again, which is then drawn a third time
+    for zero_rows in ([0, 5, n // 2, n - 1], [b + 1, 2 * b, n], [n - 1]):
+        new_rng = _ZeroRowsFirst(3, zero_rows)
+        old_rng = _ZeroRowsFirst(3, zero_rows)
+        rows, _ = _streamed(space, new_rng, n)
+        assert rows.tobytes() == _old_unit_batch(space, old_rng, n).tobytes()
+        assert _same_stream(new_rng.rng, old_rng.rng)
+        new = unit_batch(space, _ZeroRowsFirst(3, zero_rows), n)
+        assert new.tobytes() == rows.tobytes()
+
+
 # ------------------------- boundary interpolation -------------------------
 
 def _boundary_inputs(space, n, seed):
@@ -286,6 +351,17 @@ def _boundary_inputs(space, n, seed):
     Y[::7] = -X[::7]
     Y[3::11] = X[3::11]
     return X, Y
+
+
+def _interpolate_to_boundary(space, eps, X, Y, rows):
+    """``search._bisect`` of ``Y[rows]`` toward ``-X[rows]``, in place, one
+    ``gathered_blocks`` block at a time with two reused work buffers: the
+    sampler bisects the blocks of a draw, and a row's result must not
+    depend on the rows bisected with it."""
+    bufs = [block_buffer(len(rows), space.d) for _ in range(2)]
+    for blk, x, y in gathered_blocks(rows, space.d, X, Y):
+        Y[rows[blk]] = search._bisect(space, eps, x, y,
+                                      *(buf[:len(x)] for buf in bufs))
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -305,7 +381,7 @@ def test_interpolate_to_boundary_equals_one_shot(p, d, monkeypatch):
         new = Y.copy()
         with monkeypatch.context() as m:
             m.setattr(search, "batch_norm", spy)
-            search._interpolate_to_boundary(space, 1.5, X, new, np.arange(n))
+            _interpolate_to_boundary(space, 1.5, X, new, np.arange(n))
         assert np.array_equal(new, expected)
     assert any(zero_norms)
 
@@ -319,7 +395,7 @@ def test_interpolate_to_boundary_touches_only_its_rows(d):
     expected = Y.copy()
     expected[rows] = _old_interpolate_to_boundary(space, 1.9, X[rows],
                                                   Y[rows])
-    search._interpolate_to_boundary(space, 1.9, X, Y, rows)
+    _interpolate_to_boundary(space, 1.9, X, Y, rows)
     assert np.array_equal(Y, expected)
 
 
@@ -368,38 +444,63 @@ def test_gathered_blocks_reads_runs_in_place_and_gathers_the_rest():
         assert all(len(seen) == 1 for seen in buffers)
 
 
-@pytest.mark.parametrize("eps", [0.5, 1.5, 1.9, 2.0])
+@pytest.mark.parametrize("eps", [0.5, 1.5, 1.7, 1.9, 2.0])
 @pytest.mark.parametrize("p,d", [(1.5, 16), (3.0, 64), (2.0, 2)])
 def test_sample_feasible_pairs_equals_one_shot(p, d, eps):
     space = SpaceSpec(p, d)
     count = 3 * _rows_per_block(d) + 7 if d > 2 else 3001
     new_rng, old_rng = np.random.default_rng(9), np.random.default_rng(9)
-    X, Y = search.sample_feasible_pairs(space, eps, new_rng, count)
-    oX, oY = _old_sample_feasible_pairs(space, eps, old_rng, count)
-    assert np.array_equal(X, oX) and np.array_equal(Y, oY)
+    new = search.sample_feasible_pairs(space, eps, new_rng, count)
+    _assert_same_arrays(new, _old_scored_pairs(space, eps, old_rng, count))
+    assert len(new[2]) == search.KEEP_BEST
     assert _same_stream(new_rng, old_rng)
 
 
-@pytest.mark.parametrize("eps", [0.7, 1.3])
+@pytest.mark.parametrize("eps", [0.7, 1.3, 1.7])
 def test_sample_feasible_pairs_rejudges_only_resampled_rows(eps,
                                                             monkeypatch):
     space, count = SpaceSpec(1.5, 16), 13998
-    judged = []
-    pair_norms = search.row_pair_norms
+    draws = []
+    blocks = search.unit_blocks
 
-    def spy(space, op, X, Y, rows):
-        judged.append(len(rows))
-        return pair_norms(space, op, X, Y, rows)
+    def spy(space, rng, n):
+        draws.append(n)
+        return blocks(space, rng, n)
 
-    monkeypatch.setattr(search, "row_pair_norms", spy)
+    monkeypatch.setattr(search, "unit_blocks", spy)
     for seed in range(3):
+        draws.clear()
+        old_draws = []
         new_rng, old_rng = (np.random.default_rng(seed) for _ in range(2))
-        X, Y = search.sample_feasible_pairs(space, eps, new_rng, count)
-        oX, oY = _old_sample_feasible_pairs(space, eps, old_rng, count)
-        assert np.array_equal(X, oX) and np.array_equal(Y, oY)
+        new = search.sample_feasible_pairs(space, eps, new_rng, count)
+        old = _old_scored_pairs(space, eps, old_rng, count, draws=old_draws)
+        _assert_same_arrays(new, old)
         assert _same_stream(new_rng, old_rng)
-    # every draw judges all rows once, then each round only its resampled rows
-    assert judged.count(count) == 3 and 0 < min(judged) < count // 2
+        # every row is judged once, then each round draws only the rows
+        # still infeasible
+        assert draws[:len(old_draws)] == old_draws
+        assert old_draws[0] == count and min(old_draws) > 0
+        # rows left after the last round: its draw is drawn again for the
+        # bisection, as it always is at eps = 1.7
+        replayed = draws[len(old_draws):]
+        assert replayed in ([], old_draws[-1:])
+        if eps == 1.7:
+            assert replayed
+            assert len(old_draws) == search.MAX_RESAMPLE_ROUNDS + 1
+        else:
+            assert min(old_draws) < count // 2
+
+
+def test_sample_feasible_pairs_with_fewer_rows_than_kept():
+    space = SpaceSpec(1.5, 16)
+    for count in (1, 5, search.KEEP_BEST):
+        new = search.sample_feasible_pairs(space, 1.0,
+                                           np.random.default_rng(count),
+                                           count)
+        old = _old_scored_pairs(space, 1.0, np.random.default_rng(count),
+                                count)
+        _assert_same_arrays(new, old)
+        assert len(new[2]) == count
 
 
 # ---------------------------- statement checks ----------------------------
@@ -468,6 +569,42 @@ def test_thm2_condition3_violation_records_equal_one_shot(monkeypatch):
                for rec in new.violations)
 
 
+@pytest.mark.parametrize("statement", sorted(verify.SAMPLERS))
+def test_conclusion_norms_only_kept_rows(statement, monkeypatch):
+    normed = []
+    pair_norms = verify.row_pair_norms
+
+    def spy(space, op, X, Y, rows):
+        normed.append(len(rows))
+        return pair_norms(space, op, X, Y, rows)
+
+    monkeypatch.setattr(verify, "row_pair_norms", spy)
+    report = verify._sample(statement, SpaceSpec(1.5, REMARK45_D), 0.5, 1500,
+                            3, 4)
+    assert sum(normed) == report.kept < report.trials
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_remark45_blocks_reuse_their_buffers(k):
+    space = SpaceSpec(1.5, 64)
+    n = 3 * _rows_per_block(k * 64) + 5
+    rng = np.random.default_rng(0)
+    buffers = {block.__array_interface__["data"][0]
+               for _, _, _, block in verify._remark45_batch(
+                   space, rng, n, 0.1, 0.5, k)}
+    assert len(buffers) == 1
+
+
+def test_thm2_functionals_reuse_the_anchor_buffer():
+    space = SpaceSpec(1.5, 64)
+    n = 3 * _rows_per_block(64) + 5
+    rng = np.random.default_rng(0)
+    buffers = {f.__array_interface__["data"][0]
+               for _, _, _, f in verify._thm2_batch(space, rng, n, 0.1, 0.5,
+                                                    1)}
+    assert len(buffers) == 1
+
+
 # ------------------------------- working set -------------------------------
 
 def test_interpolate_to_boundary_working_set_is_one_block(peak_bytes):
@@ -487,7 +624,7 @@ def test_interpolate_to_boundary_working_set_is_one_block(peak_bytes):
         for n in (4 * b, 8 * b):
             X, Y = _boundary_inputs(space, step * n, seed=n)
             rows = np.arange(0, step * n, step)
-            peaks.append(peak_bytes(lambda: search._interpolate_to_boundary(
+            peaks.append(peak_bytes(lambda: _interpolate_to_boundary(
                 space, 1.9, X, Y, rows)))
         assert max(peaks) < bound
         assert peaks[1] <= peaks[0] + 64 * 1024
@@ -539,14 +676,37 @@ def test_lemma23_cell_working_set_is_bounded_by_blocks(monkeypatch,
 
 def test_thm2_condition3_cell_working_set_is_bounded_by_blocks(monkeypatch,
                                                               peak_bytes):
-    """A thm2_condition3 cell holds its batch's three draws, ``X``, ``U``
-    and ``W``, plus O(n) row vectors and at most four blocks: x' is built
-    in ``U``'s block and the anchor in ``W``'s, so no other array grows
-    with the batch."""
+    """A thm2_condition3 cell holds its batch's two whole draws, ``X`` and
+    ``U``, plus O(n) row vectors and at most four blocks: x' is built in
+    ``U``'s block, and the anchor draw, the batch's last, is taken per
+    block, the anchor and its functional built in its block, so no other
+    array grows with the batch."""
     space = SpaceSpec(3.0, 64)
     excess = _cell_excess(
         monkeypatch, peak_bytes,
         lambda n: verify.check_thm2_condition3(space, 1.0, n // 2, 0),
-        space.d, arrays=3)
+        space.d)
     assert max(excess) < 4 * BLOCK_ELEMS * BYTES
+    assert excess[1] <= excess[0] + 64 * 1024
+
+
+@pytest.mark.parametrize("eps", [1.3, 1.9])
+def test_sample_feasible_pairs_working_set_is_bounded_by_blocks(eps,
+                                                               peak_bytes):
+    """Beyond its whole draw ``X`` and O(count) row vectors, the sampler
+    holds a few blocks: each draw of ``y`` rows comes one block at a time,
+    and the rounds, the bisection and the scores work in reused block
+    buffers.  What it holds beyond ``X`` and four float vectors must stay
+    within eight blocks and must not grow when the count doubles; the
+    whole-draw sampler held a second (count, d) array, ``Y``."""
+    space = SpaceSpec(1.5, 16)
+    b = _rows_per_block(16)
+    # the first call's one-time allocations are not the sampler's
+    search.sample_feasible_pairs(space, eps, np.random.default_rng(0), 100)
+    excess = []
+    for count in (4 * b, 8 * b):
+        peak = peak_bytes(lambda: search.sample_feasible_pairs(
+            space, eps, np.random.default_rng(0), count))
+        excess.append(peak - count * space.d * BYTES - 4 * count * BYTES)
+    assert max(excess) < 8 * BLOCK_ELEMS * BYTES
     assert excess[1] <= excess[0] + 64 * 1024

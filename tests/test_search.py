@@ -64,8 +64,9 @@ def scalar_pair_callbacks(space, eps):
 
 
 def start_pair(space, eps, seed):
-    X, Y = sample_feasible_pairs(space, eps, np.random.default_rng(seed), 1)
-    return np.concatenate([X[0], Y[0]])
+    X, _, _, Y_best = sample_feasible_pairs(space, eps,
+                                            np.random.default_rng(seed), 1)
+    return np.concatenate([X[0], Y_best[0]])
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

@@ -131,9 +131,9 @@ ENGINE_COMMANDS = [
       "--eps", "1", "--trials", "10"], 0, "uconvex.verify",
      {"uconvex.sequences"}),
     (["extract", "--p", "2", "--d", "4"], 0, "uconvex.sequences",
-     {"uconvex.verify", "uconvex.search"}),
+     {"uconvex.verify", "uconvex.search", "uconvex.sampling"}),
     (["construct", "--p", "2", "--d", "4"], 3, "uconvex.sequences",
-     {"uconvex.verify", "uconvex.search"}),
+     {"uconvex.verify", "uconvex.search", "uconvex.sampling"}),
 ]
 
 
