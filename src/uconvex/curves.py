@@ -350,7 +350,10 @@ def _field(record, name: str, kind):
 def _point_from_fields(row) -> ModulusPoint:
     eps, delta = _field(row, "eps", float), _field(row, "delta", float)
     method = _field(row, "method", str)
-    wx, wy = row.get("witness_x"), row.get("witness_y")
-    witness = (tuple(tuple(float(t) for t in str(w).split(";"))
-                     for w in (wx, wy)) if wx and wy else None)
-    return ModulusPoint(eps=eps, delta=delta, method=method, witness=witness)
+    wx, wy = (_field(row, k, lambda w: tuple(map(float, str.split(w, ";"))))
+              if row.get(k) not in (None, "") else None
+              for k in ("witness_x", "witness_y"))
+    if len(wx or ()) != len(wy or ()):  # a lone half or unequal halves
+        raise PreconditionError("'witness_x' and 'witness_y' differ in length")
+    return ModulusPoint(eps=eps, delta=delta, method=method,
+                        witness=(wx, wy) if wx else None)

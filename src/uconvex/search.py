@@ -118,9 +118,8 @@ def sample_feasible_pairs(space: SpaceSpec, eps: float,
     d) array of ``y`` rows is built.  The rows left for the bisection all
     come from one draw, the first when rejection gives up at once and else
     the last round's, which is drawn again from a copy of the generator
-    taken before it.  Distances and values are those of
-    :func:`sampling.row_pair_norms` of ``np.subtract`` and ``np.add``, bit for
-    bit.
+    taken before it.  Distances and values are the :func:`batch_norm` of
+    ``x - y`` and ``x + y``, bit for bit, through :func:`sampling.op_norms`.
 
     Returns ``(X, values, best, Y_best)``: ``X`` of shape (count, d), the
     value of every row, the :data:`KEEP_BEST` rows of least value in
@@ -219,8 +218,7 @@ def _bisect(space: SpaceSpec, eps: float, x: np.ndarray, y: np.ndarray,
             mid[degenerate] = np.nextafter(mid[degenerate], 2.0)
             norms = _interpolant(space, x, y, mid, cand, tmp)
         cand /= norms[:, None]
-        dist = np.subtract(x, cand, out=tmp)
-        feas = batch_norm(space, dist, out=dist) >= eps
+        feas = op_norms(space, np.subtract, x, cand, tmp) >= eps
         hi[feas] = mid[feas]
         lo[~feas] = mid[~feas]
     cand /= _interpolant(space, x, y, hi, cand, tmp)[:, None]

@@ -170,25 +170,24 @@ def block_buffer(n: int, width: int) -> np.ndarray:
     return np.empty((first.stop, width))
 
 
-def gathered_blocks(rows: np.ndarray, width: int, *arrays):
-    """``(blk, *(A[rows[blk]] for A in arrays))`` per :func:`row_blocks`
-    block of the index array ``rows``, whose entries are in range.
+def gathered_blocks(rows: np.ndarray, width: int, A: np.ndarray):
+    """``(blk, A[rows[blk]])`` per :func:`row_blocks` block of the index
+    array ``rows``, whose entries are in range.
 
-    A block whose rows lie consecutively is read in place, as views; any
-    other is gathered once into one reused block buffer per array, which
-    the next such block overwrites.
+    A block whose rows lie consecutively is read in place, as a view; any
+    other is gathered into one reused block buffer, which the next such
+    block overwrites.
     """
-    bufs = None
+    buf = None
     for blk in row_blocks(len(rows), width):
         r = rows[blk]
         if np.all(np.diff(r) == 1):
-            yield blk, *(A[r[0]:r[-1] + 1] for A in arrays)
+            yield blk, A[r[0]:r[-1] + 1]
             continue
-        if bufs is None:
-            bufs = [block_buffer(len(rows), width) for _ in arrays]
+        if buf is None:
+            buf = block_buffer(len(rows), width)
         # the rows are in range; mode "raise" would copy out
-        yield blk, *(np.take(A, r, axis=0, out=buf[:len(r)], mode="clip")
-                     for A, buf in zip(arrays, bufs))
+        yield blk, np.take(A, r, axis=0, out=buf[:len(r)], mode="clip")
 
 
 def batch_norm(space: SpaceSpec, rows: np.ndarray, out=None) -> np.ndarray:

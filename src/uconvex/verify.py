@@ -27,7 +27,7 @@ import numpy as np
 from .curves import (STATEMENTS, VerificationReport, _check_eps, _field,
                      curve_violated, delta_from_constraint, lp_delta)
 from .errors import PreconditionError, SamplerExhaustedError
-from .sampling import row_pair_norms, unit_batch, unit_blocks
+from .sampling import draw_units, unit_batch, unit_blocks
 from .spaces import (SpaceSpec, as_rows, as_vector, batch_norm, block_buffer,
                      duality_map, row_blocks)
 
@@ -109,24 +109,21 @@ def _remark45_batch(space, rng, n, delta, t_scale, k):
     """Unit x, a rim-stressed x' and the k rows of T: the norming
     functional of x, then k - 1 random unit-dual functionals.
 
-    The random functionals, the batch's last draw, are drawn per block
-    with ``rng.standard_normal(out=)``: numpy fills a normal draw in order,
-    so the blocks get the numbers of one batch-wide draw, and no (n, k, d)
-    array is built.  The rows, the draw and its powers go to three block
-    buffers reused by every block.
+    The random functionals, the batch's last draw, are drawn per block by
+    :func:`sampling.draw_units` in the dual space, so no (n, k, d) array is
+    built.  The rows, the draw and its powers go to three block buffers
+    reused by every block.
     """
     X, Xp = _near_unit_pairs(space, rng, n, delta, t_scale)
-    dual, d = space.dual, space.d
+    d = space.d
     rows_buf = block_buffer(n, k * d).reshape(-1, k, d)
     G_buf, powers = (np.empty((len(rows_buf), k - 1, d)) for _ in range(2))
     for blk in row_blocks(n, k * d):
         x = X[blk]
         rows = rows_buf[:len(x)]
         duality_map(space, x, out=rows[:, 0, :])
-        if k > 1:
-            G = rng.standard_normal(out=G_buf[:len(x)])
-            norms = batch_norm(dual, G, out=powers[:len(x)])
-            np.divide(G, norms[:, :, None], out=rows[:, 1:, :])
+        draw_units(space.dual, rng, G_buf[:len(x)], powers[:len(x)],
+                   out=rows[:, 1:, :])
         yield blk, x, Xp[blk], rows
 
 
@@ -165,7 +162,9 @@ SAMPLERS = dict(zip(STATEMENTS, (
 def _conclusion(space: SpaceSpec, eps: float, x, xp, rows):
     """The shared conclusion ||x - x'|| < eps on ``rows``, and the
     distances."""
-    dist = row_pair_norms(space, np.subtract, x, xp, rows)
+    diff = x[rows]
+    diff -= xp[rows]
+    dist = batch_norm(space, diff, out=diff)
     return dist < eps, dist
 
 

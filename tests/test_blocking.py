@@ -10,13 +10,14 @@ by the number of rows.
 """
 
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from uconvex import search, verify
-from uconvex.sampling import row_pair_norms, unit_batch, unit_blocks
+from uconvex.sampling import op_norms, unit_batch, unit_blocks
 from uconvex.spaces import (BLOCK_ELEMS, SpaceSpec, batch_norm, block_buffer,
                             duality_map, gathered_blocks, row_blocks)
 
@@ -43,6 +44,14 @@ def _old_unit_batch(space, rng, n):
         norms = batch_norm(space, g)
         bad = norms == 0.0
     return g / norms[:, None]
+
+
+def _in_block_unit_batch(space, rng, n):
+    """The one-shot draw per ``row_blocks`` block: a zero row is drawn
+    again within its block."""
+    blocks = [_old_unit_batch(space, rng, blk.stop - blk.start)
+              for blk in row_blocks(n, space.d)]
+    return np.concatenate(blocks) if blocks else np.empty((0, space.d))
 
 
 def _old_interpolate_to_boundary(space, eps, X, Y):
@@ -287,15 +296,8 @@ class _ZeroRowsFirst:
         self.drawn += len(rows)
         return g
 
-
-def test_unit_batch_redraws_zero_rows_as_one_shot():
-    space = SpaceSpec(1.5, 16)
-    n = 3 * _rows_per_block(16) + 7
-    zero_rows = [0, 5, n // 2, n - 1]
-    new = unit_batch(space, _ZeroRowsFirst(3, zero_rows), n)
-    old = _old_unit_batch(space, _ZeroRowsFirst(3, zero_rows), n)
-    assert np.array_equal(new, old)
-    assert np.all(batch_norm(space, new[zero_rows]) > 0.0)
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 def _streamed(space, rng, n):
@@ -323,21 +325,44 @@ def test_unit_blocks_equal_unit_batch(p, d):
         assert len(buffers) <= 1  # one reused block buffer
 
 
+def test_unit_batch_redraws_zero_rows_as_one_shot():
+    """A zero row is drawn again as the one-shot draw of its
+    ``row_blocks`` block draws it, and comes out a unit row."""
+    space = SpaceSpec(1.5, 16)
+    n = 3 * _rows_per_block(16) + 7
+    zero_rows = [0, 5, n // 2, n - 1]
+    new = unit_batch(space, _ZeroRowsFirst(3, zero_rows), n)
+    ref = _in_block_unit_batch(space, _ZeroRowsFirst(3, zero_rows), n)
+    assert new.tobytes() == ref.tobytes()
+    assert np.allclose(batch_norm(space, new[zero_rows]), 1.0)
+
+
 @pytest.mark.parametrize("d", [2, 16, 64])
 def test_unit_blocks_redraw_zero_rows_as_one_shot(d):
+    """The blocks redraw a zero row as the one-shot draw of its block
+    does: within that block, before the next block is drawn."""
     space = SpaceSpec(1.5, d)
     b = _rows_per_block(d)
     n = 3 * b + 7
     # zeros in the first block, in a later one, in the last row and in the
     # first row drawn again, which is then drawn a third time
     for zero_rows in ([0, 5, n // 2, n - 1], [b + 1, 2 * b, n], [n - 1]):
-        new_rng = _ZeroRowsFirst(3, zero_rows)
-        old_rng = _ZeroRowsFirst(3, zero_rows)
-        rows, _ = _streamed(space, new_rng, n)
-        assert rows.tobytes() == _old_unit_batch(space, old_rng, n).tobytes()
-        assert _same_stream(new_rng.rng, old_rng.rng)
-        new = unit_batch(space, _ZeroRowsFirst(3, zero_rows), n)
+        rng = _ZeroRowsFirst(3, zero_rows)
+        rows, _ = _streamed(space, rng, n)
+        assert np.all(np.isfinite(rows))
+        assert np.allclose(batch_norm(space, rows), 1.0)
+        ref_rng, batch_rng = (_ZeroRowsFirst(3, zero_rows) for _ in range(2))
+        ref = _in_block_unit_batch(space, ref_rng, n)
+        assert rows.tobytes() == ref.tobytes()
+        new = unit_batch(space, batch_rng, n)
         assert new.tobytes() == rows.tobytes()
+        # all three end at the same point of the stream
+        ends = [g.rng.random(4) for g in (rng, ref_rng, batch_rng)]
+        assert all(np.array_equal(ends[0], end) for end in ends)
+        # the blocks before the first zero row's block are a plain draw
+        first = zero_rows[0] // b * b
+        plain = _old_unit_batch(space, np.random.default_rng(3), n)
+        assert rows[:first].tobytes() == plain[:first].tobytes()
 
 
 # ------------------------- boundary interpolation -------------------------
@@ -353,13 +378,22 @@ def _boundary_inputs(space, n, seed):
     return X, Y
 
 
+def _pair_blocks(rows, width, X, Y):
+    """``(blk, X[rows[blk]], Y[rows[blk]])`` from one ``gathered_blocks``
+    walker per array."""
+    for (blk, x), (_, y) in zip(gathered_blocks(rows, width, X),
+                                gathered_blocks(rows, width, Y),
+                                strict=True):
+        yield blk, x, y
+
+
 def _interpolate_to_boundary(space, eps, X, Y, rows):
     """``search._bisect`` of ``Y[rows]`` toward ``-X[rows]``, in place, one
     ``gathered_blocks`` block at a time with two reused work buffers: the
     sampler bisects the blocks of a draw, and a row's result must not
     depend on the rows bisected with it."""
     bufs = [block_buffer(len(rows), space.d) for _ in range(2)]
-    for blk, x, y in gathered_blocks(rows, space.d, X, Y):
+    for blk, x, y in _pair_blocks(rows, space.d, X, Y):
         Y[rows[blk]] = search._bisect(space, eps, x, y,
                                       *(buf[:len(x)] for buf in bufs))
 
@@ -409,11 +443,16 @@ def test_too_close_over_any_rows_equals_one_shot(p, d):
     # blocks that cross each other's boundaries
     rows = np.concatenate([np.arange(3, b + 8), np.arange(b + 9, 4 * b, 3),
                            [4 * b + 8, 0]])
+    buf = block_buffer(len(rows), d)
+
+    def pair_norms(op):
+        return np.concatenate([op_norms(space, op, x, y, buf)
+                               for _, x, y in _pair_blocks(rows, d, X, Y)])
+
     for op in (np.subtract, np.add):
         expected = batch_norm(space, op(X[rows], Y[rows]))
-        norms = row_pair_norms(space, op, X, Y, rows)
-        assert norms.tobytes() == expected.tobytes()
-    dist = row_pair_norms(space, np.subtract, X, Y, rows)
+        assert pair_norms(op).tobytes() == expected.tobytes()
+    dist = pair_norms(np.subtract)
     for eps in (0.5, 1.5, 1.9):
         expected = batch_norm(space, X[rows] - Y[rows]) < eps
         assert np.array_equal(dist < eps, expected)
@@ -423,25 +462,23 @@ def test_gathered_blocks_reads_runs_in_place_and_gathers_the_rest():
     d = 64
     b = _rows_per_block(d)
     rng = np.random.default_rng(4)
-    X, Y = rng.standard_normal((2, 4 * b + 9, d))
+    X = rng.standard_normal((4 * b + 9, d))
     # a consecutive block, then two scattered ones, then a short run
     rows = np.concatenate([np.arange(5, b + 5), np.arange(0, 4 * b, 2),
                            np.arange(4 * b + 2, 4 * b + 9)])
     in_place = [True, False, False, True]
-    for arrays in ((X,), (X, Y)):
-        buffers = [set() for _ in arrays]
-        # check each block before the next one overwrites its buffer
-        walked = 0
-        for blk, *blocks in gathered_blocks(rows, d, *arrays):
-            run, walked = in_place[walked], walked + 1
-            for A, B, seen in zip(arrays, blocks, buffers):
-                assert np.array_equal(B, A[rows[blk]])
-                assert np.shares_memory(B, A) == run
-                if not run:
-                    seen.add(B.__array_interface__["data"][0])
-        assert walked == len(in_place)
-        # every gathered block of one array lands in the same buffer
-        assert all(len(seen) == 1 for seen in buffers)
+    seen = set()
+    # check each block before the next one overwrites its buffer
+    walked = 0
+    for blk, B in gathered_blocks(rows, d, X):
+        run, walked = in_place[walked], walked + 1
+        assert np.array_equal(B, X[rows[blk]])
+        assert np.shares_memory(B, X) == run
+        if not run:
+            seen.add(B.__array_interface__["data"][0])
+    assert walked == len(in_place)
+    # every gathered block lands in the same buffer
+    assert len(seen) == 1
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.5, 1.7, 1.9, 2.0])
@@ -572,16 +609,46 @@ def test_thm2_condition3_violation_records_equal_one_shot(monkeypatch):
 @pytest.mark.parametrize("statement", sorted(verify.SAMPLERS))
 def test_conclusion_norms_only_kept_rows(statement, monkeypatch):
     normed = []
-    pair_norms = verify.row_pair_norms
+    conclusion = verify._conclusion
 
-    def spy(space, op, X, Y, rows):
-        normed.append(len(rows))
-        return pair_norms(space, op, X, Y, rows)
+    def spy(space, eps, x, xp, rows):
+        holds, dist = conclusion(space, eps, x, xp, rows)
+        normed.append(len(dist))
+        return holds, dist
 
-    monkeypatch.setattr(verify, "row_pair_norms", spy)
+    monkeypatch.setattr(verify, "_conclusion", spy)
     report = verify._sample(statement, SpaceSpec(1.5, REMARK45_D), 0.5, 1500,
                             3, 4)
     assert sum(normed) == report.kept < report.trials
+
+
+@pytest.mark.parametrize("p,d", [(1.5, 24), (3.0, 64), (2.0, 2)])
+def test_conclusion_equals_one_shot_on_any_rows(p, d):
+    space = SpaceSpec(p, d)
+    b = _rows_per_block(d)
+    X, Y = _boundary_inputs(space, 2 * b + 9, seed=d)
+    for rows in (np.arange(3, b + 8), np.arange(1, 2 * b + 9, 3),
+                 np.empty(0, dtype=np.intp)):
+        for eps in (0.5, 1.9):
+            holds, dist = verify._conclusion(space, eps, X, Y, rows)
+            expected = batch_norm(space, X[rows] - Y[rows])
+            assert dist.tobytes() == expected.tobytes()
+            assert np.array_equal(holds, expected < eps)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_remark45_redraws_a_zero_functional(k):
+    space, n = SpaceSpec(1.5, REMARK45_D), 50
+    # X and U take the first 2n rows of the stream; row 2n + 1 is the
+    # second random functional drawn
+    rng = _ZeroRowsFirst(0, [2 * n + 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        blocks = [rows[:, 1:].copy() for _, _, _, rows in
+                  verify._remark45_batch(space, rng, n, 0.1, 0.5, k)]
+    functionals = np.concatenate(blocks)
+    assert np.all(np.isfinite(functionals))
+    assert np.allclose(batch_norm(space.dual, functionals), 1.0)
 
 
 @pytest.mark.parametrize("k", [1, 4])

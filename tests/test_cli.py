@@ -540,6 +540,16 @@ FILE_ERRORS = {
     "csv-without-eps": (lambda d: [
         "verify", "--statement", "modulus-props",
         "--curve-file", _write(d / "ab.csv", "a,b\n1,2\n")], "'eps'"),
+    "csv-witness-not-a-number": (lambda d: [
+        "verify", "--statement", "modulus-props",
+        "--curve-file", _write(d / "wa.csv", "eps,delta,method,witness_x,"
+                               "witness_y\n1,0.1,empirical,a;b,1;2\n")],
+        "'witness_x'"),
+    "csv-witness-halves-differ": (lambda d: [
+        "verify", "--statement", "modulus-props",
+        "--curve-file", _write(d / "wl.csv", "eps,delta,method,witness_x,"
+                               "witness_y\n1,0.1,empirical,1;0,0\n")],
+        "'witness_x' and 'witness_y'"),
     "json-without-points": (lambda d: [
         "verify", "--statement", "modulus-props",
         "--curve-file", _write(d / "x.json", '{"x": 1}\n')], "'points'"),

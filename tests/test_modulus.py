@@ -455,13 +455,23 @@ def test_curve_files_name_a_missing_field(tmp_path):
     csv_path.write_text("a,b\n1,2\n")
     with pytest.raises(PreconditionError, match="'eps'"):
         ModulusCurve.from_csv(csv_path)
-    # a witness that is not a string reads as a malformed number
+    # a witness that is not a string is a malformed field
     json_path = tmp_path / "w.json"
     json_path.write_text('{"space": "s", "points": [{"eps": 1, "delta": 0.1,'
                          ' "method": "empirical", "witness_x": [1],'
                          ' "witness_y": [1]}]}')
-    with pytest.raises(ValueError, match="could not convert"):
+    with pytest.raises(PreconditionError, match="'witness_x'"):
         ModulusCurve.from_json(json_path)
+    # a non-numeric coordinate, halves of unequal length and a lone half
+    for wx, wy, field in (("a;b", "1;2", "'witness_x'"),
+                          ("1;0", "a", "'witness_y'"),
+                          ("1;0", "0", "'witness_x' and 'witness_y'"),
+                          ("1;0", "", "'witness_x' and 'witness_y'"),
+                          ("", "0;1", "'witness_x' and 'witness_y'")):
+        csv_path.write_text(f"eps,delta,method,witness_x,witness_y\n"
+                            f"1.0,0.1,empirical,{wx},{wy}\n")
+        with pytest.raises(PreconditionError, match=field):
+            ModulusCurve.from_csv(csv_path)
     for text, field in (('{"x": 1}', "'points'"), ("[1, 2]", "'points'"),
                         ('{"points": 5}', "'points'"),
                         ('{"points": []}', "'space'"),
