@@ -127,8 +127,11 @@ def unit_basis_seed(space: SpaceSpec, n: int) -> np.ndarray:
 def shifted_basis_seed(space: SpaceSpec, n: int) -> np.ndarray:
     """Unit vectors ``(e_0 + e_k) / 2^(1/p)``, k = 1..n, as (n, d) rows.
 
-    Pairwise distances are exactly ``||e_i - e_j|| / 2^(1/p) = 1`` for every
-    exponent, which lands the whole seed in the low Ramsey branch.
+    Pairwise distances are ``||e_i - e_j|| / 2^(1/p) = 1`` in exact
+    arithmetic, and 1 within :func:`rounding.norm_error` as stored: each
+    entry is the rounded ``1 / fl(2^(1/p))``, and :func:`separation`
+    computes 0.9999999999999999 at p = 2 and 3.  Every pair ties, which
+    lands the whole seed in the low Ramsey branch.
     """
     if not 1 <= n <= space.d - 1:
         raise CapacityError(

@@ -206,35 +206,43 @@ def pair_tiles(space: SpaceSpec, arr: np.ndarray, x=None, rows=None):
 
     The sequence is ``a_0, a_1, ...``, the rows of ``arr`` or, with
     ``rows``, the rows ``arr[rows[0]], arr[rows[1]], ...``; i and j are
-    positions in it.  The positions j are walked in the
-    :func:`gathered_blocks` tiles of the rows of ``arr`` (read in place
-    when ``rows`` is None).  Every row i below the tile's last position reads
-    the tile, and ``(i, j, values)`` is yielded, ``values[r]`` holding the
-    pairs (i + r, j), (i + r, j + 1), ... to the tile's end: the rows
-    before the tile share j, its first position, and come in groups of
-    about n values; the rows inside it come one by one, j = i + 1.  With
-    ``x`` None ``values[r]`` holds ``||a_j - a_i||``.  Else one
-    ``D = a_j - a_i`` per pair gives the two rows ``values[r, 0]``, of
-    ``||x + D||``, and ``values[r, 1]``, of ``||x - D||``: the values of
-    ``x - (a_i - a_j)`` and ``x - (a_j - a_i)``, since ``fl(a_i - a_j) =
-    -fl(a_j - a_i)``, ``y - (-z) = y + z`` and the square or ``abs`` drops
-    a zero's sign; x is applied only on the smallest column slice that
-    holds its nonzeros, as off it both have the powers ``|D|^p``.  Every
-    value is the :func:`batch_norm` of its difference bit for bit: the
-    same ufuncs on the same values over a row of length d.  Each
-    ``values`` is new; the difference buffer, the buffer of ``x - D`` on
-    the slice and the tile buffer (at most :data:`BLOCK_ELEMS` entries
+    positions in it.  Rows with few nonzeros take the support path of
+    :mod:`uconvex.sparse`, loaded only when the first row has at most
+    d / 16 nonzeros; its tiles hold one row each.  Else the positions j
+    are walked in the :func:`gathered_blocks` tiles of the rows of ``arr``
+    (read in place when ``rows`` is None).  Every row i below the tile's
+    last position reads the tile, and ``(i, j, values)`` is yielded,
+    ``values[r]`` holding the pairs (i + r, j), (i + r, j + 1), ... to the
+    tile's end: the rows before the tile share j, its first position, and
+    come in groups of about n values; the rows inside it come one by one,
+    j = i + 1.  With ``x`` None ``values[r]`` holds ``||a_j - a_i||``.
+    Else one ``D = a_j - a_i`` per pair gives the two rows ``values[r,
+    0]``, of ``||x + D||``, and ``values[r, 1]``, of ``||x - D||``: the
+    values of ``x - (a_i - a_j)`` and ``x - (a_j - a_i)``, since
+    ``fl(a_i - a_j) = -fl(a_j - a_i)``, ``y - (-z) = y + z`` and the square
+    or ``abs`` drops a zero's sign; x is applied only on the smallest
+    column slice that holds its nonzeros, as off it both have the powers
+    ``|D|^p``.  Every value is the :func:`batch_norm` of its difference bit
+    for bit: the same ufuncs on the same values over a row of length d.
+    Each ``values`` is new; the difference buffer, the buffer of ``x - D``
+    on the slice and the tile buffer (at most :data:`BLOCK_ELEMS` entries
     each) are reused, so the kernel allocates no array of n·d entries.
     """
     arr = np.asarray(arr, dtype=float)
     idx = np.arange(len(arr))
     if rows is not None:  # indexing checks that the rows are in range
         idx = idx[np.asarray(rows, dtype=np.intp)]
+    x = None if x is None else np.asarray(x, dtype=float)
+    if len(idx) > 1 and 16 * np.count_nonzero(arr[idx[0]]) <= space.d:
+        from .sparse import support_form, support_tiles
+        support = support_form(space, arr, idx, x)
+        if support is not None:
+            yield from support_tiles(space, arr, idx, x, *support)
+            return
     pos, d = idx.tolist(), space.d
     buf = block_buffer(len(idx), d)
     root = 1.0 / space.p
     if x is not None:
-        x = np.asarray(x, dtype=float)
         nz = np.flatnonzero(x)
         cols = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
         xs, tbuf = x[cols], np.empty((len(buf), cols.stop - cols.start))

@@ -8,13 +8,17 @@ row ``M[i, i+1:]`` of the matrix ``M`` of the per-row kernel it replaced
 (copied below as ``_old_pair_norms``), which formed ``x - (a_i - a_j)``
 in full for every ordered pair, and with ``x`` also the column
 ``M[i+1:, i]``, across tile boundaries and for any index set ``rows``;
-and its working set must stay within a few block-sized buffers.
+and its working set must stay within a few block-sized buffers.  Rows
+with few nonzeros take the support path of ``uconvex.sparse``, which
+must give the same bits; spies show which families take it.
 """
 
 import numpy as np
 import pytest
 
-from uconvex.sequences import theorem1_extract
+from uconvex import sparse
+from uconvex.sequences import (shifted_basis_seed, theorem1_extract,
+                               theorem3_construct)
 from uconvex.spaces import BLOCK_ELEMS, SpaceSpec, _power_sums, pair_tiles
 
 BYTES = 8  # float64
@@ -284,4 +288,173 @@ def test_theorem1_extract_gathers_a_strided_selection_tile_by_tile(
     peak = peak_bytes(lambda: out.append(
         theorem1_extract(space, seq, x, eps=None)))
     assert out[0].selected == tuple(range(0, n, 2))
+    assert peak <= _three_blocks(n)
+
+
+def _spy(monkeypatch, name):
+    """Count the calls of ``uconvex.sparse.<name>`` in a list."""
+    calls, real = [], getattr(sparse, name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(sparse, name, spy)
+    return calls
+
+
+def _few_nonzeros(rng, n, d, cols, values):
+    """n rows with 2 to 4 nonzeros each, drawn from ``cols`` and ``values``."""
+    seq = np.zeros((n, d))
+    for row, k in zip(seq, rng.integers(2, 5, n)):
+        row[rng.choice(cols, k, replace=False)] = rng.choice(values, k)
+    return seq
+
+
+def _constant_columns(rng, n, d):
+    """Columns 0 to 2 equal in every row, one more nonzero of each row's
+    own: every difference has two nonzeros, the constant columns cancel."""
+    seq = np.zeros((n, d))
+    seq[:, :3] = 0.5
+    seq[np.arange(n), 3 + np.arange(n) % (d - 3)] = rng.standard_normal(n)
+    return seq
+
+
+def _basis_then_shared(rng, n, d):
+    """70 basis rows, whose consecutive pairs pass the probe, then rows of
+    2 to 4 random nonzeros on 8 shared columns, whose sums are not exact:
+    the support path sums those pairs densely."""
+    seq = _few_nonzeros(rng, n, d, np.arange(8), rng.standard_normal(16))
+    seq[:70] = np.eye(d)[:70]
+    return seq
+
+
+def _theorem3_outputs(p, n, d):
+    """The outputs of Theorem 3 on the shifted basis: each difference has
+    four nonzeros with non-integer powers, so no sum is exact."""
+    space = SpaceSpec(p, d)
+    return theorem3_construct(space, shifted_basis_seed(space, d - 1),
+                              n).output
+
+
+SPARSE = {
+    "two_to_four_shared": lambda p, n, d, rng: _few_nonzeros(
+        rng, n, d, np.arange(6), np.array([-1.0, 1.0])),
+    "integer_entries": lambda p, n, d, rng: _few_nonzeros(
+        rng, n, d, np.arange(d), np.array([-4.0, -1.0, 1.0, 4.0])),
+    "constant_columns": lambda p, n, d, rng: _constant_columns(rng, n, d),
+    "basis_then_shared": lambda p, n, d, rng: _basis_then_shared(rng, n, d),
+    "shifted_basis": lambda p, n, d, rng: _shifted(p, n, d),
+}
+
+# sparse x that overlap the rows' supports: columns 0 to 2 hold the
+# constant columns and the shared ones
+SPARSE_X = {
+    "none": lambda d: None,
+    "e_0": lambda d: _unit(d, 0),
+    "e_1_minus": lambda d: _unit(d, 1, -1.0),
+    "integer_pair": lambda d: _unit(d, 0) + _unit(d, 2, 2.0),
+    "far_pair": lambda d: _far_pair(d),
+}
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("seq_kind", sorted(SPARSE))
+def test_support_path_equals_per_row_kernel_bit_for_bit(p, seq_kind,
+                                                        monkeypatch):
+    """n = 150 rows of l^p_128: 11175 pairs, several chunks of pairs with
+    or without x; integer entries give sums of three or more integer
+    powers at p = 3, and at p = 1.5 some integer and some not."""
+    n, d = 150, 128
+    rng = np.random.default_rng(31)
+    space = SpaceSpec(p, d)
+    arr = SPARSE[seq_kind](p, n, d, rng)
+    tiles = _spy(monkeypatch, "support_tiles")
+    for x_kind in sorted(SPARSE_X):
+        x = SPARSE_X[x_kind](d)
+        assert _rows_same_bits(_tile_rows(space, arr, x),
+                               _old_pair_norms(space, arr, x)), x_kind
+    assert tiles  # the family takes the support path for some x
+
+
+def test_support_path_sums_inexact_pairs_densely(monkeypatch):
+    """The probe passes on the basis rows, and the pairs of the shared
+    rows are summed over all d columns."""
+    n, d = 150, 128
+    space = SpaceSpec(3.0, d)
+    arr = _basis_then_shared(np.random.default_rng(4), n, d)
+    tiles = _spy(monkeypatch, "support_tiles")
+    dense = _spy(monkeypatch, "_power_sums")
+    assert _rows_same_bits(_tile_rows(space, arr), _old_pair_norms(space, arr))
+    assert tiles and dense
+
+
+@pytest.mark.parametrize("rows_kind", sorted(ROWS))
+def test_support_path_on_rows_equals_per_row_kernel_of_those_rows(
+        rows_kind, monkeypatch):
+    """Gathered rows of the shifted basis and of integer rows, with x
+    overlapping their supports."""
+    n, d = 200, 400
+    rng = np.random.default_rng(37)
+    rows = ROWS[rows_kind](n)
+    tiles = _spy(monkeypatch, "support_tiles")
+    for space, arr in ((SpaceSpec(3.0, d), _shifted(3.0, n, d)),
+                       (SpaceSpec(1.5, d), SPARSE["integer_entries"](
+                           1.5, n, d, rng))):
+        picked = arr[list(rows)]
+        for x in (None, _unit(d, 0), _unit(d, 1) + _unit(d, 5, -2.0)):
+            assert _rows_same_bits(_tile_rows(space, arr, x, rows),
+                                   _old_pair_norms(space, picked, x))
+    assert tiles or len(rows) < 2
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_theorem3_outputs_take_the_dense_path(p, monkeypatch):
+    """No sum of Theorem 3's outputs is exact: the probe sends them to the
+    dense path whole, with or without x."""
+    d = 128
+    space = SpaceSpec(p, d)
+    arr = _theorem3_outputs(p, 60, d)
+    form, tiles = (_spy(monkeypatch, name)
+                   for name in ("support_form", "support_tiles"))
+    for x in (None, _unit(d, 0)):
+        assert _rows_same_bits(_tile_rows(space, arr, x),
+                               _old_pair_norms(space, arr, x))
+    assert form and not tiles
+
+
+def _sweep_rows(n, d, seed):
+    """The benchmark sweep's random unit rows of l^2_d."""
+    g = np.random.default_rng(seed).standard_normal((n, d))
+    return g / np.linalg.norm(g, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("seq_kind", ["dense", "repeated_rows", "sweep"])
+def test_dense_input_never_enters_the_support_path(seq_kind, monkeypatch):
+    rng = np.random.default_rng(41)
+    form, tiles, sums = (_spy(monkeypatch, name) for name in (
+        "support_form", "support_tiles", "_support_sums"))
+    for d, n in ((16, 40), (128, 250), (400, 100)):
+        space = SpaceSpec(2.0, d)
+        arr = (_sweep_rows(n, d, 5) if seq_kind == "sweep"
+               else SEQUENCES[seq_kind](2.0, n, d, rng))
+        for x in (None, _unit(d, 0), rng.standard_normal(d)):
+            _min_of_tiles(pair_tiles(space, arr, x))
+            _min_of_tiles(pair_tiles(space, arr, x, range(0, n, 2)))
+    assert not (form or tiles or sums)
+
+
+def test_theorem1_extract_on_the_l2_2000_basis_has_no_n_squared_term(
+        peak_bytes, monkeypatch):
+    """The support path's column lists and chunks stay within the bound of
+    the l^2_400 run: no n x n and no n x d term (the basis is 32 MB)."""
+    n = d = 2000
+    space = SpaceSpec(2.0, d)
+    basis = np.eye(d)
+    tiles = _spy(monkeypatch, "support_tiles")
+    out = []
+    peak = peak_bytes(lambda: out.append(
+        theorem1_extract(space, basis, basis[0], eps=None)))
+    assert out[0].selected == tuple(range(1, n))
+    assert out[0].pair_min == 1.7320508075688772
+    assert len(tiles) == 2  # the separation and the certificate
     assert peak <= _three_blocks(n)

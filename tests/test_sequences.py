@@ -82,6 +82,25 @@ def test_shifted_basis_seed_unit_and_one_separated():
     assert len(shifted_basis_seed(SpaceSpec(p=2, d=4), 1)) == 1
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_shifted_basis_seed_separation_is_one_within_rounding(p,
+                                                              monkeypatch):
+    """The stored seed is 1-separated only within ``norm_error``: both pair
+    paths compute 0.9999999999999999 at p = 2 and 3."""
+    from uconvex import sparse
+    space = SpaceSpec(p=p, d=64)
+    seed = shifted_basis_seed(space, 63)
+    tiles = []
+    real = sparse.support_tiles
+    monkeypatch.setattr(sparse, "support_tiles",
+                        lambda *a: tiles.append(1) or real(*a))
+    assert separation(space, seed) == 0.9999999999999999
+    assert tiles  # the support path
+    monkeypatch.setattr(sparse, "support_form", lambda *a: None)
+    assert separation(space, seed) == 0.9999999999999999
+    assert len(tiles) == 1  # the dense path
+
+
 def test_certify_vacuous_for_singleton():
     space = SpaceSpec(p=2, d=2)
     cert = certify(space, unit_basis_seed(space, 1), threshold=1.5)
