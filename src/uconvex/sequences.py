@@ -92,7 +92,7 @@ class ConstructionTrace:
     steps: tuple[TraceStep, ...]
     output: np.ndarray            # (n, d), one output vector per row
     final_certificate: SeparationCertificate
-    status: str                   # "completed" | "exhausted"
+    status: str                   # "completed" at max_len, else "exhausted"
 
 
 def separation(space: SpaceSpec, seq) -> float:
@@ -248,18 +248,18 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
 
     The seed must be 1-separated; its separation is the least of the
     n(n-1)/2 upper-triangle values, which the tiles of the pairwise kernel
-    :func:`spaces.pair_tiles` write into one flat array, row by row, for
-    the Ramsey extraction's pivots to read as row views.  If the extracted
-    monochromatic class sits in the high branch the seed subsequence
-    itself is the output.  In the low branch, candidate differences
-    ``y = xi_a - xi_b`` of the extracted seed vectors, read in place, are
-    enumerated in the diagonal-sweep order of :func:`_open_pairs`,
-    skipping pairs touching indices already consumed by an accepted
-    candidate; a candidate is accepted when it keeps distance
-    ``1 + delta1`` to all prior outputs (their differences from it and
-    the powers go to one reused (max_len, d) buffer), and its
-    normalization then stays ``1 + delta1/2``-separated.  In either branch
-    one final :func:`certify` of the whole output asserts that separation.
+    :func:`spaces.pair_tiles` write into one array per row, for the Ramsey
+    extraction's pivots to read.  If the extracted monochromatic class
+    sits in the high branch the seed subsequence itself is the output.  In
+    the low branch, candidate differences ``y = xi_a - xi_b`` of the
+    extracted seed vectors, read in place, are enumerated in the
+    diagonal-sweep order of :func:`_open_pairs`, skipping pairs touching
+    indices already consumed by an accepted candidate; a candidate is
+    accepted when it keeps distance ``1 + delta1`` to all prior outputs
+    (their differences from it and the powers go to one reused
+    (max_len, d) buffer), and its normalization then stays
+    ``1 + delta1/2``-separated.  In either branch one final
+    :func:`certify` of the whole output asserts that separation.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -281,7 +281,7 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
     steps: list[TraceStep] = []
     if branch == "high":
         # certify passes: it recomputes the entries the split judged above it
-        output, status = seed[extracted[:max_len]], "completed"
+        output = seed[extracted[:max_len]]
     else:
         consumed: set[int] = set()
         # each accepted candidate consumes two of the extracted indices
@@ -310,7 +310,6 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
             if m >= max_len:
                 break
         output = outputs[:m]
-        status = "completed" if m >= max_len else "exhausted"
 
     cert = certify(space, output, threshold=split)
     if not cert.passed:
@@ -318,21 +317,18 @@ def theorem3_construct(space: SpaceSpec, seed, max_len: int,
     return ConstructionTrace(
         seed_description=seed_description, delta1=delta1, branch=branch,
         steps=tuple(steps), output=output, final_certificate=cert,
-        status=status)
+        status="completed" if len(output) >= max_len else "exhausted")
 
 
 def _upper_triangle(space: SpaceSpec, seed: np.ndarray) -> list[np.ndarray]:
-    """The values of the pairs i < j of ``seed`` as row views of one flat
-    n(n-1)/2 array, row i holding the pairs (i, j), j > i; the tiles of
-    :func:`spaces.pair_tiles` are written into it where they belong."""
+    """The values of the pairs i < j of ``seed``, row i's array holding
+    the pairs (i, j), j > i; each tile of :func:`spaces.pair_tiles`, a run
+    of one row's pairs, is one slice write into its row."""
     n = len(seed)
-    tri = np.empty(n * (n - 1) // 2)
-    starts = [i * (2 * n - i - 1) // 2 for i in range(n)]  # row i's (i, i+1)
+    rows = [np.empty(n - i - 1) for i in range(n)]
     for i, j, values in pair_tiles(space, seed):
-        for r, row in enumerate(values, start=i):
-            at = starts[r] + j - r - 1
-            tri[at:at + len(row)] = row
-    return [tri[s:s + n - i - 1] for i, s in enumerate(starts)]
+        rows[i][j - i - 1:][:len(values)] = values
+    return rows
 
 
 def _open_pairs(k: int, consumed: set[int]):

@@ -206,31 +206,32 @@ def pair_tiles(space: SpaceSpec, arr: np.ndarray, x=None, rows=None):
 
     The sequence is ``a_0, a_1, ...``, the rows of ``arr`` or, with
     ``rows``, the rows ``arr[rows[0]], arr[rows[1]], ...``; i and j are
-    positions in it.  Rows with few nonzeros take the support path of
-    :mod:`uconvex.sparse`, loaded only when the first row has at most
-    d / 16 nonzeros; its tiles hold one row each.  Else the positions j
-    are walked in the :func:`gathered_blocks` tiles of the rows of ``arr``
-    (read in place when ``rows`` is None).  Every row i below the tile's
-    last position reads the tile, and ``(i, j, values)`` is yielded,
-    ``values[r]`` holding the pairs (i + r, j), (i + r, j + 1), ... to the
-    tile's end: the rows before the tile share j, its first position, and
-    come in groups of about n values; the rows inside it come one by one,
-    j = i + 1.  With ``x`` None ``values[r]`` holds ``||a_j - a_i||``.
-    Else one ``D = a_j - a_i`` per pair gives the two rows ``values[r,
-    0]``, of ``||x + D||``, and ``values[r, 1]``, of ``||x - D||``: the
-    values of ``x - (a_i - a_j)`` and ``x - (a_j - a_i)``, since
-    ``fl(a_i - a_j) = -fl(a_j - a_i)``, ``y - (-z) = y + z`` and the square
-    or ``abs`` drops a zero's sign; x is applied only on the smallest
-    column slice that holds its nonzeros, as off it both have the powers
-    ``|D|^p``.  Every value is the :func:`batch_norm` of its difference bit
-    for bit: the same ufuncs on the same values over a row of length d.
-    Each ``values`` is new; the difference buffer, the buffer of ``x - D``
-    on the slice and the tile buffer (at most :data:`BLOCK_ELEMS` entries
+    positions in it, and a row outside ``range(len(arr))``, negative or
+    not, raises ``IndexError``.  Each tile ``(i, j, values)`` holds row
+    i's pairs (i, j), (i, j + 1), ...: with ``x`` None ``values`` is 1-D,
+    of ``||a_j - a_i||``.  Else one ``D = a_j - a_i`` per pair gives the
+    two rows of a (2, L) ``values``, ``values[0]`` of ``||x + D||`` and
+    ``values[1]`` of ``||x - D||``: the values of ``x - (a_i - a_j)`` and
+    ``x - (a_j - a_i)``, since ``fl(a_i - a_j) = -fl(a_j - a_i)``, ``y -
+    (-z) = y + z`` and the square or ``abs`` drops a zero's sign; x is
+    applied only on the smallest column slice that holds its nonzeros, as
+    off it both have the powers ``|D|^p``.  Rows with few nonzeros take
+    the support path of :mod:`uconvex.sparse`, loaded only when the first
+    row has at most d / 16 nonzeros.  Else the positions j are walked in
+    the :func:`gathered_blocks` tiles of the rows of ``arr`` (read in
+    place when ``rows`` is None), and every row i below a tile's last
+    position reads it from j = i + 1 or the tile's first position on.
+    Every value is the :func:`batch_norm` of its difference bit for bit:
+    the same ufuncs on the same values over a row of length d.  Each
+    ``values`` is new; the difference buffer, the buffer of ``x - D`` on
+    the slice and the tile buffer (at most :data:`BLOCK_ELEMS` entries
     each) are reused, so the kernel allocates no array of n·d entries.
     """
     arr = np.asarray(arr, dtype=float)
     idx = np.arange(len(arr))
-    if rows is not None:  # indexing checks that the rows are in range
+    if rows is not None:  # indexing raises on a row past the end
+        if np.any(np.less(rows, 0)):
+            raise IndexError("row positions must not be negative")
         idx = idx[np.asarray(rows, dtype=np.intp)]
     x = None if x is None else np.asarray(x, dtype=float)
     if len(idx) > 1 and 16 * np.count_nonzero(arr[idx[0]]) <= space.d:
@@ -247,27 +248,22 @@ def pair_tiles(space: SpaceSpec, arr: np.ndarray, x=None, rows=None):
         cols = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
         xs, tbuf = x[cols], np.empty((len(buf), cols.stop - cols.start))
     for blk, tile in gathered_blocks(idx, d, arr):
-        # the rows before the tile in groups of about n values, then the
-        # rows inside it one by one
-        firsts = [*range(0, blk.start, max(1, len(idx) // len(tile))),
-                  *range(blk.start, blk.stop)]
-        for i0, i1 in zip(firsts, firsts[1:]):
-            j = max(blk.start, i0 + 1)
-            values = np.empty((i1 - i0, 1 if x is None else 2, blk.stop - j))
-            for row, out in zip(pos[i0:i1], values):
-                diff = np.subtract(tile[j - blk.start:], arr[row],
-                                   out=buf[:blk.stop - j])
-                if x is not None:
-                    sup, t = diff[:, cols], tbuf[:len(diff)]
-                    np.subtract(xs, sup, out=t)  # x - D to t, x + D over D
-                    np.add(xs, sup, out=sup)
-                np.add.reduce(_powers(space, diff, out=diff), axis=-1,
-                              out=out[0])
-                if x is not None:
-                    _powers(space, t, out=sup)  # |x - D|^p into the slice
-                    np.add.reduce(diff, axis=-1, out=out[1])
+        for i in range(blk.stop - 1):
+            j = max(blk.start, i + 1)
+            values = np.empty((1 if x is None else 2, blk.stop - j))
+            diff = np.subtract(tile[j - blk.start:], arr[pos[i]],
+                               out=buf[:blk.stop - j])
+            if x is not None:
+                sup, t = diff[:, cols], tbuf[:len(diff)]
+                np.subtract(xs, sup, out=t)  # x - D to t, x + D over D
+                np.add(xs, sup, out=sup)
+            np.add.reduce(_powers(space, diff, out=diff), axis=-1,
+                          out=values[0])
+            if x is not None:
+                _powers(space, t, out=sup)  # |x - D|^p into the slice
+                np.add.reduce(diff, axis=-1, out=values[1])
             values **= root
-            yield i0, j, values[:, 0] if x is None else values
+            yield i, j, values[0] if x is None else values
 
 
 def _row_norms(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:

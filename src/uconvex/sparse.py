@@ -73,8 +73,8 @@ def support_tiles(space: SpaceSpec, arr, idx, x, cols, xcols):
                            _power_sums(space, np.subtract(x, D, out=D))])
         sums **= 1.0 / space.p
         for (row, first, _), s, n in zip(runs, starts, lens):
-            values = sums[None, :, s:s + n]
-            yield row, first, values[:, 0] if x is None else values
+            yield row, first, (sums[0, s:s + n] if x is None
+                               else sums[:, s:s + n])
 
 
 def _support_sums(space: SpaceSpec, arr, idx, cols, x, xcols, I, J):

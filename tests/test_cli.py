@@ -164,6 +164,18 @@ def test_construct_basis_l2_16_branch_high(capsys):
     assert constant == pytest.approx(SQRT2, abs=1e-12)
 
 
+def test_construct_high_branch_short_of_max_len_is_exhausted(tmp_path,
+                                                             capsys):
+    """The high branch reports a shortfall as the low branch does."""
+    out = tmp_path / "trace.json"
+    code, stdout, _ = run(capsys, "construct", "--p", "2", "--d", "4",
+                          "--seed-kind", "basis", "--max-len", "10",
+                          "--out", str(out))
+    assert code == 3
+    assert "branch=high status=exhausted output=4" in stdout
+    assert '"status": "exhausted"' in out.read_text()
+
+
 def test_construct_max_len_one(capsys):
     code, stdout, _ = run(capsys, "construct", "--p", "2", "--d", "8",
                           "--max-len", "1")

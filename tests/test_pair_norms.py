@@ -49,13 +49,16 @@ def _tile_rows(space, arr, x=None, rows=None):
     """The tiles of :func:`pair_tiles` put together per row, as the oracle
     gives them: row i holds the values of the pairs (i, j), j > i, and
     with ``x`` is the pair of its ``||x + D||`` and ``||x - D||`` rows.
-    Row i's tiles must cover j = i + 1, ..., m - 1 in order, once each."""
+    Each tile is one row's run of pairs, 1-D or with ``x`` of shape
+    (2, L); row i's tiles must cover j = i + 1, ..., m - 1 in order, once
+    each."""
     m = len(arr) if rows is None else len(rows)
     parts = [[] for _ in range(m)]
     for i, j, values in pair_tiles(space, arr, x, rows):
-        for r, row in enumerate(values, start=i):
-            assert j == r + 1 + sum(v.shape[-1] for v in parts[r])
-            parts[r].append(row)
+        assert (values.ndim == 1 if x is None
+                else values.ndim == 2 and len(values) == 2), values.shape
+        assert j == i + 1 + sum(v.shape[-1] for v in parts[i])
+        parts[i].append(values)
     empty = np.empty((0,) if x is None else (2, 0))
     out = [np.concatenate(p, axis=-1) if p else empty for p in parts]
     assert all(r.shape[-1] == m - i - 1 for i, r in enumerate(out))
@@ -199,6 +202,14 @@ def test_pair_norms_accept_list_inputs_and_no_rows():
                                            np.array(x)))
     assert list(pair_tiles(space, np.zeros((0, 4)), x)) == []
     assert list(pair_tiles(space, arr, x, [])) == []
+
+
+@pytest.mark.parametrize("rows", [[-1, 0], [0, 3]])
+def test_pair_tiles_rejects_rows_out_of_range(rows):
+    """A negative position raises as one past the end does; it is not
+    read as a row counted from the end."""
+    with pytest.raises(IndexError):
+        list(pair_tiles(SpaceSpec(2.0, 3), np.eye(3), rows=rows))
 
 
 def _min_of_tiles(tiles):
@@ -405,6 +416,19 @@ def test_support_path_on_rows_equals_per_row_kernel_of_those_rows(
             assert _rows_same_bits(_tile_rows(space, arr, x, rows),
                                    _old_pair_norms(space, picked, x))
     assert tiles or len(rows) < 2
+
+
+def test_one_crowded_row_sends_the_family_to_the_dense_path(monkeypatch):
+    """Row 7 of an l^3_128 basis has 21 nonzeros: the family averages
+    under the bound of 8 per row, the row is over it, so no tile comes
+    from the support path."""
+    space = SpaceSpec(3.0, 128)
+    arr = np.eye(128)[:50]
+    arr[7, 40:60] = np.random.default_rng(8).uniform(0.1, 1.0, 20)
+    form, tiles = (_spy(monkeypatch, name)
+                   for name in ("support_form", "support_tiles"))
+    assert _rows_same_bits(_tile_rows(space, arr), _old_pair_norms(space, arr))
+    assert form and not tiles
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])

@@ -466,6 +466,38 @@ def test_theorem3_basis_seed_short_circuits_high():
                                                                  abs=1e-12)
 
 
+def test_theorem3_high_branch_short_of_max_len_is_exhausted():
+    space = SpaceSpec(p=2, d=4)
+    trace = theorem3_construct(space, unit_basis_seed(space, 4), max_len=10)
+    assert trace.branch == "high"
+    assert len(trace.output) == 4
+    assert trace.status == "exhausted"
+    assert trace.final_certificate.passed
+
+
+def test_theorem3_rejects_a_candidate_too_close_to_a_prior_output(
+        monkeypatch):
+    """No real seed rejects at p = 2, so delta(2/3) is raised to 0.5: the
+    split 1.25 keeps the shifted basis low, and every candidate after the
+    first lies sqrt(2) < 1.5 from it."""
+    monkeypatch.setattr(sequences, "lp_delta", lambda p, eps: 0.5)
+    space = SpaceSpec(p=2, d=16)
+    trace = theorem3_construct(space, shifted_basis_seed(space, 15),
+                               max_len=8)
+    assert trace.branch == "low"
+    first, second, third = trace.steps[:3]
+    assert first.pair == (0, 1) and first.accepted
+    assert second.pair == (2, 3) and not second.accepted
+    assert second.min_dist_to_prior == 1.4142135623730951
+    # the rejected pair consumes nothing: its reverse is tried next
+    assert third.pair == (3, 2) and third.candidate_index == \
+        second.candidate_index + 1
+    assert not any(s.accepted for s in trace.steps[1:])
+    assert trace.status == "exhausted" and len(trace.output) == 1
+    cert = trace.final_certificate
+    assert cert.passed and cert.min_pairwise == math.inf
+
+
 def test_theorem3_shifted_seed_runs_greedy_low_branch():
     space = SpaceSpec(p=2, d=64)
     seed = shifted_basis_seed(space, 63)

@@ -571,7 +571,7 @@ def test_norm_error_bounds_every_norm_against_an_exact_sum(p, d):
             assert _within(p, computed, norm_error(d, computed), exact), name
         # a pairwise entry norms a rounded difference of stored rows
         b = rows["random"] if name != "random" else rows["equal"]
-        computed = next(pair_tiles(space, np.stack([b, a])))[2][0, 0]
+        computed = next(pair_tiles(space, np.stack([b, a])))[2][0]
         diff = sum(abs(Fraction(u) - Fraction(v)) ** p
                    for u, v in zip(a.tolist(), b.tolist()))
         assert _within(p, computed, norm_error(d, computed, computed), diff)
